@@ -1,10 +1,10 @@
 """Invariant idempotent probabilities of max-plus iterated function systems.
 
 The pipeline: build a finite space (``spaces``), put a validated system of
-contracting maps and normalized weights on it (``mpifs``), take the
-transitive closure of its one-step transition matrix to get the path-sum
-potential and Aubry set (``mane``), and read every invariant density off
-the Aubry boundary data (``invariant``).  ``fuzzy`` carries the whole
+contracting maps and normalized weights on it (``mpifs``), find the Aubry
+set and the path-sum potential at it on the transition graph (``mane``;
+the full transitive closure only on demand), and read every invariant
+density off the Aubry boundary data (``invariant``).  ``fuzzy`` carries the whole
 picture across the exponential conjugation to fuzzy attractors, and
 ``examples`` holds the canonical systems.
 """

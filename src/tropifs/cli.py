@@ -42,7 +42,6 @@ from .invariant import (
     verify_invariant,
 )
 from .mane import mane_potential
-from .mpifs import ValidationReport
 
 DOMAIN_ERRORS = (
     NormalizationError,
@@ -79,14 +78,7 @@ def cmd_validate(cfg: RunConfig, out: Path, seed, threads) -> int:
     except DOMAIN_ERRORS as exc:
         serialize.write_json(out / "validation.json", {"valid": False, "error": str(exc)})
         return EXIT_DOMAIN
-    report = ValidationReport(
-        valid=True,
-        gamma_hat=system.gamma_hat,
-        lip_c_hat=system.lip_c_hat,
-        normalization_drift=0.0,
-        renormalized=False,
-        messages=[],
-    ).to_jsonable()
+    report = system.validation.to_jsonable()
     report["points"] = system.space.n
     report["maps"] = system.num_maps
     report["constant_weights"] = system.is_constant_weight()

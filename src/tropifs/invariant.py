@@ -63,10 +63,9 @@ def build_invariant(pot: PotentialMatrix, boundary: BoundaryData) -> Density:
     extra = set(boundary.values) - set(pot.aubry)
     if extra:
         raise ConfigError(f"boundary points {sorted(extra)} are not Aubry points")
-    s = pot.s.entries
-    lam = np.full(s.shape[0], BOTTOM)
+    lam = np.full(pot.space.n, BOTTOM)
     for z, level in boundary.values.items():
-        np.maximum(lam, s[:, z] + level, out=lam)
+        np.maximum(lam, pot.column(z) + level, out=lam)
     top = lam.max()
     if top != 0.0:
         if abs(top) > pot.tol_aubry:
@@ -129,11 +128,12 @@ def enumerate_invariants(
     else:
         built = [one(a) for a in assignments]
 
-    distinct = []
+    # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
+    # 0.0, so two densities share a key exactly when np.array_equal holds.
+    distinct = {}
     for lam in built:
-        if not any(np.array_equal(lam.values, d.values) for d in distinct):
-            distinct.append(lam)
-    return distinct
+        distinct.setdefault((lam.values + 0.0).tobytes(), lam)
+    return list(distinct.values())
 
 
 @dataclass
@@ -259,11 +259,9 @@ def constant_weight_density(
         raise NotConstantWeightError("unique-density construction needs constant weights")
     if cm is None:
         cm = coding_map(system)
-    s = pot.s.entries
-    cols = s[:, list(pot.aubry)]
-    finite_ref = cols[:, 0]
-    for k in range(1, cols.shape[1]):
-        a, b = finite_ref, cols[:, k]
+    finite_ref = pot.column(pot.aubry[0])
+    for z in pot.aubry[1:]:
+        a, b = finite_ref, pot.column(z)
         both = (a > BOTTOM) & (b > BOTTOM)
         if ((a > BOTTOM) != (b > BOTTOM)).any() or (
             both.any() and np.max(np.abs(a[both] - b[both])) > AUBRY_COLUMN_TOL

@@ -8,7 +8,6 @@ reject them).  Finite entries are ordinary float64.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,9 @@ BOTTOM = float("-inf")
 
 #: Multiplicative neutral.
 ONE = 0.0
+
+#: Floyd-Warshall sweeps allowed before the closure counts as unstable.
+_MAX_SWEEPS = 8
 
 
 def is_bottom(a: float) -> bool:
@@ -91,45 +93,31 @@ def mp_mat_mul(a: MpMatrix, b: MpMatrix) -> MpMatrix:
     return MpMatrix(_mul(a.entries, b.entries))
 
 
-def kleene_plus(a: MpMatrix, method: str = "squaring") -> MpMatrix:
-    """Transitive closure A+ = A (+) A^2 (+) ... (+) A^n.
+def kleene_plus(a: MpMatrix) -> MpMatrix:
+    """Transitive closure A+ = A (+) A^2 (+) ... (+) A^n by Floyd-Warshall.
 
     Entry (i, j) is the supremum of total weights over all paths j -> i of
     length >= 1 (row index is the path target).  Requires that no cycle has
     strictly positive weight; this holds automatically when all entries are
     <= 0, and is detected otherwise through the diagonal of the result.
 
-    ``method="squaring"`` runs accumulating squarings P <- P (+) P*P until
-    the matrix stops changing (at most ceil(log2 n) steps in exact
-    arithmetic; a few more are allowed to absorb rounding on non-dyadic
-    input).  At the fixed point P >= P*P holds entrywise in float, so the
-    triangle property of the closure is exact.  ``method="floyd_warshall"``
-    is the cubic relaxation alternative.
+    The relaxation runs in place, so memory stays O(n^2).  Sweeps repeat
+    until one changes no entry (one extra sweep in exact arithmetic; a few
+    more may absorb rounding on non-dyadic input).  A sweep without change
+    leaves P >= P[:, k] + P[k, :] for every k in float, so the triangle
+    property of the closure is exact.
     """
     if a.rows != a.cols:
         raise DimensionError("kleene_plus requires a square matrix")
+    p = a.entries.copy()
     n = a.rows
-    if n == 0:
-        return MpMatrix(a.entries.copy())
-    if method == "floyd_warshall":
-        p = a.entries.copy()
+    for _ in range(_MAX_SWEEPS):
+        before = p.copy()
         for k in range(n):
             np.maximum(p, p[:, k, None] + p[None, k, :], out=p)
-    elif method == "squaring":
-        p = a.entries.copy()
-        cap = max(1, math.ceil(math.log2(n))) + 8
-        for _ in range(cap):
-            q = np.maximum(p, _mul(p, p))
-            if np.array_equal(q, p):
-                break
-            p = q
-        else:
-            if np.max(np.diagonal(p)) > 0:
-                raise PositiveCycleError("closure diverges: positive-weight cycle")
-            raise InternalError("closure failed to stabilize")
-    else:
-        raise ValueError(f"unknown closure method {method!r}")
-    diag_max = np.max(np.diagonal(p)) if n else BOTTOM
-    if diag_max > 0:
-        raise PositiveCycleError(f"positive-weight cycle detected (diag max {diag_max})")
-    return MpMatrix(p)
+        diag_max = np.max(np.diagonal(p)) if n else BOTTOM
+        if diag_max > 0:
+            raise PositiveCycleError(f"positive-weight cycle detected (diag max {diag_max})")
+        if np.array_equal(p, before):
+            return MpMatrix(p)
+    raise InternalError("closure failed to stabilize")

@@ -53,6 +53,8 @@ class MpIfs:
     gamma_hat: Optional[float] = None
     lip_c_hat: Optional[float] = None
     validated: bool = field(default=False, repr=False)
+    #: The report of the :func:`validate` call that validated the system.
+    validation: Optional["ValidationReport"] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.maps = np.asarray(self.maps, dtype=np.intp)
@@ -153,9 +155,10 @@ def _weight_lipschitz(system: MpIfs) -> float:
 def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> ValidationReport:
     """Check normalization, contraction, and weight regularity.
 
-    Fills ``gamma_hat`` and ``lip_c_hat`` on the system and silently
-    re-normalizes the weights (subtracting the per-point max) when the
-    drift is within ``normalization_tol``; larger drift raises
+    Fills ``gamma_hat``, ``lip_c_hat`` and ``validation`` (the returned
+    report) on the system and silently re-normalizes the weights
+    (subtracting the per-point max) when the drift is within
+    ``normalization_tol``; larger drift raises
     :class:`NormalizationError`, and an estimated contraction constant
     >= 1 raises :class:`NotContractiveError`.
     """
@@ -185,7 +188,7 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
     system.lip_c_hat = lip
     system.validated = True
     system.weights.flags.writeable = False
-    return ValidationReport(
+    system.validation = ValidationReport(
         valid=True,
         gamma_hat=gamma,
         lip_c_hat=lip,
@@ -193,6 +196,7 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
         renormalized=renormalized,
         messages=messages,
     )
+    return system.validation
 
 
 def dual_transfer(system: MpIfs, f) -> np.ndarray:

@@ -41,8 +41,11 @@ def check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     off = dist + np.eye(n) * (dist.max() + 1.0 if n else 1.0)
     if n > 1 and np.min(off) <= 0:
         raise ConfigError("distinct points must have positive distance")
-    # d(i,k) <= d(i,j) + d(j,k) for all triples, within float tolerance
-    through = np.min(dist[:, :, None] + dist[None, :, :], axis=1)
+    # d(i,k) <= d(i,j) + d(j,k) for all triples, within float tolerance;
+    # a running minimum over the middle index j keeps memory at O(n^2).
+    through = np.full((n, n), np.inf)
+    for j in range(n):
+        np.minimum(through, dist[:, j, None] + dist[None, j, :], out=through)
     if np.any(dist > through + tol):
         raise ConfigError("triangle inequality violated")
 

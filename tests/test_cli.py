@@ -1,8 +1,12 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import tropifs
 from tropifs.cli import main
 from tropifs.examples import build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
@@ -37,6 +41,32 @@ def test_validate_broken_normalization(tmp_path):
     assert code == 2
     report = json.loads((out / "validation.json").read_text())
     assert not report["valid"]
+
+
+def test_validate_reports_renormalization(tmp_path):
+    doc = system_to_jsonable(build_two_point_system())
+    doc["weights"] = [[-1e-13, -1e-13], [-1.0, -1.0]]
+    code, out = run(tmp_path, "validate", {"system": {"inline": doc}})
+    assert code == 0
+    report = json.loads((out / "validation.json").read_text())
+    assert report["normalization_drift"] == 1e-13
+    assert report["renormalized"] is True
+    assert report["messages"] == ["weights re-normalized (drift 1e-13)"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported lazily, inside the graph computations only
+    src = str(Path(tropifs.__file__).resolve().parents[1])
+    probe = "import sys, tropifs.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_missing_config_file(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropifs import mane
 from tropifs.errors import ConfigError, EmptyAubryError
 from tropifs.examples import (
     build_nonunique_shift_system,
@@ -10,9 +11,8 @@ from tropifs.examples import (
     discrete_index_space,
     random_system,
 )
-from tropifs.maxplus import BOTTOM, MpMatrix
+from tropifs.maxplus import BOTTOM, MpMatrix, kleene_plus
 from tropifs.mane import (
-    PotentialMatrix,
     check_sum_lipschitz,
     check_triangle,
     mane_potential,
@@ -20,7 +20,7 @@ from tropifs.mane import (
     transition_matrix,
 )
 from tropifs.mpifs import MpIfs, validate
-from tropifs.spaces import build_grid, build_shift_space
+from tropifs.spaces import build_grid, build_point_space, build_shift_space
 
 from oracles import edge_table, paths_closure, words_closure
 
@@ -167,10 +167,8 @@ def test_check_triangle():
     words = shift.space.points
     bad = spot.s.entries.copy()
     bad[words.index((1, 2)), words.index((1, 1))] -= 0.5
-    corrupted = PotentialMatrix(
-        space=spot.space, s=MpMatrix(bad), aubry=spot.aubry, tol_aubry=spot.tol_aubry
-    )
-    assert not check_triangle(corrupted)
+    spot.s = MpMatrix(bad)
+    assert not check_triangle(spot)
 
 
 @settings(max_examples=20, deadline=None)
@@ -210,3 +208,127 @@ def test_s_zero_on_aubry_rows_constant_weights():
     pot = mane_potential(sym)
     for z in pot.aubry:
         assert np.all(pot.s.entries[z] == 0.0)
+
+
+# --- sparse Aubry columns against the dense closure --------------------------
+
+QUANT = 2.0**-26
+TOL = 2.0**-20
+
+
+def index_system(maps, weights):
+    """Arbitrary index maps on a discrete space with unit distances.
+
+    The resolution of 1/2 gives every snapped map a slack of one full
+    distance, so the contraction check accepts any maps.
+    """
+    n = len(maps[0])
+    space = build_point_space([str(i) for i in range(n)], 1.0 - np.eye(n), resolution=0.5)
+    labels = [str(j) for j in range(len(maps))]
+    system = MpIfs(space, discrete_index_space(labels), maps, weights, exact_maps=False)
+    validate(system)
+    return system
+
+
+def assert_matches_dense(system, tol_aubry):
+    """Aubry set and Aubry columns equal the dense closure, bit for bit."""
+    dense = kleene_plus(transition_matrix(system)).entries
+    expected = tuple(int(z) for z in np.flatnonzero(np.diagonal(dense) >= -tol_aubry))
+    if not expected:
+        with pytest.raises(EmptyAubryError):
+            mane_potential(system, tol_aubry=tol_aubry)
+        return None
+    pot = mane_potential(system, tol_aubry=tol_aubry)
+    assert pot.aubry == expected
+    for z in pot.aubry:
+        assert pot.column(z).tobytes() == dense[:, z].tobytes()
+    return pot
+
+
+@st.composite
+def dyadic_index_systems(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = rng.integers(0, n, size=(m, n))
+    # 0.0 - x, not -x: a penalty that rounds to zero must be +0.0
+    weights = 0.0 - np.round(rng.uniform(0.0, 4 * TOL, size=(m, n)) / QUANT) * QUANT
+    weights[rng.random((m, n)) < 0.3] = BOTTOM
+    weights[rng.integers(0, m, size=n), np.arange(n)] = 0.0
+    return index_system(maps, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_index_systems(), st.sampled_from([1e-9, TOL, 3 * TOL]))
+def test_sparse_potential_matches_dense_index_systems(system, tol_aubry):
+    assert_matches_dense(system, tol_aubry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_sparse_potential_matches_dense_random_systems(seed, on_shift, constant):
+    space = build_shift_space(2, 4) if on_shift else build_grid(0.0, 1.0, 24)
+    system = random_system(space, 2 if on_shift else 3, seed % 500, constant_weights=constant)
+    assert_matches_dense(system, 1e-9)
+
+
+def test_zero_weight_edges_are_kept():
+    # the Aubry set is the zero cycle 0 <-> 1; its edges are explicit zeros
+    system = index_system([[1, 0, 0], [2, 2, 2]], [[0.0, 0.0, 0.0], [-1.0, -1.0, BOTTOM]])
+    pot = assert_matches_dense(system, 1e-9)
+    assert pot.aubry == (0, 1)
+    assert pot.column(0).tolist() == [0.0, 0.0, -1.0]
+
+
+def test_parallel_edges_keep_the_max_weight():
+    # both maps send each point to 0; summing the self-loop 0 -> 0 gives -0.5
+    system = index_system([[0, 0], [0, 0]], [[0.0, 0.0], [-0.5, -0.5]])
+    pot = assert_matches_dense(system, 1e-9)
+    assert pot.aubry == (0,)
+    assert pot.column(0).tolist() == [0.0, BOTTOM]
+
+
+def test_cycle_within_tolerance_is_aubry():
+    # cycle 1 -> 0 -> 1 of weight -tol/2 (0 also has a zero self-loop)
+    system = index_system([[1, 0], [0, 1]], [[-TOL / 2, 0.0], [0.0, -1.0]])
+    assert assert_matches_dense(system, TOL).aubry == (0, 1)
+    assert assert_matches_dense(system, TOL / 4).aubry == (0,)
+
+
+def test_cycle_of_near_zero_edges_below_tolerance_is_not_aubry():
+    # every edge of the 3-cycle 0 -> 1 -> 2 -> 0 is >= -tol, the cycle is not
+    edge = -3 * TOL / 8
+    system = index_system(
+        [[1, 2, 0, 3], [3, 3, 3, 3]],
+        [[edge, edge, edge, -1.0], [0.0, 0.0, 0.0, 0.0]],
+    )
+    assert assert_matches_dense(system, TOL).aubry == (3,)
+    assert assert_matches_dense(system, 2 * TOL).aubry == (0, 1, 2, 3)
+
+
+def test_triangle_exact_on_non_dyadic_chain():
+    # chain 0 -> 1 -> 2 -> 3; map 1 drains 0, 1, 2 into the absorbing point 4.
+    # One Floyd-Warshall sweep sums S[3, 0] as -0.3 + (-0.2 + -0.1), one ulp
+    # below S[3, 1] + S[1, 0] = -0.5 + -0.1.
+    system = index_system(
+        [[1, 2, 3, 4, 4], [4, 4, 4, 4, 4]],
+        [[-0.1, -0.2, -0.3, BOTTOM, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]],
+    )
+    pot = mane_potential(system)
+    assert pot.aubry == (4,)
+    assert check_triangle(pot)
+
+
+def test_dense_closure_is_built_only_on_demand(monkeypatch):
+    built = []
+
+    def counting_closure(a):
+        built.append(a.rows)
+        return kleene_plus(a)
+
+    monkeypatch.setattr(mane, "kleene_plus", counting_closure)
+    pot = mane_potential(build_nonunique_shift_system(3))
+    assert built == []
+    s = pot.s
+    assert pot.s is s and built == [8]
+    assert np.array_equal(s.entries[:, list(pot.aubry)], pot.columns)
