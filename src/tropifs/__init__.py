@@ -28,7 +28,6 @@ from .measures import (
     normalize,
     set_measure,
     support,
-    usc_envelope,
 )
 from .mpifs import (
     MpIfs,
@@ -38,7 +37,6 @@ from .mpifs import (
     d_rho,
     dual_transfer,
     iterate_transfer,
-    markov,
     transfer_density,
     validate,
 )

@@ -10,6 +10,13 @@ whose grey-level maps are t -> e^(q) * t.  Distances between fuzzy sets
 are measured by the supremum over thresholds of the Hausdorff distance
 between level cuts; on a finite space that supremum is attained on the
 finitely many attained membership values, so it is computed exactly.
+
+The supremum comes from one sweep down the levels rather than one
+Hausdorff distance per level: the cuts only grow as the level falls, so
+each point needs its distance to the other set's cut only at the level
+where the point itself joins its cut.  Sorting the points by membership
+turns every cut into a prefix, and a running minimum over the sorted rows
+of the distance table gives all those distances in O(n^2) per call.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, InternalError, NonConvergenceError
 from .maxplus import BOTTOM
 from .measures import Density
 from .mpifs import MpIfs
@@ -81,21 +88,76 @@ def _cut_distance(space: FiniteSpace, a: set, b: set) -> float:
     return hausdorff(space, a, b)
 
 
+def _directed_sweep(dist: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Distance from each point x of {a > -inf} to the cut {b >= a(x)}.
+
+    Sorting the points by ``b`` from the top down lists every cut of ``b``
+    as a prefix, so row k of the running minimum of the sorted rows of
+    ``dist`` holds the distances to the cut made of the first k + 1 points.
+    Returns the points and their distances (+inf where the cut is empty).
+    """
+    xs = np.flatnonzero(a > BOTTOM)
+    order = np.argsort(-b, kind="stable")
+    # sizes[i] = #{p : b(p) >= a(xs[i])}: -b[order] ascends, negation is exact
+    sizes = np.searchsorted(-b[order], -a[xs], side="right")
+    near = np.full(xs.size, np.inf)
+    top = int(sizes.max()) if xs.size else 0
+    if top:
+        prefix = dist[order[:top]]
+        for k in range(1, top):
+            np.minimum(prefix[k - 1], prefix[k], out=prefix[k])
+        hit = sizes > 0
+        near[hit] = prefix[sizes[hit] - 1, xs[hit]]
+    return xs, near
+
+
+def _sup_cut_distance(space: FiniteSpace, a: np.ndarray, b: np.ndarray):
+    """sup over levels t of the cut distance between {a >= t} and {b >= t}.
+
+    Points at BOTTOM lie in no cut; the levels are the finite values of
+    ``a`` and ``b``.  Returns the supremum and a level attaining it (None
+    when no value is finite).
+
+    As t falls the cuts only grow, so the distance from a fixed point of
+    one cut to the other cut only shrinks: each point counts at the level
+    where it joins its cut and nowhere below.  The supremum is then the
+    largest of these per-point distances in both directions, an empty
+    opposite cut counting the diameter.  Only min and max of ``dist``
+    entries are taken, so the value is exactly the per-level Hausdorff
+    supremum.  Cost O(n^2) per call.
+    """
+    best, level = 0.0, None
+    for src, dst in ((a, b), (b, a)):
+        xs, near = _directed_sweep(space.dist, src, dst)
+        if xs.size:
+            i = int(np.argmax(near))
+            d = space.diameter if near[i] == np.inf else float(near[i])
+            if level is None or d > best:
+                best, level = d, float(src[xs[i]])
+    return best, level
+
+
 def d_infty(u: FuzzySet, v: FuzzySet) -> float:
     """sup over alpha in [0,1] of the Hausdorff distance between alpha-cuts.
 
     The cuts are piecewise constant in alpha, changing only at attained
     membership values, so the supremum over the attained values plus 0 is
-    exact.  An empty cut against a nonempty one counts the full diameter.
+    exact; the cut at 0 (the support) equals the cut at the least positive
+    attained value, so only positive levels are swept.  An empty cut
+    against a nonempty one counts the full diameter.  The Hausdorff
+    distance at the attaining level is recomputed from the alpha-cuts as a
+    cross-check.
     """
     if u.space is not v.space and u.space.n != v.space.n:
         raise ConfigError("fuzzy sets live on different spaces")
-    levels = {0.0}
-    levels.update(float(t) for t in u.values if t > 0)
-    levels.update(float(t) for t in v.values if t > 0)
-    return max(
-        _cut_distance(u.space, alpha_cut(u, t), alpha_cut(v, t)) for t in levels
-    )
+    a = np.where(u.values > 0, u.values, BOTTOM)
+    b = np.where(v.values > 0, v.values, BOTTOM)
+    best, level = _sup_cut_distance(u.space, a, b)
+    t = 0.0 if level is None else level
+    check = _cut_distance(u.space, alpha_cut(u, t), alpha_cut(v, t))
+    if check != best:
+        raise InternalError(f"level sweep gives {best}, alpha-cuts at {t} give {check}")
+    return check
 
 
 def d_theta(lam: Density, eta: Density) -> float:
@@ -109,15 +171,7 @@ def d_theta(lam: Density, eta: Density) -> float:
         raise ConfigError("d_theta is defined between probability densities")
     if lam.space is not eta.space and lam.space.n != eta.space.n:
         raise ConfigError("densities live on different spaces")
-    betas = {float(t) for t in lam.values if t > BOTTOM}
-    betas.update(float(t) for t in eta.values if t > BOTTOM)
-    space = lam.space
-    best = 0.0
-    for b in betas:
-        ca = set(np.flatnonzero(lam.values >= b).tolist())
-        cb = set(np.flatnonzero(eta.values >= b).tolist())
-        best = max(best, _cut_distance(space, ca, cb))
-    return best
+    return _sup_cut_distance(lam.space, lam.values, eta.values)[0]
 
 
 def fhb_apply(system: MpIfs, u: FuzzySet) -> FuzzySet:

@@ -30,6 +30,9 @@ from .mane import PotentialMatrix
 
 AUBRY_COLUMN_TOL = 1e-9
 SERIES_TOL = 1e-9
+#: Most boundary assignments ``enumerate_invariants`` will build; the count
+#: is levels^(|Aubry| - 1), which the config can make astronomically large.
+MAX_ASSIGNMENTS = 100_000
 
 
 @dataclass
@@ -102,13 +105,22 @@ def enumerate_invariants(
     The lowest Aubry index is anchored at 0; every assignment of ``levels``
     to the remaining Aubry points is built, verified as a fixed point, and
     the distinct results are returned.  This generates (not enumerates) the
-    continuum of invariant densities the boundary freedom allows.
+    continuum of invariant densities the boundary freedom allows.  More
+    than :data:`MAX_ASSIGNMENTS` assignments raise :class:`ConfigError`
+    before any is built.
     """
     for lv in levels:
         if np.isnan(lv) or lv > 0:
             raise ConfigError("levels must lie in [-inf, 0]")
     anchor = pot.aubry[0]
     others = list(pot.aubry[1:])
+    count = len(levels) ** len(others)
+    if count > MAX_ASSIGNMENTS:
+        raise ConfigError(
+            f"enumerate would build {len(levels)}^{len(others)} boundary assignments "
+            f"({len(levels)} levels, {len(pot.aubry)} Aubry points), "
+            f"more than the limit of {MAX_ASSIGNMENTS}"
+        )
 
     def one(assignment):
         vals = {anchor: 0.0}
@@ -121,12 +133,12 @@ def enumerate_invariants(
             )
         return lam
 
-    assignments = list(itertools.product(levels, repeat=len(others)))
-    if threads > 1 and len(assignments) > 1:
+    assignments = itertools.product(levels, repeat=len(others))
+    if threads > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             built = list(pool.map(one, assignments))
     else:
-        built = [one(a) for a in assignments]
+        built = map(one, assignments)
 
     # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
     # 0.0, so two densities share a key exactly when np.array_equal holds.

@@ -181,7 +181,10 @@ def sum_along(system: MpIfs, omega: Sequence[int], x: int):
 def check_triangle(pot: PotentialMatrix, tol: float = 0.0) -> bool:
     """S[x, z] >= S[x, y] + S[y, z] over all triples (concatenation bound)."""
     s = pot.s.entries
-    through = np.max(s[:, :, None] + s[None, :, :], axis=1)
+    # a running maximum over the middle index y keeps memory at O(n^2)
+    through = np.full(s.shape, BOTTOM)
+    for y in range(s.shape[0]):
+        np.maximum(through, s[:, y, None] + s[None, y, :], out=through)
     return bool(np.all(s >= through - tol))
 
 

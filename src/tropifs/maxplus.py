@@ -24,10 +24,6 @@ ONE = 0.0
 _MAX_SWEEPS = 8
 
 
-def is_bottom(a: float) -> bool:
-    return a == BOTTOM
-
-
 def oplus(a: float, b: float) -> float:
     """Semiring addition: max(a, b).  BOTTOM is neutral."""
     return a if a >= b else b
@@ -75,10 +71,6 @@ def mp_eye(n: int) -> MpMatrix:
     e = np.full((n, n), BOTTOM)
     np.fill_diagonal(e, 0.0)
     return MpMatrix(e)
-
-
-def mp_zeros(rows: int, cols: int) -> MpMatrix:
-    return MpMatrix(np.full((rows, cols), BOTTOM))
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -106,12 +106,3 @@ def idempotent_integral(lam: Density, h) -> float:
     if h.shape != lam.values.shape:
         raise DimensionError("integrand length must match the space size")
     return float(np.max(lam.values + h))
-
-
-def usc_envelope(lam: Density) -> Density:
-    """Upper semicontinuous envelope.
-
-    Every function on a finite metric space is continuous, so the envelope
-    is the identity; this exists as an explicit assertion point.
-    """
-    return Density(lam.space, lam.values.copy())

@@ -4,11 +4,13 @@ A system couples a finite space X with an index space J, one point map per
 index (stored pre-snapped, as an index array over X), and one weight array
 per index with values <= 0 normalized so that max_j q_j(x) = 0 at every x.
 
-Three operators are exposed:
+Two operators are exposed:
 
 * ``dual_transfer``      acts on finite functions:  (Lf)(x)   = max_j q_j(x) + f(phi_j(x))
 * ``transfer_density``   acts on densities:         (L lam)(x) = max over phi_j(y) = x of q_j(y) + lam(y)
-* ``markov``             is the measure-level alias of ``transfer_density``.
+
+``transfer_density`` is also the operator on idempotent measures, which act
+through their densities.
 
 The two L's are max-plus adjoint: mu_eval(L lam, f) == mu_eval(lam, Lf).
 """
@@ -218,11 +220,6 @@ def transfer_density(system: MpIfs, lam: Density) -> Density:
     out = np.full(system.space.n, BOTTOM)
     np.maximum.at(out, system.maps.reshape(-1), vals.reshape(-1))
     return Density(system.space, out)
-
-
-def markov(system: MpIfs, lam: Density) -> Density:
-    """Measure-level operator: acts on mu through its density."""
-    return transfer_density(system, lam)
 
 
 def check_duality(system: MpIfs, lam: Density, f) -> bool:

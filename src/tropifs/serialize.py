@@ -57,10 +57,6 @@ def density_from_jsonable(space: FiniteSpace, obj) -> Density:
     return Density(space, vals)
 
 
-def fuzzy_to_jsonable(u: FuzzySet) -> dict:
-    return {"labels": list(u.space.labels), "values": [float(x) for x in u.values]}
-
-
 def space_to_jsonable(space: FiniteSpace) -> dict:
     out = {
         "labels": list(space.labels),

@@ -11,7 +11,7 @@ the cylinder metric d(w, v) = (1/2)^(first mismatch position).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,10 +61,15 @@ class FiniteSpace:
     #: (tuple of tuples).  Used by :func:`snap`.
     points: Optional[object] = None
     _word_index: Optional[dict] = field(default=None, repr=False)
+    #: Set only by the builders whose tables are metrics by construction
+    #: (|x - y| on distinct grid points, the cylinder ultrametric), which
+    #: skip the O(n^3) :func:`check_metric`.
+    _metric_by_construction: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _metric_by_construction):
         self.dist = _lock(np.asarray(self.dist, dtype=np.float64))
-        check_metric(self.dist)
+        if not _metric_by_construction:
+            check_metric(self.dist)
         if len(self.labels) != self.dist.shape[0]:
             raise ConfigError("labels and distance table disagree in size")
         if self.resolution < 0:
@@ -106,6 +111,8 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
     if not a < b:
         raise ConfigError("grid requires a < b")
     xs = np.linspace(a, b, n)
+    if not np.all(np.diff(xs) > 0):
+        raise ConfigError("grid points must be distinct real numbers")
     dist = np.abs(xs[:, None] - xs[None, :])
     res = (b - a) / (2 * (n - 1))
     return FiniteSpace(
@@ -113,6 +120,7 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
         dist=dist,
         resolution=res,
         points=_lock(xs),
+        _metric_by_construction=True,
     )
 
 
@@ -139,6 +147,7 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
         dist=dist,
         resolution=0.5**depth,
         points=words,
+        _metric_by_construction=True,
     )
 
 

@@ -138,3 +138,57 @@ def naive_mu_eval(lam, f):
         if lv + fv > best:
             best = lv + fv
     return best
+
+
+def naive_cut_distance(dist, a, b):
+    """Hausdorff distance of two index lists by pairwise loops.
+
+    An empty list against a nonempty one counts the largest distance in the
+    table; two empty lists are at distance 0.
+    """
+    if not a and not b:
+        return 0.0
+    if not a or not b:
+        return max(max(row) for row in dist.tolist())
+
+    def directed(p, q):
+        worst = 0.0
+        for x in p:
+            best = min(dist[x, y] for y in q)
+            if best > worst:
+                worst = best
+        return worst
+
+    return max(directed(a, b), directed(b, a))
+
+
+def naive_d_infty(dist, u, v):
+    """sup over the attained membership levels and 0 of the cut distance.
+
+    The cut at level t > 0 is {u >= t}, at level 0 the support {u > 0};
+    every cut is listed explicitly.
+    """
+    n = len(u)
+    levels = {0.0} | {float(t) for t in u if t > 0} | {float(t) for t in v if t > 0}
+    best = 0.0
+    for t in levels:
+        if t == 0.0:
+            a = [x for x in range(n) if u[x] > 0]
+            b = [x for x in range(n) if v[x] > 0]
+        else:
+            a = [x for x in range(n) if u[x] >= t]
+            b = [x for x in range(n) if v[x] >= t]
+        best = max(best, naive_cut_distance(dist, a, b))
+    return best
+
+
+def naive_d_theta(dist, lam, eta):
+    """sup over the attained finite density values of the super-level cut distance."""
+    n = len(lam)
+    levels = {float(t) for t in lam if t > BOTTOM} | {float(t) for t in eta if t > BOTTOM}
+    best = 0.0
+    for beta in levels:
+        a = [x for x in range(n) if lam[x] >= beta]
+        b = [x for x in range(n) if eta[x] >= beta]
+        best = max(best, naive_cut_distance(dist, a, b))
+    return best

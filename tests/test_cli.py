@@ -86,6 +86,35 @@ def test_malformed_config(tmp_path):
     assert main(["validate", "--config", str(p3), "--out", str(tmp_path)]) == 3
 
 
+def test_inline_non_metric_space_rejected(tmp_path):
+    doc = system_to_jsonable(build_two_point_system())
+    doc["space"]["dist"] = [[0.0, 1.0], [2.0, 0.0]]
+    code, _ = run(tmp_path, "validate", {"system": {"inline": doc}})
+    assert code == 3
+
+
+def test_enumerate_over_the_assignment_limit(tmp_path, capsys):
+    # eight constant maps with zero weight: every image point is Aubry
+    m = 8
+    doc = {
+        "space": {"grid": {"a": 0.0, "b": 1.0, "n": m}},
+        "index_space": {
+            "labels": [str(j) for j in range(m)],
+            "dist": (1.0 - np.eye(m)).tolist(),
+        },
+        "maps": [[j] * m for j in range(m)],
+        "weights": [[0.0] * m for _ in range(m)],
+    }
+    levels = [0.0, -0.5, -1.0, -1.5, -2.0, -2.5]  # 6^7 = 279936 assignments
+    code, _ = run(tmp_path, "invariant", {
+        "system": {"inline": doc},
+        "invariant": {"mode": "enumerate", "levels": levels},
+    })
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "6^7 boundary assignments" in err and "8 Aubry points" in err
+
+
 def test_mane_two_point(tmp_path):
     code, out = run(tmp_path, "mane", {"system": {"builder": "two_point"}})
     assert code == 0

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropifs.errors import ConfigError, NonConvergenceError
+import tropifs.fuzzy as fuzzy
+from tropifs.errors import ConfigError, InternalError, NonConvergenceError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
@@ -25,9 +26,9 @@ from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, dirac, normalize
 from tropifs.mpifs import transfer_density
-from tropifs.spaces import build_grid, build_shift_space
+from tropifs.spaces import build_grid, build_shift_space, hausdorff
 
-from oracles import dyadic_mp
+from oracles import dyadic_mp, naive_d_infty, naive_d_theta
 
 
 def rand_prob(space, seed, p_bottom=0.2):
@@ -212,6 +213,79 @@ def test_d_theta_equals_d_infty_of_images(seed):
     lam = rand_prob(space, seed)
     eta = rand_prob(space, seed + 7)
     assert d_theta(lam, eta) == d_infty(theta_conjugate(lam), theta_conjugate(eta))
+
+
+SWEEP_SPACES = [
+    build_grid(0.0, 1.0, 2),
+    build_grid(0.0, 1.0, 9),
+    build_grid(-0.3, 2.7, 13),
+    build_shift_space(1, 2),
+    build_shift_space(2, 3),
+    build_shift_space(3, 2),
+]
+
+# tied levels, zeros, and values off the dyadic lattice
+MEMBERSHIP = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
+DENSITY = st.one_of(st.sampled_from([BOTTOM, -0.1, -1.0, 0.0]), st.floats(-3.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_d_infty_matches_level_oracle(data):
+    space = data.draw(st.sampled_from(SWEEP_SPACES))
+    vals = st.lists(MEMBERSHIP, min_size=space.n, max_size=space.n)
+    u = FuzzySet(space, data.draw(vals))
+    v = FuzzySet(space, data.draw(vals))
+    assert d_infty(u, v) == naive_d_infty(space.dist, u.values, v.values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_d_theta_matches_level_oracle(data):
+    space = data.draw(st.sampled_from(SWEEP_SPACES))
+
+    def density():
+        vals = data.draw(st.lists(DENSITY, min_size=space.n, max_size=space.n))
+        vals[data.draw(st.integers(0, space.n - 1))] = 0.0
+        return Density(space, vals)
+
+    lam, eta = density(), density()
+    assert d_theta(lam, eta) == naive_d_theta(space.dist, lam.values, eta.values)
+
+
+def test_d_infty_empty_cuts():
+    space = build_shift_space(2, 3)
+    zero = FuzzySet(space, np.zeros(space.n))
+    u = FuzzySet(space, np.linspace(0.0, 1.0, space.n))
+    assert d_infty(zero, u) == d_infty(u, zero) == space.diameter
+    assert d_infty(zero, FuzzySet(space, np.zeros(space.n))) == 0.0
+
+
+def test_d_infty_makes_one_hausdorff_call(monkeypatch):
+    calls = []
+
+    def counted(space, a, b):
+        calls.append((a, b))
+        return hausdorff(space, a, b)
+
+    monkeypatch.setattr(fuzzy, "hausdorff", counted)
+    space = build_grid(0.0, 1.0, 64)
+    rng = np.random.default_rng(5)
+    u, v = rng.random(space.n), rng.random(space.n)
+    u[3] = v[40] = 1.0  # normal: every cut is nonempty, so Hausdorff runs
+    u, v = FuzzySet(space, u), FuzzySet(space, v)
+    assert d_infty(u, v) == naive_d_infty(space.dist, u.values, v.values)
+    assert len(calls) == 1
+
+
+def test_d_infty_cross_check_catches_sweep_error(monkeypatch):
+    space = build_grid(0.0, 1.0, 5)
+    u = FuzzySet(space, [1.0, 0.5, 0.0, 0.0, 0.0])
+    v = FuzzySet(space, [0.0, 0.0, 0.0, 0.5, 1.0])
+    assert d_infty(u, v) == 1.0
+    monkeypatch.setattr(fuzzy, "_sup_cut_distance", lambda *args: (0.5, 0.5))
+    with pytest.raises(InternalError):
+        d_infty(u, v)
 
 
 def test_membership_bounds_enforced():

@@ -14,7 +14,6 @@ from tropifs.measures import (
     normalize,
     set_measure,
     support,
-    usc_envelope,
 )
 from tropifs.serialize import density_from_jsonable, density_to_jsonable
 from tropifs.spaces import build_grid
@@ -125,11 +124,6 @@ def test_density_reconstruction_from_probes(seed):
     lam = rand_density(seed)
     probes = [idempotent_integral(lam, indicator(SPACE, {x})) for x in range(6)]
     assert np.array_equal(np.array(probes), lam.values)
-
-
-def test_usc_envelope_is_identity():
-    lam = rand_density(5)
-    assert usc_envelope(lam) == lam
 
 
 def test_density_json_round_trip():

@@ -13,7 +13,6 @@ from tropifs.mpifs import (
     d_rho,
     dual_transfer,
     iterate_transfer,
-    markov,
     transfer_density,
     validate,
 )
@@ -98,7 +97,6 @@ def test_transfer_density_fixed_point_two_point():
     lam = Density(system.space, [0.0, -1.0])
     out = transfer_density(system, lam)
     assert out.values.tolist() == [0.0, -1.0]
-    assert markov(system, lam) == out
 
 
 def test_transfer_density_empty_preimage():

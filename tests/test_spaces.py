@@ -27,6 +27,8 @@ def test_grid_preconditions():
         build_grid(1.0, 0.0, 3)
     with pytest.raises(ConfigError):
         build_grid(0.0, 1.0, 1)
+    with pytest.raises(ConfigError):
+        build_grid(1.0, 1.0 + 1e-15, 50)  # spacing below float resolution
 
 
 def test_shift_space_metric():
@@ -48,11 +50,17 @@ def test_shift_space_preconditions():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 5))
-def test_builders_pass_metric_axioms(symbols, depth):
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(2, 300),
+    st.sampled_from([(-1.0, 4.0), (0.0, 1.0), (0.1, 0.7), (-20.0, -3.5)]),
+)
+def test_builders_pass_metric_axioms(symbols, depth, n, interval):
+    # the builders skip check_metric: their tables are metrics by construction
     s = build_shift_space(symbols, min(depth, 4))
     check_metric(s.dist)
-    g = build_grid(-1.0, float(symbols), 5 + depth)
+    g = build_grid(*interval, n)
     check_metric(g.dist)
 
 
