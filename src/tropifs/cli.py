@@ -1,7 +1,6 @@
 """Command-line driver.
 
-    tropifs <validate|mane|invariant|fuzzy|demo31> --config <path> --out <dir>
-            [--seed N] [--threads N]
+    tropifs <validate|mane|invariant|fuzzy|demo31> --config <path> --out <dir> [--seed N]
 
 Exit codes: 0 on success, 2 on a domain failure (invalid system, empty
 Aubry set, non-convergence, mode mismatch), 3 on usage or configuration
@@ -12,7 +11,6 @@ byte-identical across runs for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +34,6 @@ from .fuzzy import FuzzySet, fhb_attractor, theta_conjugate
 from .invariant import (
     BoundaryData,
     build_invariant,
-    coding_map,
     constant_weight_density,
     enumerate_invariants,
     verify_invariant,
@@ -72,7 +69,7 @@ def _resolve_point(space, key):
     raise ConfigError(f"unknown boundary point {key!r}")
 
 
-def cmd_validate(cfg: RunConfig, out: Path, seed, threads) -> int:
+def cmd_validate(cfg: RunConfig, out: Path, seed) -> int:
     try:
         system = build_system(cfg, seed)
     except DOMAIN_ERRORS as exc:
@@ -86,7 +83,7 @@ def cmd_validate(cfg: RunConfig, out: Path, seed, threads) -> int:
     return EXIT_OK
 
 
-def cmd_mane(cfg: RunConfig, out: Path, seed, threads) -> int:
+def cmd_mane(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     tol = float(cfg.mane.get("tol_aubry", 1e-9))
     pot = mane_potential(system, tol_aubry=tol)
@@ -95,7 +92,7 @@ def cmd_mane(cfg: RunConfig, out: Path, seed, threads) -> int:
     return EXIT_OK
 
 
-def cmd_invariant(cfg: RunConfig, out: Path, seed, threads) -> int:
+def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     params = cfg.invariant
     mode = params.get("mode", "constant")
@@ -113,10 +110,10 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed, threads) -> int:
         anchor = _resolve_point(system.space, raw["anchor"])
         densities = [build_invariant(pot, BoundaryData(values=levels, anchor=anchor))]
     elif mode == "constant":
-        densities = [constant_weight_density(system, pot, coding_map(system))]
+        densities = [constant_weight_density(system, pot)]
     elif mode == "enumerate":
         levels = [serialize.value_from_jsonable(v) for v in params.get("levels", [0.0])]
-        densities = enumerate_invariants(system, pot, levels, threads=threads)
+        densities = enumerate_invariants(system, pot, levels)
     else:
         raise ConfigError(f"unknown invariant mode {mode!r}")
 
@@ -131,7 +128,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed, threads) -> int:
     return EXIT_OK
 
 
-def cmd_fuzzy(cfg: RunConfig, out: Path, seed, threads) -> int:
+def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     params = cfg.fuzzy
     tol = float(params.get("tol", 1e-12))
@@ -141,7 +138,7 @@ def cmd_fuzzy(cfg: RunConfig, out: Path, seed, threads) -> int:
         u0 = FuzzySet(system.space, np.ones(system.space.n))
     elif u0_spec == "invariant":
         pot = mane_potential(system)
-        u0 = theta_conjugate(constant_weight_density(system, pot, coding_map(system)))
+        u0 = theta_conjugate(constant_weight_density(system, pot))
     else:
         u0 = FuzzySet(system.space, np.asarray(u0_spec, dtype=np.float64))
     try:
@@ -157,7 +154,7 @@ def cmd_fuzzy(cfg: RunConfig, out: Path, seed, threads) -> int:
     return EXIT_OK
 
 
-def cmd_demo31(cfg: RunConfig, out: Path, seed, threads) -> int:
+def cmd_demo31(cfg: RunConfig, out: Path, seed) -> int:
     params = cfg.demo31
     spec = ShiftExampleSpec(
         depth=int(params.get("depth", 6)),
@@ -187,28 +184,19 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("TROPIFS_THREADS")
-        threads = int(env) if env else 1
-
     try:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.seed, threads)
+        return COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"tropifs: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DOMAIN_ERRORS as exc:
-        print(f"tropifs: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except TropifsError as exc:
         print(f"tropifs: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

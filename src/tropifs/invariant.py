@@ -16,7 +16,6 @@ sequences.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -98,7 +97,6 @@ def enumerate_invariants(
     pot: PotentialMatrix,
     levels: Sequence[float],
     verify_tol: float = 1e-9,
-    threads: int = 1,
 ) -> list:
     """Sweep boundary levels over the non-anchor Aubry points.
 
@@ -114,15 +112,17 @@ def enumerate_invariants(
             raise ConfigError("levels must lie in [-inf, 0]")
     anchor = pot.aubry[0]
     others = list(pot.aubry[1:])
-    count = len(levels) ** len(others)
-    if count > MAX_ASSIGNMENTS:
+    if len(levels) ** len(others) > MAX_ASSIGNMENTS:
         raise ConfigError(
             f"enumerate would build {len(levels)}^{len(others)} boundary assignments "
             f"({len(levels)} levels, {len(pot.aubry)} Aubry points), "
             f"more than the limit of {MAX_ASSIGNMENTS}"
         )
 
-    def one(assignment):
+    # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
+    # 0.0, so two densities share a key exactly when np.array_equal holds.
+    distinct = {}
+    for assignment in itertools.product(levels, repeat=len(others)):
         vals = {anchor: 0.0}
         vals.update(dict(zip(others, assignment)))
         lam = build_invariant(pot, BoundaryData(values=vals, anchor=anchor))
@@ -131,19 +131,6 @@ def enumerate_invariants(
             raise InternalError(
                 f"built density failed verification (deviation {rep.max_deviation})"
             )
-        return lam
-
-    assignments = itertools.product(levels, repeat=len(others))
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(one, assignments))
-    else:
-        built = map(one, assignments)
-
-    # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
-    # 0.0, so two densities share a key exactly when np.array_equal holds.
-    distinct = {}
-    for lam in built:
         distinct.setdefault((lam.values + 0.0).tobytes(), lam)
     return list(distinct.values())
 

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import ConfigError, EmptyAubryError, InternalError
 from .maxplus import BOTTOM, MpMatrix, kleene_plus
 from .mpifs import MpIfs
-from .spaces import FiniteSpace
 
 AUBRY_TOL = 1e-9
 
@@ -52,13 +51,12 @@ class PotentialMatrix:
 
     def __init__(
         self,
-        space: FiniteSpace,
         aubry: Sequence[int],
         tol_aubry: float,
         columns: np.ndarray,
         system: MpIfs,
     ):
-        self.space = space
+        self.space = system.space
         self.aubry = tuple(aubry)
         self.tol_aubry = tol_aubry
         columns.flags.writeable = False
@@ -154,7 +152,6 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
             f"no point has a return cycle within {tol_aubry} of zero cost"
         )
     return PotentialMatrix(
-        space=system.space,
         aubry=aubry,
         tol_aubry=tol_aubry,
         columns=cols[:, keep],

@@ -17,9 +17,6 @@ from .errors import DimensionError, InternalError, PositiveCycleError
 #: Additive neutral / multiplicative absorber of the semiring.
 BOTTOM = float("-inf")
 
-#: Multiplicative neutral.
-ONE = 0.0
-
 #: Floyd-Warshall sweeps allowed before the closure counts as unstable.
 _MAX_SWEEPS = 8
 

@@ -39,10 +39,6 @@ class Density:
             raise EmptySupportError("density has empty support")
         self.values.flags.writeable = False
 
-    @property
-    def is_probability(self) -> bool:
-        return self.values.max() == 0.0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Density)

@@ -27,7 +27,6 @@ from .errors import (
     DimensionError,
     NormalizationError,
     NotContractiveError,
-    NotConstantWeightError,
 )
 from .maxplus import BOTTOM
 from .measures import Density, mu_eval, normalize
@@ -91,12 +90,6 @@ class MpIfs:
             if w.max() - w.min() > tol:
                 return False
         return True
-
-    def constant_weights(self) -> np.ndarray:
-        """Per-index weight vector of a constant-weight system (first column)."""
-        if not self.is_constant_weight():
-            raise NotConstantWeightError("weights depend on the point")
-        return self.weights[:, 0].copy()
 
 
 @dataclass

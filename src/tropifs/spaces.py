@@ -32,21 +32,23 @@ def check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise ConfigError("distance table must be square")
-    if np.isnan(dist).any() or (dist < 0).any():
+    if not np.isfinite(dist).all() or (dist < 0).any():
         raise ConfigError("distances must be nonnegative reals")
     if not np.array_equal(dist, dist.T):
         raise ConfigError("distance table must be symmetric")
     if np.any(np.diagonal(dist) != 0):
         raise ConfigError("diagonal distances must be zero")
-    off = dist + np.eye(n) * (dist.max() + 1.0 if n else 1.0)
+    top = dist.max() if n else 0.0
+    off = dist + np.eye(n) * (top + 1.0)
     if n > 1 and np.min(off) <= 0:
         raise ConfigError("distinct points must have positive distance")
-    # d(i,k) <= d(i,j) + d(j,k) for all triples, within float tolerance;
-    # a running minimum over the middle index j keeps memory at O(n^2).
+    # d(i,k) <= d(i,j) + d(j,k) for all triples, within a tolerance relative
+    # to the largest distance (float rounding grows with the magnitude); a
+    # running minimum over the middle index j keeps memory at O(n^2).
     through = np.full((n, n), np.inf)
     for j in range(n):
         np.minimum(through, dist[:, j, None] + dist[None, j, :], out=through)
-    if np.any(dist > through + tol):
+    if np.any(dist > through + tol * max(1.0, top)):
         raise ConfigError("triangle inequality violated")
 
 

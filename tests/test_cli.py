@@ -55,9 +55,13 @@ def test_validate_reports_renormalization(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported lazily, inside the graph computations only
+    # scipy is imported lazily, inside the graph computations only, and
+    # nothing the CLI imports pulls in concurrent.futures
     src = str(Path(tropifs.__file__).resolve().parents[1])
-    probe = "import sys, tropifs.cli; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, tropifs.cli; "
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={"PYTHONPATH": src},
@@ -66,7 +70,7 @@ def test_cli_import_leaves_scipy_unloaded():
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_missing_config_file(tmp_path):
@@ -217,6 +221,28 @@ def test_fuzzy_from_fixed_family_member(tmp_path):
     assert len(trace) <= 2
 
 
+def test_fuzzy_attractor_is_exp_of_the_constant_density(tmp_path):
+    # the fuzzy attractor of a constant-weight system is exp(lam) for its
+    # unique invariant density lam: the potential route and the fuzzy
+    # iteration from the all-ones set meet
+    system = {"builder": "grid_random", "a": 0, "b": 1, "n": 120,
+              "num_maps": 3, "seed": 7, "constant_weights": True}
+    code, inv = run(tmp_path, "invariant", {
+        "system": system, "invariant": {"mode": "constant"},
+    }, out="invariant")
+    assert code == 0
+    code, fuz = run(tmp_path, "fuzzy", {
+        "system": system, "fuzzy": {"u0": "uniform"},
+    }, out="fuzzy")
+    assert code == 0
+    (density,) = json.loads((inv / "density.json").read_text())
+    lam = np.array([float(v) for v in density["values"]])
+    rows = list(csv.reader((fuz / "attractor.csv").open()))[1:]
+    assert [r[0] for r in rows] == density["labels"]
+    attractor = np.array([float(r[1]) for r in rows])
+    assert np.max(np.abs(attractor - np.exp(lam))) <= 1e-9
+
+
 def test_fuzzy_nonconvergence_still_writes_trace(tmp_path):
     code, out = run(tmp_path, "fuzzy", {
         "system": {"builder": "two_point"},
@@ -263,13 +289,3 @@ def test_seed_flag_overrides(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["frobnicate", "--config", "x"]) == 3
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("TROPIFS_THREADS", "3")
-    code, out = run(tmp_path, "invariant", {
-        "system": {"builder": "nonunique_shift", "depth": 4},
-        "invariant": {"mode": "enumerate", "levels": [0.0, -0.25, -0.5]},
-    })
-    assert code == 0
-    assert len(json.loads((out / "density.json").read_text())) == 3

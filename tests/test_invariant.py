@@ -119,16 +119,6 @@ def test_enumerate_invariants_shift():
         assert any(np.array_equal(lam.values, target) for lam in found)
 
 
-def test_enumerate_invariants_threads_match():
-    system = build_nonunique_shift_system(4)
-    pot = mane_potential(system)
-    seq = enumerate_invariants(system, pot, [0.0, -0.5])
-    par = enumerate_invariants(system, pot, [0.0, -0.5], threads=4)
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.values, b.values)
-
-
 def test_enumerate_invariants_constant_weight_collapses():
     system = random_system(build_grid(0.0, 1.0, 20), 2, 3, constant_weights=True)
     pot = mane_potential(system)

@@ -64,6 +64,23 @@ def test_builders_pass_metric_axioms(symbols, depth, n, interval):
     check_metric(g.dist)
 
 
+def test_metric_tolerance_scales_with_the_table():
+    xs = np.linspace(0.0, 1e5, 200)
+    dist = np.abs(xs[:, None] - xs[None, :])
+    labels = [str(i) for i in range(200)]
+    build_point_space(labels, dist)  # float rounding of |x - y| is accepted
+    raised = dist.copy()
+    raised[3, 150] = raised[150, 3] = dist[3, 150] * (1.0 + 1e-6)
+    with pytest.raises(ConfigError, match="triangle"):
+        build_point_space(labels, raised)
+
+
+def test_metric_rejects_infinite_distance():
+    dist = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 5.0], [np.inf, 5.0, 0.0]])
+    with pytest.raises(ConfigError, match="nonnegative reals"):
+        check_metric(dist)
+
+
 def test_hausdorff_examples():
     g = build_grid(0.0, 1.0, 3)
     assert hausdorff(g, {0, 1}, {0, 1}) == 0.0
