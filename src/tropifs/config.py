@@ -1,6 +1,7 @@
 """Run configuration: one JSON document per CLI invocation.
 
-The ``system`` block names exactly one source:
+The ``system`` block, needed by every command except ``demo31`` (which
+builds its own shift system), names exactly one source:
 
     {"builder": "two_point"}
     {"builder": "nonunique_shift", "depth": 4}
@@ -30,7 +31,7 @@ from .spaces import build_grid, build_shift_space
 
 @dataclass
 class RunConfig:
-    system: dict
+    system: Optional[dict] = None
     mane: dict = field(default_factory=dict)
     invariant: dict = field(default_factory=dict)
     fuzzy: dict = field(default_factory=dict)
@@ -38,11 +39,12 @@ class RunConfig:
     output: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.system, dict):
-            raise ConfigError("config needs a 'system' object")
-        sources = [k for k in ("builder", "inline") if k in self.system]
-        if len(sources) != 1:
-            raise ConfigError("system must name exactly one of 'builder' or 'inline'")
+        if self.system is not None:
+            if not isinstance(self.system, dict):
+                raise ConfigError("config needs a 'system' object")
+            sources = [k for k in ("builder", "inline") if k in self.system]
+            if len(sources) != 1:
+                raise ConfigError("system must name exactly one of 'builder' or 'inline'")
         for block in (self.mane, self.invariant, self.fuzzy):
             for key, val in block.items():
                 if key.startswith("tol") and not (isinstance(val, (int, float)) and val > 0):
@@ -69,6 +71,8 @@ def load_config(path) -> RunConfig:
 def build_system(cfg: RunConfig, seed_override: Optional[int] = None) -> MpIfs:
     """Instantiate and validate the configured system."""
     spec = cfg.system
+    if spec is None:
+        raise ConfigError("config needs a 'system' object")
     if "inline" in spec:
         try:
             system = system_from_jsonable(spec["inline"])

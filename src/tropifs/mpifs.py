@@ -113,21 +113,37 @@ class ValidationReport:
 
 
 def _contraction_constant(system: MpIfs) -> float:
-    """Max over (j1,x1,j2,x2) of (d(img1, img2) - 2*slack) / (dJ + dX)."""
+    """Max over (j1,x1,j2,x2) of (d(img1, img2) - 2*slack) / (dJ + dX), floored at 0.
+
+    Works one n x n block per map pair (j1, j2) with j2 >= j1, so memory is
+    O(n^2), the size of the space's own ``dist``.  The pair (j2, j1) is
+    skipped: its block is the transpose with the same quotients, because
+    both distance tables are exactly symmetric (``check_metric`` enforces
+    it, and the grid and shift builders are symmetric by construction).
+    Only the diagonal blocks (dJ = 0) contain zero denominators.
+    """
     dx = system.space.dist
     dj = system.index_space.dist
     img = system.maps  # (m, n)
-    d_img = dx[img.reshape(-1)[:, None], img.reshape(-1)[None, :]]
+    slack2 = 2.0 * system.snap_slack
     m, n = img.shape
-    denom = (
-        np.repeat(np.repeat(dj, n, axis=0), n, axis=1)
-        + np.tile(dx, (m, m))
-    )
-    numer = d_img - 2.0 * system.snap_slack
-    mask = denom > 0
-    if not mask.any():
-        return 0.0
-    return float(max(np.max(numer[mask] / denom[mask]), 0.0))
+    numer = np.empty((n, n))
+    denom = np.empty((n, n))
+    best = 0.0
+    for j1 in range(m):
+        rows = dx[img[j1]]
+        for j2 in range(j1, m):
+            np.take(rows, img[j2], axis=1, out=numer)
+            np.subtract(numer, slack2, out=numer)
+            np.add(dj[j1, j2], dx, out=denom)
+            if dj[j1, j2] > 0:
+                quot = np.divide(numer, denom, out=numer)
+            else:
+                mask = denom > 0
+                quot = numer[mask] / denom[mask]
+            if quot.size:
+                best = max(best, float(quot.max()))
+    return best
 
 
 def _weight_lipschitz(system: MpIfs) -> float:

@@ -1,15 +1,14 @@
 """JSON and CSV encodings of the library objects.
 
-BOTTOM is spelled "-inf" in both formats; finite numbers round-trip
-bit-exactly (shortest round-trip decimal on the CSV side, native JSON
-numbers otherwise).
+BOTTOM is spelled "-inf" in both formats (on the CSV side that is just
+``repr(-inf)``); finite numbers round-trip bit-exactly (shortest
+round-trip decimal on the CSV side, native JSON numbers otherwise).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -120,11 +119,14 @@ def system_from_jsonable(obj) -> MpIfs:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Stream ``obj`` as indented, key-sorted JSON plus a final newline.
 
-
-def _csv_cell(x: float) -> str:
-    return BOTTOM_TOKEN if x == BOTTOM else repr(float(x))
+    The bytes equal ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``;
+    the document is never held in memory as one string.
+    """
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def matrix_to_csv(path, matrix: MpMatrix, labels=None) -> None:
@@ -132,9 +134,9 @@ def matrix_to_csv(path, matrix: MpMatrix, labels=None) -> None:
         writer = csv.writer(fh)
         if labels is not None:
             writer.writerow([""] + list(labels))
-        for i, row in enumerate(matrix.entries):
+        for i, row in enumerate(matrix.entries.tolist()):
             head = [labels[i]] if labels is not None else []
-            writer.writerow(head + [_csv_cell(x) for x in row])
+            writer.writerow(head + list(map(repr, row)))
 
 
 def density_to_csv(path, lam: Density) -> None:
@@ -142,7 +144,7 @@ def density_to_csv(path, lam: Density) -> None:
         writer = csv.writer(fh)
         writer.writerow(["label", "value"])
         for label, x in zip(lam.space.labels, lam.values):
-            writer.writerow([label, _csv_cell(float(x))])
+            writer.writerow([label, repr(float(x))])
 
 
 def fuzzy_to_csv(path, u: FuzzySet) -> None:

@@ -192,3 +192,21 @@ def naive_d_theta(dist, lam, eta):
         b = [x for x in range(n) if eta[x] >= beta]
         best = max(best, naive_cut_distance(dist, a, b))
     return best
+
+
+def naive_contraction_constant(dx, dj, maps, slack):
+    """max over (j1, x1, j2, x2) with dJ + dX > 0 of
+    (d(phi_j1(x1), phi_j2(x2)) - 2*slack) / (dJ + dX), floored at 0."""
+    dx, dj, maps = dx.tolist(), dj.tolist(), maps.tolist()
+    m, n = len(maps), len(dx)
+    best = 0.0
+    for j1 in range(m):
+        for x1 in range(n):
+            for j2 in range(m):
+                for x2 in range(n):
+                    den = dj[j1][j2] + dx[x1][x2]
+                    if den > 0:
+                        q = (dx[maps[j1][x1]][maps[j2][x2]] - 2.0 * slack) / den
+                        if q > best:
+                            best = q
+    return best

@@ -265,6 +265,19 @@ def test_demo31(tmp_path):
     assert len(densities) == 2
 
 
+def test_demo31_needs_no_system_block(tmp_path):
+    code, out = run(tmp_path, "demo31", {"demo31": {"depth": 4, "alphas": [0.0]}})
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["fixed_point_exact"] == [True]
+
+
+def test_missing_system_block_is_a_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "validate", {"mane": {}})
+    assert code == 3
+    assert "config needs a 'system' object" in capsys.readouterr().err
+    assert not (out / "validation.json").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = {
         "system": {"builder": "grid_random", "a": 0, "b": 1, "n": 12,

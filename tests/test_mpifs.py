@@ -1,14 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropifs.errors import DimensionError, NormalizationError, NotContractiveError
-from tropifs.examples import build_nonunique_shift_system, build_two_point_system, lambda_alpha, random_system
+from tropifs.examples import (
+    build_nonunique_shift_system,
+    build_two_point_system,
+    discrete_index_space,
+    lambda_alpha,
+    random_system,
+)
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, mu_eval, normalize
 from tropifs.mpifs import (
     MpIfs,
+    _contraction_constant,
     check_duality,
     d_rho,
     dual_transfer,
@@ -16,9 +25,16 @@ from tropifs.mpifs import (
     transfer_density,
     validate,
 )
-from tropifs.spaces import build_grid
+from tropifs.spaces import IndexSpace, build_grid, build_point_space, build_shift_space
 
-from oracles import dyadic, dyadic_mp, naive_dual_transfer, naive_mu_eval, naive_transfer_density
+from oracles import (
+    dyadic,
+    dyadic_mp,
+    naive_contraction_constant,
+    naive_dual_transfer,
+    naive_mu_eval,
+    naive_transfer_density,
+)
 
 
 def rand_prob(space, seed):
@@ -32,24 +48,117 @@ def rand_prob(space, seed):
 def test_validate_shift_example_quadruple_oracle():
     system = build_nonunique_shift_system(3)
     # exhaustive independent recomputation of the contraction ratio
-    best = 0.0
-    dx, dj = system.space.dist, system.index_space.dist
-    for j1 in range(2):
-        for j2 in range(2):
-            for x1 in range(system.space.n):
-                for x2 in range(system.space.n):
-                    den = dj[j1, j2] + dx[x1, x2]
-                    if den > 0:
-                        num = dx[system.maps[j1, x1], system.maps[j2, x2]]
-                        best = max(best, num / den)
-    assert best <= 0.5
+    best = naive_contraction_constant(
+        system.space.dist, system.index_space.dist, system.maps, system.snap_slack
+    )
     assert system.gamma_hat == best == 0.5
+
+
+def _line_distances(points):
+    pts = np.asarray(points, dtype=np.float64)
+    return np.abs(pts[:, None] - pts[None, :])
+
+
+@st.composite
+def contraction_systems(draw):
+    """Unvalidated systems with arbitrary maps on grids, shifts and explicit
+    tables, with non-dyadic distances and (for snapped maps) non-zero slack."""
+    kind = draw(st.sampled_from(["grid", "shift", "point"]))
+    if kind == "grid":
+        b = draw(st.sampled_from([1.0, 0.3, 2.5]))
+        space = build_grid(0.0, b, draw(st.integers(2, 12)))
+    elif kind == "shift":
+        space = build_shift_space(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        n = draw(st.integers(1, 10))
+        ks = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
+        pts = [0.1 * k for k in ks]
+        resolution = draw(st.sampled_from([0.0, 0.01, 0.1, 1.0 / 3]))
+        space = build_point_space([str(i) for i in range(n)], _line_distances(pts), resolution)
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from([0.1, 1.0, 2.5]))
+        isp = discrete_index_space([str(j) for j in range(m)], spacing=spacing)
+    else:
+        ks = draw(st.lists(st.integers(-7, 7), min_size=m, max_size=m, unique=True))
+        jpts = [0.3 * k for k in ks]
+        isp = IndexSpace(labels=[str(j) for j in range(m)], dist=_line_distances(jpts))
+    maps = draw(st.lists(
+        st.lists(st.integers(0, space.n - 1), min_size=space.n, max_size=space.n),
+        min_size=m, max_size=m,
+    ))
+    exact = draw(st.booleans())
+    return MpIfs(space, isp, np.array(maps), np.zeros((m, space.n)), exact_maps=exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(contraction_systems())
+def test_contraction_constant_matches_quadruple_loop(system):
+    expected = naive_contraction_constant(
+        system.space.dist, system.index_space.dist, system.maps, system.snap_slack
+    )
+    assert _contraction_constant(system) == expected
+
+
+def test_contraction_constant_matches_on_random_systems():
+    # snapped grid maps (slack > 0) and exact shift prepends, as validated;
+    # on the grids the maximum is a quotient that rounds differently from
+    # numer * (1 / denom)
+    for system in (
+        random_system(build_grid(0.0, 1.0, 17), 3, 3),
+        random_system(build_grid(0.0, 1.0, 10), 1, 4),
+        random_system(build_shift_space(3, 2), 3, 7),
+    ):
+        expected = naive_contraction_constant(
+            system.space.dist, system.index_space.dist, system.maps, system.snap_slack
+        )
+        assert system.gamma_hat == expected
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2)])
+def test_contraction_constant_degenerate_is_zero(m, n):
+    # (1, 1): no denominator is positive; otherwise every numerator is 0,
+    # because all images coincide
+    space = build_point_space([str(i) for i in range(n)], _line_distances(range(n)))
+    system = MpIfs(space, discrete_index_space([str(j) for j in range(m)]),
+                   np.zeros((m, n), dtype=int), np.zeros((m, n)), exact_maps=True)
+    assert _contraction_constant(system) == 0.0
+
+
+def test_contraction_constant_single_map_swap():
+    # only the diagonal block (dJ = 0) exists; x1 = x2 has denominator 0
+    space = build_point_space(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
+    system = MpIfs(space, discrete_index_space(["s"]), np.array([[1, 0]]),
+                   np.zeros((1, 2)), exact_maps=True)
+    assert _contraction_constant(system) == 1.0
+
+
+def test_contraction_constant_across_maps_is_a_division():
+    # two constant maps 3 apart and index distance 10: the maximum sits in the
+    # off-diagonal block, and 3 / 10 != 3 * (1 / 10) in float
+    space = build_point_space(["a", "b"], [[0.0, 3.0], [3.0, 0.0]])
+    system = MpIfs(space, discrete_index_space(["1", "2"], spacing=10.0),
+                   np.array([[0, 0], [1, 1]]), np.zeros((2, 2)), exact_maps=True)
+    assert _contraction_constant(system) == 3.0 / 10.0 != 3.0 * (1 / 10.0)
+
+
+def test_contraction_constant_memory_is_quadratic_in_n():
+    # the shape of the benchmark's shift enumerate system: n = 343, m = 7;
+    # (m*n)^2 tables would take about 225 MiB
+    system = random_system(build_shift_space(7, 3), 7, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _contraction_constant(system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_validate_weight_errors():
     space = build_grid(0.0, 1.0, 2)
-    from tropifs.examples import discrete_index_space
-
     isp = discrete_index_space(["a", "b"], spacing=3.0)
     maps = np.array([[0, 0], [1, 1]])
     with pytest.raises(NormalizationError):
@@ -65,8 +174,6 @@ def test_validate_weight_errors():
 def test_validate_contraction_error():
     # the identity map is not a contraction on two points
     space = build_grid(0.0, 1.0, 2)
-    from tropifs.examples import discrete_index_space
-
     isp = discrete_index_space(["id"], spacing=1.0)
     sys_id = MpIfs(space, isp, np.array([[0, 1]]), np.zeros((1, 2)), exact_maps=True)
     with pytest.raises(NotContractiveError):
@@ -102,8 +209,6 @@ def test_transfer_density_fixed_point_two_point():
 def test_transfer_density_empty_preimage():
     # single constant map: only its target is ever hit
     space = build_grid(0.0, 1.0, 3)
-    from tropifs.examples import discrete_index_space
-
     system = MpIfs(
         space,
         discrete_index_space(["c"]),
@@ -213,8 +318,6 @@ def test_d_rho_handles_bottom():
 def test_bottom_weights_accepted():
     # a branch can be switched off entirely at some points
     space = build_grid(0.0, 1.0, 2)
-    from tropifs.examples import discrete_index_space
-
     system = MpIfs(
         space,
         discrete_index_space(["a", "b"], spacing=3.0),

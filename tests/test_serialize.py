@@ -16,6 +16,7 @@ from tropifs.serialize import (
     density_to_csv,
     density_to_jsonable,
     fuzzy_to_csv,
+    matrix_to_csv,
     potential_to_jsonable,
     space_from_jsonable,
     space_to_jsonable,
@@ -23,7 +24,9 @@ from tropifs.serialize import (
     system_to_jsonable,
     value_from_jsonable,
     values_from_jsonable,
+    write_json,
 )
+from tropifs.maxplus import MpMatrix
 from tropifs.spaces import build_grid, build_shift_space
 
 
@@ -100,3 +103,20 @@ def test_density_jsonable_round_trip_exact():
     lam = normalize(Density(space, [-0.1, -2.75, BOTTOM, -1e-9]))
     doc = json.loads(json.dumps(density_to_jsonable(lam)))
     assert np.array_equal(density_from_jsonable(space, doc).values, lam.values)
+
+
+def test_write_json_matches_dumps(tmp_path):
+    obj = {
+        "z": [0.1, -0.0, 1e-300, "-inf", {"b": [], "a": {}}],
+        "a": {"labels": ["11", "x\u00e9"], "values": [0.0, -2.75]},
+        "m": [[1, 2], [True, None]],
+    }
+    path = tmp_path / "o.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_matrix_csv_cells(tmp_path):
+    path = tmp_path / "s.csv"
+    matrix_to_csv(path, MpMatrix(np.array([[0.0, BOTTOM], [-0.0, -0.3]])), labels=["a", "b"])
+    assert path.read_text().splitlines() == [",a,b", "a,0.0,-inf", "b,-0.0,-0.3"]
