@@ -6,10 +6,14 @@ set and the path-sum potential at it on the transition graph (``mane``;
 the full transitive closure only on demand), and read every invariant
 density off the Aubry boundary data (``invariant``).  ``fuzzy`` carries the whole
 picture across the exponential conjugation to fuzzy attractors, and
-``examples`` holds the canonical systems.
+``examples`` holds the canonical systems.  ``config``, ``serialize`` and
+``cli`` turn one JSON config into the output files of one command.
+
+The names exported here are the ones that pipeline runs; independent
+reference computations for the tests live in the test suite.
 """
 
-from .maxplus import BOTTOM, MpMatrix, kleene_plus, mp_eye, mp_mat_mul, odot, oplus
+from .maxplus import BOTTOM, MpMatrix, kleene_plus
 from .spaces import (
     FiniteSpace,
     IndexSpace,
@@ -19,35 +23,9 @@ from .spaces import (
     hausdorff,
     snap,
 )
-from .measures import (
-    Density,
-    dirac,
-    idempotent_integral,
-    indicator,
-    mu_eval,
-    normalize,
-    set_measure,
-    support,
-)
-from .mpifs import (
-    MpIfs,
-    IterationResult,
-    ValidationReport,
-    check_duality,
-    d_rho,
-    dual_transfer,
-    iterate_transfer,
-    transfer_density,
-    validate,
-)
-from .mane import (
-    PotentialMatrix,
-    check_sum_lipschitz,
-    check_triangle,
-    mane_potential,
-    sum_along,
-    transition_matrix,
-)
+from .measures import Density, normalize
+from .mpifs import MpIfs, ValidationReport, d_rho, transfer_density, validate
+from .mane import PotentialMatrix, mane_potential, transition_matrix
 from .invariant import (
     BoundaryData,
     CodingMap,
@@ -56,7 +34,6 @@ from .invariant import (
     coding_map,
     constant_weight_density,
     enumerate_invariants,
-    j0_image,
     verify_invariant,
 )
 from .fuzzy import (
@@ -68,7 +45,6 @@ from .fuzzy import (
     fhb_apply,
     fhb_attractor,
     theta_conjugate,
-    theta_inverse,
 )
 from .examples import (
     DemoReport,

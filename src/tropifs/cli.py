@@ -4,7 +4,8 @@
 
 Exit codes: 0 on success, 2 on a domain failure (invalid system, empty
 Aubry set, non-convergence, mode mismatch), 3 on usage or configuration
-errors.  All outputs are JSON or CSV files in the output directory and are
+errors, wrongly typed config values and spaces over ``spaces.MAX_POINTS``
+points included.  All outputs are JSON or CSV files in the output directory and are
 byte-identical across runs for a fixed config and seed.
 """
 
@@ -39,6 +40,7 @@ from .invariant import (
     verify_invariant,
 )
 from .mane import mane_potential
+from .serialize import scalar
 
 DOMAIN_ERRORS = (
     NormalizationError,
@@ -57,7 +59,7 @@ EXIT_USAGE = 3
 
 def _resolve_point(space, key):
     """Boundary keys may be indices or point labels."""
-    if isinstance(key, int):
+    if isinstance(key, int) and not isinstance(key, bool):
         return key
     if isinstance(key, str):
         if key in space.labels:
@@ -67,6 +69,13 @@ def _resolve_point(space, key):
         except ValueError:
             pass
     raise ConfigError(f"unknown boundary point {key!r}")
+
+
+def _list(params: dict, key: str, default: list) -> list:
+    value = params.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def cmd_validate(cfg: RunConfig, out: Path, seed) -> int:
@@ -85,7 +94,7 @@ def cmd_validate(cfg: RunConfig, out: Path, seed) -> int:
 
 def cmd_mane(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
-    tol = float(cfg.mane.get("tol_aubry", 1e-9))
+    tol = scalar(cfg.mane.get("tol_aubry", 1e-9), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol)
     serialize.matrix_to_csv(out / "S.csv", pot.s, labels=system.space.labels)
     serialize.write_json(out / "aubry.json", serialize.aubry_to_jsonable(pot))
@@ -96,12 +105,13 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     params = cfg.invariant
     mode = params.get("mode", "constant")
-    tol = float(params.get("tol", 1e-9))
-    pot = mane_potential(system, tol_aubry=float(params.get("tol_aubry", 1e-9)))
+    tol = scalar(params.get("tol", 1e-9), float, "tol")
+    tol_aubry = scalar(params.get("tol_aubry", 1e-9), float, "tol_aubry")
+    pot = mane_potential(system, tol_aubry=tol_aubry)
 
     if mode == "boundary":
         raw = params.get("boundary")
-        if not isinstance(raw, dict) or "levels" not in raw:
+        if not (isinstance(raw, dict) and "anchor" in raw and isinstance(raw.get("levels"), dict)):
             raise ConfigError("boundary mode needs {'anchor': ..., 'levels': {...}}")
         levels = {
             _resolve_point(system.space, k): serialize.value_from_jsonable(v)
@@ -112,7 +122,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     elif mode == "constant":
         densities = [constant_weight_density(system, pot)]
     elif mode == "enumerate":
-        levels = [serialize.value_from_jsonable(v) for v in params.get("levels", [0.0])]
+        levels = [serialize.value_from_jsonable(v) for v in _list(params, "levels", [0.0])]
         densities = enumerate_invariants(system, pot, levels)
     else:
         raise ConfigError(f"unknown invariant mode {mode!r}")
@@ -122,7 +132,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
         out / "density.json", [serialize.density_to_jsonable(lam) for lam in densities]
     )
     serialize.write_json(out / "verify.json", [r.to_jsonable() for r in reports])
-    if cfg.output.get("csv"):
+    if scalar(cfg.output.get("csv", False), bool, "output.csv"):
         for i, lam in enumerate(densities):
             serialize.density_to_csv(out / f"density_{i:03d}.csv", lam)
     return EXIT_OK
@@ -131,20 +141,22 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
 def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     params = cfg.fuzzy
-    tol = float(params.get("tol", 1e-12))
-    max_iters = params.get("max_iters")
+    tol = scalar(params.get("tol", 1e-12), float, "tol")
+    max_iters = params.get("max_iters")  # absent or null: the library default
+    if max_iters is not None:
+        max_iters = scalar(max_iters, int, "max_iters", minimum=1)
     u0_spec = params.get("u0", "uniform")
     if u0_spec == "uniform":
         u0 = FuzzySet(system.space, np.ones(system.space.n))
     elif u0_spec == "invariant":
         pot = mane_potential(system)
         u0 = theta_conjugate(constant_weight_density(system, pot))
+    elif isinstance(u0_spec, list):
+        u0 = FuzzySet(system.space, [scalar(x, float, "u0 entry") for x in u0_spec])
     else:
-        u0 = FuzzySet(system.space, np.asarray(u0_spec, dtype=np.float64))
+        raise ConfigError(f"u0 must be 'uniform', 'invariant' or a list, got {u0_spec!r}")
     try:
-        result = fhb_attractor(
-            system, u0, tol=tol, max_iters=int(max_iters) if max_iters else None
-        )
+        result = fhb_attractor(system, u0, tol=tol, max_iters=max_iters)
     except NonConvergenceError as exc:
         serialize.trace_to_csv(out / "trace.csv", exc.trace)
         serialize.fuzzy_to_csv(out / "attractor.csv", exc.last)
@@ -157,8 +169,8 @@ def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
 def cmd_demo31(cfg: RunConfig, out: Path, seed) -> int:
     params = cfg.demo31
     spec = ShiftExampleSpec(
-        depth=int(params.get("depth", 6)),
-        alphas=[float(a) for a in params.get("alphas", [0.0, 0.25, 0.5])],
+        depth=scalar(params.get("depth", 6), int, "depth"),
+        alphas=[scalar(a, float, "alpha") for a in _list(params, "alphas", [0.0, 0.25, 0.5])],
     )
     report = demonstrate_nonuniqueness(spec)
     serialize.write_json(out / "report.json", report.to_jsonable())

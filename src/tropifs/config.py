@@ -13,6 +13,13 @@ builds its own shift system), names exactly one source:
 
 Command blocks ("mane", "invariant", "fuzzy", "demo31") hold the knobs of
 the corresponding subcommand; "output" holds format flags.
+
+Every scalar is read through :func:`serialize.scalar`: numbers must be
+JSON numbers and flags JSON booleans (``"false"`` is not false, and
+``true`` is not 1), so a wrongly typed value is a :class:`ConfigError`
+(exit 3), never a traceback or a silent misreading.  The grid and shift
+builders refuse more than ``spaces.MAX_POINTS`` points before allocating
+anything.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Optional
 from .errors import ConfigError, DimensionError
 from .examples import build_nonunique_shift_system, build_two_point_system, random_system
 from .mpifs import MpIfs, validate
-from .serialize import system_from_jsonable
+from .serialize import scalar, system_from_jsonable
 from .spaces import build_grid, build_shift_space
 
 
@@ -45,9 +52,12 @@ class RunConfig:
             sources = [k for k in ("builder", "inline") if k in self.system]
             if len(sources) != 1:
                 raise ConfigError("system must name exactly one of 'builder' or 'inline'")
+        for name in ("mane", "invariant", "fuzzy", "demo31", "output"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"config block {name!r} must be an object")
         for block in (self.mane, self.invariant, self.fuzzy):
             for key, val in block.items():
-                if key.startswith("tol") and not (isinstance(val, (int, float)) and val > 0):
+                if key.startswith("tol") and not scalar(val, float, key) > 0:
                     raise ConfigError(f"tolerance {key} must be > 0")
 
 
@@ -57,7 +67,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -76,34 +86,32 @@ def build_system(cfg: RunConfig, seed_override: Optional[int] = None) -> MpIfs:
     if "inline" in spec:
         try:
             system = system_from_jsonable(spec["inline"])
-        except (DimensionError, KeyError, TypeError, ValueError) as exc:
+        except (DimensionError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed inline system: {exc}") from exc
         validate(system)
         return system
     builder = spec["builder"]
     args = {k: v for k, v in spec.items() if k != "builder"}
-    seed = seed_override if seed_override is not None else args.get("seed", 0)
     try:
         if builder == "two_point":
             return build_two_point_system()
         if builder == "nonunique_shift":
-            return build_nonunique_shift_system(int(args["depth"]))
-        if builder == "grid_random":
-            space = build_grid(float(args["a"]), float(args["b"]), int(args["n"]))
-            return random_system(
-                space,
-                int(args["num_maps"]),
-                int(seed),
-                constant_weights=bool(args.get("constant_weights", False)),
-            )
-        if builder == "shift_random":
-            space = build_shift_space(int(args["symbols"]), int(args["depth"]))
-            return random_system(
-                space,
-                int(args["symbols"]),
-                int(seed),
-                constant_weights=bool(args.get("constant_weights", False)),
-            )
+            return build_nonunique_shift_system(scalar(args["depth"], int, "depth"))
+        if builder in ("grid_random", "shift_random"):
+            seed = seed_override if seed_override is not None else args.get("seed", 0)
+            seed = scalar(seed, int, "seed", minimum=0)
+            constant = scalar(args.get("constant_weights", False), bool, "constant_weights")
+            if builder == "grid_random":
+                space = build_grid(
+                    scalar(args["a"], float, "a"),
+                    scalar(args["b"], float, "b"),
+                    scalar(args["n"], int, "n"),
+                )
+                num_maps = scalar(args["num_maps"], int, "num_maps")
+            else:
+                num_maps = scalar(args["symbols"], int, "symbols")
+                space = build_shift_space(num_maps, scalar(args["depth"], int, "depth"))
+            return random_system(space, num_maps, seed, constant_weights=constant)
     except KeyError as exc:
         raise ConfigError(f"builder {builder!r} missing parameter {exc}") from exc
     raise ConfigError(f"unknown system builder {builder!r}")

@@ -48,6 +48,17 @@ def discrete_index_space(labels: Sequence[str], spacing: float = 1.0) -> IndexSp
     return IndexSpace(labels=list(labels), dist=dist)
 
 
+def _prepend_maps(symbols: int, depth: int) -> np.ndarray:
+    """maps[j, i]: the word i with the symbol j + 1 prepended and its last symbol dropped.
+
+    Words are listed lexicographically over {1..symbols}, so the index of a
+    word is its base-``symbols`` numeral; dropping the last symbol divides
+    the index by ``symbols`` and the new leading symbol adds j * symbols^(depth-1).
+    """
+    n = symbols**depth
+    return np.arange(symbols)[:, None] * symbols ** (depth - 1) + np.arange(n) // symbols
+
+
 def build_two_point_system() -> MpIfs:
     """Two points, two constant maps (one onto each point), weights 0 and -1."""
     space = FiniteSpace(labels=["p0", "p1"], dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -71,15 +82,9 @@ def build_nonunique_shift_system(depth: int) -> MpIfs:
         raise ConfigError("depth must be >= 1")
     space = build_shift_space(2, depth)
     index_space = discrete_index_space(["1", "2"], spacing=1.0)
-    words = space.points
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
-    maps = np.zeros((2, n), dtype=np.intp)
-    weights = np.zeros((2, n))
-    for i, w in enumerate(words):
-        for j in (1, 2):
-            maps[j - 1, i] = index[(j,) + w[:-1]]
-            weights[j - 1, i] = 0.0 if j == w[0] else -1.0
+    maps = _prepend_maps(2, depth)
+    first = np.arange(space.n) // 2 ** (depth - 1)  # leading symbol minus 1
+    weights = np.where(np.arange(2)[:, None] == first, 0.0, -1.0)
     system = MpIfs(space, index_space, maps, weights, exact_maps=True)
     validate(system)
     return system
@@ -267,11 +272,7 @@ def random_system(
         symbols = max(w[0] for w in space.points)
         if num_maps != symbols:
             raise ConfigError("shift systems need one prepend map per symbol")
-        index = {w: i for i, w in enumerate(space.points)}
-        maps = np.zeros((num_maps, space.n), dtype=np.intp)
-        for i, w in enumerate(space.points):
-            for j in range(1, symbols + 1):
-                maps[j - 1, i] = index[(j,) + w[:-1]]
+        maps = _prepend_maps(symbols, depth)
         index_space = discrete_index_space([str(j) for j in range(1, symbols + 1)])
     else:
         index_space = discrete_index_space(

@@ -65,12 +65,6 @@ def theta_conjugate(lam: Density) -> FuzzySet:
     return FuzzySet(lam.space, np.exp(lam.values))
 
 
-def theta_inverse(u: FuzzySet) -> Density:
-    """Logarithm of the membership; 0 becomes BOTTOM."""
-    with np.errstate(divide="ignore"):
-        return Density(u.space, np.log(u.values))
-
-
 def alpha_cut(u: FuzzySet, alpha: float) -> set:
     """Threshold set {u >= alpha}; at alpha = 0 the support {u > 0}."""
     if np.isnan(alpha) or alpha < 0 or alpha > 1:

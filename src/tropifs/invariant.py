@@ -221,14 +221,6 @@ def coding_map(system: MpIfs, x_ref: int = 0) -> CodingMap:
     return CodingMap(depth=depth, pi=pi, j0=j0, exact=exact, x_ref=x_ref)
 
 
-def j0_image(cm: CodingMap) -> set:
-    """Points coded by words using only zero-weight indices."""
-    out = set()
-    for word in itertools.product(cm.j0, repeat=cm.depth):
-        out.add(cm.pi[word])
-    return out
-
-
 def _weight_series(system: MpIfs, depth: int, start: int) -> np.ndarray:
     """Best accumulated weight of length-``depth`` words from ``start`` per endpoint."""
     best = np.full(system.space.n, BOTTOM)

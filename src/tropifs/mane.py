@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyAubryError, InternalError
+from .errors import ConfigError, EmptyAubryError
 from .maxplus import BOTTOM, MpMatrix, kleene_plus
 from .mpifs import MpIfs
 
@@ -157,63 +157,3 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
         columns=cols[:, keep],
         system=system,
     )
-
-
-def sum_along(system: MpIfs, omega: Sequence[int], x: int):
-    """Accumulated weight and endpoint of applying a word right to left.
-
-    ``omega`` lists map indices; the last entry acts first.  Returns the
-    pair (total weight, final point index).
-    """
-    if len(omega) == 0:
-        raise ConfigError("word must be nonempty")
-    total = 0.0
-    cur = x
-    for j in reversed(list(omega)):
-        total = system.weights[j, cur] + total
-        cur = int(system.maps[j, cur])
-    return total, cur
-
-
-def check_triangle(pot: PotentialMatrix, tol: float = 0.0) -> bool:
-    """S[x, z] >= S[x, y] + S[y, z] over all triples (concatenation bound)."""
-    s = pot.s.entries
-    # a running maximum over the middle index y keeps memory at O(n^2)
-    through = np.full(s.shape, BOTTOM)
-    for y in range(s.shape[0]):
-        np.maximum(through, s[:, y, None] + s[None, y, :], out=through)
-    return bool(np.all(s >= through - tol))
-
-
-def check_sum_lipschitz(system: MpIfs, trials: int = 1000, seed: int = 0) -> float:
-    """Sampled Lipschitz ratio of the accumulated weight in its base point.
-
-    Draws random words and point pairs, returns the largest observed
-    |Sum(w, y1) - Sum(w, y2)| / d(y1, y2).  For exact maps the ratio is
-    bounded by lip_c_hat / (1 - gamma_hat) and exceeding it raises
-    :class:`InternalError`.  Snapped maps can phase-lock two orbits onto a
-    short cycle a cell or two apart, making the weight difference grow
-    with the word length, so for them the ratio is only reported.
-    """
-    if not system.validated:
-        raise ConfigError("system must be validated first")
-    n = system.space.n
-    if n < 2:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    max_len = max(1, 4 * n)
-    best = 0.0
-    for _ in range(trials):
-        length = int(rng.integers(1, min(max_len, 32) + 1))
-        omega = rng.integers(0, system.num_maps, size=length)
-        y1, y2 = rng.choice(n, size=2, replace=False)
-        s1, _ = sum_along(system, omega, int(y1))
-        s2, _ = sum_along(system, omega, int(y2))
-        if s1 == BOTTOM or s2 == BOTTOM:
-            continue
-        best = max(best, abs(s1 - s2) / system.space.dist[y1, y2])
-    if system.exact_maps:
-        bound = system.lip_c_hat / (1.0 - system.gamma_hat)
-        if best > bound + 1e-12:
-            raise InternalError(f"Lipschitz ratio {best} exceeds bound {bound}")
-    return best

@@ -21,16 +21,6 @@ BOTTOM = float("-inf")
 _MAX_SWEEPS = 8
 
 
-def oplus(a: float, b: float) -> float:
-    """Semiring addition: max(a, b).  BOTTOM is neutral."""
-    return a if a >= b else b
-
-
-def odot(a: float, b: float) -> float:
-    """Semiring multiplication: a + b.  BOTTOM is absorbing."""
-    return a + b
-
-
 def _check_entries(entries: np.ndarray) -> np.ndarray:
     entries = np.asarray(entries, dtype=np.float64)
     if np.isnan(entries).any() or (entries == np.inf).any():
@@ -61,25 +51,6 @@ class MpMatrix:
         return isinstance(other, MpMatrix) and np.array_equal(
             self.entries, other.entries
         )
-
-
-def mp_eye(n: int) -> MpMatrix:
-    """Identity: 0 on the diagonal, -inf off it."""
-    e = np.full((n, n), BOTTOM)
-    np.fill_diagonal(e, 0.0)
-    return MpMatrix(e)
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # C[i,k] = max_j a[i,j] + b[j,k]; -inf propagates, never NaN (no +inf).
-    return np.max(a[:, :, None] + b[None, :, :], axis=1)
-
-
-def mp_mat_mul(a: MpMatrix, b: MpMatrix) -> MpMatrix:
-    """Max-plus matrix product C[i,k] = max_j (A[i,j] + B[j,k])."""
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return MpMatrix(_mul(a.entries, b.entries))
 
 
 def kleene_plus(a: MpMatrix) -> MpMatrix:

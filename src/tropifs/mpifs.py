@@ -4,15 +4,13 @@ A system couples a finite space X with an index space J, one point map per
 index (stored pre-snapped, as an index array over X), and one weight array
 per index with values <= 0 normalized so that max_j q_j(x) = 0 at every x.
 
-Two operators are exposed:
+The operator exposed is ``transfer_density``, which acts on densities:
 
-* ``dual_transfer``      acts on finite functions:  (Lf)(x)   = max_j q_j(x) + f(phi_j(x))
-* ``transfer_density``   acts on densities:         (L lam)(x) = max over phi_j(y) = x of q_j(y) + lam(y)
+    (L lam)(x) = max over phi_j(y) = x of q_j(y) + lam(y).
 
-``transfer_density`` is also the operator on idempotent measures, which act
-through their densities.
-
-The two L's are max-plus adjoint: mu_eval(L lam, f) == mu_eval(lam, Lf).
+It is also the operator on idempotent measures, which act through their
+densities, and it is the max-plus adjoint of the operator on functions
+(Lf)(x) = max_j q_j(x) + f(phi_j(x)).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .errors import (
     NotContractiveError,
 )
 from .maxplus import BOTTOM
-from .measures import Density, mu_eval, normalize
+from .measures import Density
 from .spaces import FiniteSpace, IndexSpace
 
 NORMALIZATION_TOL = 1e-12
@@ -210,14 +208,6 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
     return system.validation
 
 
-def dual_transfer(system: MpIfs, f) -> np.ndarray:
-    """(Lf)(x) = max_j q_j(x) + f(phi_j(x)); finite whenever f is."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (system.space.n,):
-        raise DimensionError("function length must match the space size")
-    return np.max(system.weights + f[system.maps], axis=0)
-
-
 def transfer_density(system: MpIfs, lam: Density) -> Density:
     """(L lam)(x) = max over pairs (j, y) with phi_j(y) = x of q_j(y) + lam(y).
 
@@ -231,47 +221,9 @@ def transfer_density(system: MpIfs, lam: Density) -> Density:
     return Density(system.space, out)
 
 
-def check_duality(system: MpIfs, lam: Density, f) -> bool:
-    """Exact equality of mu_eval(L lam, f) and mu_eval(lam, Lf)."""
-    lhs = mu_eval(transfer_density(system, lam), f)
-    rhs = mu_eval(lam, dual_transfer(system, f))
-    return lhs == rhs
-
-
-@dataclass
-class IterationResult:
-    density: Density
-    iterations: int
-    converged: bool
-
-
 def d_rho(a: Density, b: Density) -> float:
     """Sup distance on the exponential scale: max_x |e^a(x) - e^b(x)|.
 
     BOTTOM entries compare as 0, so the metric is finite on all densities.
     """
     return float(np.max(np.abs(np.exp(a.values) - np.exp(b.values))))
-
-
-def iterate_transfer(
-    system: MpIfs,
-    lam0: Density,
-    max_iters: Optional[int] = None,
-    tol: float = 1e-12,
-) -> IterationResult:
-    """Fixed-point search: apply the transfer operator and re-normalize.
-
-    Stops when consecutive iterates are within ``tol`` in the exponential
-    sup metric.  This is a search heuristic: the place-dependent operator
-    need not be contractive, so non-convergence is a legitimate outcome
-    reported through the ``converged`` flag.
-    """
-    if max_iters is None:
-        max_iters = 10 * system.space.n
-    cur = normalize(lam0)
-    for k in range(1, max_iters + 1):
-        nxt = normalize(transfer_density(system, cur))
-        if d_rho(cur, nxt) <= tol:
-            return IterationResult(nxt, k, True)
-        cur = nxt
-    return IterationResult(cur, max_iters, False)

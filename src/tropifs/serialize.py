@@ -22,6 +22,29 @@ from .spaces import FiniteSpace, IndexSpace, build_grid, build_shift_space
 
 BOTTOM_TOKEN = "-inf"
 
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
+
+
+def scalar(value, kind, name: str, minimum=None):
+    """``value`` as a ``kind`` (float, int or bool) read from JSON, else ConfigError.
+
+    Booleans are never numbers; an integer is accepted where a float is
+    asked for; ``minimum`` bounds numbers from below.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else int)
+        ok = ok and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    if minimum is not None and not value >= minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range") from exc
+
 
 def value_to_jsonable(x: float):
     return BOTTOM_TOKEN if x == BOTTOM else float(x)
@@ -30,7 +53,7 @@ def value_to_jsonable(x: float):
 def value_from_jsonable(x) -> float:
     if x == BOTTOM_TOKEN:
         return BOTTOM
-    v = float(x)
+    v = scalar(x, float, "a max-plus value")
     if np.isnan(v) or v == np.inf:
         raise ConfigError(f"not a max-plus value: {x!r}")
     return v
@@ -51,11 +74,6 @@ def density_to_jsonable(lam: Density) -> dict:
     }
 
 
-def density_from_jsonable(space: FiniteSpace, obj) -> Density:
-    vals = values_from_jsonable(obj["values"] if isinstance(obj, dict) else obj)
-    return Density(space, vals)
-
-
 def space_to_jsonable(space: FiniteSpace) -> dict:
     out = {
         "labels": list(space.labels),
@@ -72,10 +90,15 @@ def space_to_jsonable(space: FiniteSpace) -> dict:
 def space_from_jsonable(obj) -> FiniteSpace:
     if "grid" in obj:
         g = obj["grid"]
-        return build_grid(float(g["a"]), float(g["b"]), int(g["n"]))
+        return build_grid(
+            scalar(g["a"], float, "grid a"), scalar(g["b"], float, "grid b"),
+            scalar(g["n"], int, "grid n"),
+        )
     if "shift" in obj:
         s = obj["shift"]
-        return build_shift_space(int(s["symbols"]), int(s["depth"]))
+        return build_shift_space(
+            scalar(s["symbols"], int, "shift symbols"), scalar(s["depth"], int, "shift depth")
+        )
     points = None
     if "coordinates" in obj:
         points = np.asarray(obj["coordinates"], dtype=np.float64)
@@ -84,7 +107,7 @@ def space_from_jsonable(obj) -> FiniteSpace:
     return FiniteSpace(
         labels=list(obj["labels"]),
         dist=np.asarray(obj["dist"], dtype=np.float64),
-        resolution=float(obj.get("resolution", 0.0)),
+        resolution=scalar(obj.get("resolution", 0.0), float, "resolution"),
         points=points,
     )
 
@@ -114,7 +137,7 @@ def system_from_jsonable(obj) -> MpIfs:
         index_space=index_space,
         maps=np.asarray(obj["maps"], dtype=np.intp),
         weights=weights,
-        exact_maps=bool(obj.get("exact_maps", False)),
+        exact_maps=scalar(obj.get("exact_maps", False), bool, "exact_maps"),
     )
 
 
@@ -168,12 +191,4 @@ def aubry_to_jsonable(pot: PotentialMatrix) -> dict:
         "indices": [int(i) for i in pot.aubry],
         "labels": [pot.space.labels[i] for i in pot.aubry],
         "tol_aubry": float(pot.tol_aubry),
-    }
-
-
-def potential_to_jsonable(pot: PotentialMatrix) -> dict:
-    return {
-        "labels": list(pot.space.labels),
-        "s": [values_to_jsonable(row) for row in pot.s.entries],
-        "aubry": aubry_to_jsonable(pot),
     }

@@ -11,7 +11,7 @@ the cylinder metric d(w, v) = (1/2)^(first mismatch position).
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,10 @@ import numpy as np
 from .errors import ConfigError, EmptySetError
 
 METRIC_TOL = 1e-12
+#: Most points :func:`build_grid` and :func:`build_shift_space` will build.
+#: Every space holds a dense n x n ``dist`` (2 GiB at this limit), so the
+#: count is checked before anything is allocated.
+MAX_POINTS = 2**14
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -29,9 +33,9 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 
 def check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     """Symmetry, zero diagonal (and only there), triangle inequality."""
-    n = dist.shape[0]
-    if dist.shape != (n, n):
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ConfigError("distance table must be square")
+    n = dist.shape[0]
     if not np.isfinite(dist).all() or (dist < 0).any():
         raise ConfigError("distances must be nonnegative reals")
     if not np.array_equal(dist, dist.T):
@@ -59,10 +63,9 @@ class FiniteSpace:
     labels: list
     dist: np.ndarray
     resolution: float = 0.0
-    #: Optional payload: grid coordinates (float array) or shift words
-    #: (tuple of tuples).  Used by :func:`snap`.
+    #: Optional payload: grid coordinates (float array, read by
+    #: :func:`snap`) or shift words (tuple of tuples).
     points: Optional[object] = None
-    _word_index: Optional[dict] = field(default=None, repr=False)
     #: Set only by the builders whose tables are metrics by construction
     #: (|x - y| on distinct grid points, the cylinder ultrametric), which
     #: skip the O(n^3) :func:`check_metric`.
@@ -76,8 +79,6 @@ class FiniteSpace:
             raise ConfigError("labels and distance table disagree in size")
         if self.resolution < 0:
             raise ConfigError("resolution must be >= 0")
-        if isinstance(self.points, tuple) and self.points and isinstance(self.points[0], tuple):
-            self._word_index = {w: i for i, w in enumerate(self.points)}
 
     @property
     def n(self) -> int:
@@ -110,6 +111,8 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
     """Uniform grid of ``n`` points on [a, b]; covering radius is half the spacing."""
     if n < 2:
         raise ConfigError("grid needs at least 2 points")
+    if n > MAX_POINTS:
+        raise ConfigError(f"grid of {n} points is larger than the limit of {MAX_POINTS}")
     if not a < b:
         raise ConfigError("grid requires a < b")
     xs = np.linspace(a, b, n)
@@ -135,6 +138,11 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
     """
     if symbols < 1 or depth < 1:
         raise ConfigError("shift space needs symbols >= 1 and depth >= 1")
+    # max() first keeps the power cheap whatever the inputs
+    if max(symbols, depth) > MAX_POINTS or symbols**depth > MAX_POINTS:
+        raise ConfigError(
+            f"shift space of {symbols}^{depth} points is larger than the limit of {MAX_POINTS}"
+        )
     words = tuple(itertools.product(range(1, symbols + 1), repeat=depth))
     n = len(words)
     arr = np.array(words)
@@ -158,28 +166,8 @@ def build_point_space(labels: Sequence[str], dist, resolution: float = 0.0) -> F
     return FiniteSpace(labels=list(labels), dist=np.asarray(dist, float), resolution=resolution)
 
 
-def cylinder_distance(w: tuple, v: tuple) -> float:
-    if w == v:
-        return 0.0
-    for i, (a, b) in enumerate(zip(w, v)):
-        if a != b:
-            return 0.5 ** (i + 1)
-    return 0.5 ** (min(len(w), len(v)) + 1)
-
-
-def snap(space: FiniteSpace, value) -> int:
-    """Index of the nearest point; ties break toward the lowest index.
-
-    ``value`` is a coordinate for grid spaces or a word for shift spaces.
-    """
-    if isinstance(value, tuple):
-        if space._word_index is None:
-            raise ConfigError("space has no word payload to snap a word onto")
-        hit = space._word_index.get(value)
-        if hit is not None:
-            return hit
-        d = np.array([cylinder_distance(value, w) for w in space.points])
-        return int(np.argmin(d))
+def snap(space: FiniteSpace, value: float) -> int:
+    """Index of the grid point nearest ``value``; ties break toward the lowest index."""
     if space.points is None or not isinstance(space.points, np.ndarray):
         raise ConfigError("space has no coordinate payload to snap a value onto")
     return int(np.argmin(np.abs(space.points - float(value))))

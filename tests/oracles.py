@@ -82,6 +82,87 @@ def apply_word(maps, weights, word, y):
     return total, cur
 
 
+def word_prepend_maps(symbols, depth):
+    """maps[j][i]: index of the word i with symbol j + 1 prepended and its last symbol dropped.
+
+    Words are all tuples over 1..symbols of the given depth, listed in
+    ``itertools.product`` order, and looked up in a dict.
+    """
+    words = list(itertools.product(range(1, symbols + 1), repeat=depth))
+    index = {w: i for i, w in enumerate(words)}
+    return np.array([[index[(j,) + w[:-1]] for w in words] for j in range(1, symbols + 1)])
+
+
+def check_triangle(s, tol=0.0):
+    """S[x, z] >= S[x, y] + S[y, z] over all triples (concatenation bound).
+
+    A running maximum over the middle index y keeps memory at O(n^2).
+    """
+    through = np.full(s.shape, BOTTOM)
+    for y in range(s.shape[0]):
+        np.maximum(through, s[:, y, None] + s[None, y, :], out=through)
+    return bool(np.all(s >= through - tol))
+
+
+def check_sum_lipschitz(system, trials=1000, seed=0):
+    """Sampled Lipschitz ratio of the accumulated weight in its base point.
+
+    Draws random words and point pairs and returns the largest observed
+    |Sum(w, y1) - Sum(w, y2)| / d(y1, y2).  For exact maps the ratio is
+    asserted to stay within lip_c_hat / (1 - gamma_hat).  Snapped maps can
+    phase-lock two orbits onto a short cycle a cell or two apart, making
+    the weight difference grow with the word length, so for them the ratio
+    is only reported.
+    """
+    assert system.validated
+    n = system.space.n
+    if n < 2:
+        return 0.0
+    maps, weights = system.maps.tolist(), system.weights.tolist()
+    rng = np.random.default_rng(seed)
+    max_len = max(1, 4 * n)
+    best = 0.0
+    for _ in range(trials):
+        length = int(rng.integers(1, min(max_len, 32) + 1))
+        word = rng.integers(0, system.num_maps, size=length).tolist()
+        y1, y2 = (int(y) for y in rng.choice(n, size=2, replace=False))
+        s1, _ = apply_word(maps, weights, word, y1)
+        s2, _ = apply_word(maps, weights, word, y2)
+        if s1 == BOTTOM or s2 == BOTTOM:
+            continue
+        best = max(best, abs(s1 - s2) / system.space.dist[y1, y2])
+    if system.exact_maps:
+        bound = system.lip_c_hat / (1.0 - system.gamma_hat)
+        assert best <= bound + 1e-12, f"Lipschitz ratio {best} exceeds bound {bound}"
+    return best
+
+
+def iterate_transfer(step, lam0, tol=1e-12, max_iters=None):
+    """Fixed-point search: apply ``step`` to density values and re-normalize.
+
+    Stops when consecutive iterates are within ``tol`` in the exponential
+    sup metric max |e^a - e^b|.  Returns (values, iterations, converged);
+    without convergence the last iterate is returned after ``max_iters``
+    steps (default 10 n).
+    """
+    cur = np.asarray(lam0, dtype=np.float64)
+    cur = cur - cur.max()
+    if max_iters is None:
+        max_iters = 10 * cur.size
+    for k in range(1, max_iters + 1):
+        nxt = np.asarray(step(cur), dtype=np.float64)
+        nxt = nxt - nxt.max()
+        if np.max(np.abs(np.exp(cur) - np.exp(nxt))) <= tol:
+            return nxt, k, True
+        cur = nxt
+    return cur, max_iters, False
+
+
+def j0_image(cm):
+    """Points a coding map sends the words over zero-weight indices to."""
+    return {cm.pi[word] for word in itertools.product(cm.j0, repeat=cm.depth)}
+
+
 def words_closure(maps, weights, n, max_len):
     """Best weight per (target, source) by explicit word enumeration."""
     m = len(maps)

@@ -2,15 +2,20 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tropifs
 from tropifs.cli import main
 from tropifs.examples import build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
 from tropifs.serialize import system_to_jsonable
+from tropifs.spaces import MAX_POINTS
 
 
 def run(tmp_path, command, config, out="out", seed=None):
@@ -88,6 +93,14 @@ def test_malformed_config(tmp_path):
     p3 = tmp_path / "twosource.json"
     p3.write_text(json.dumps({"system": {"builder": "two_point", "inline": {}}}))
     assert main(["validate", "--config", str(p3), "--out", str(tmp_path)]) == 3
+    p4 = tmp_path / "longint.json"  # more digits than Python parses into an int
+    p4.write_text('{"system": {"builder": "nonunique_shift", "depth": ' + "9" * 5000 + "}}")
+    assert main(["validate", "--config", str(p4), "--out", str(tmp_path)]) == 3
+    doc = system_to_jsonable(build_two_point_system())
+    doc["maps"] = [[0, 10**30], [1, 1]]  # overflows the index type
+    p5 = tmp_path / "overflow.json"
+    p5.write_text(json.dumps({"system": {"inline": doc}}))
+    assert main(["validate", "--config", str(p5), "--out", str(tmp_path)]) == 3
 
 
 def test_inline_non_metric_space_rejected(tmp_path):
@@ -117,6 +130,61 @@ def test_enumerate_over_the_assignment_limit(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "6^7 boundary assignments" in err and "8 Aubry points" in err
+
+
+TWO_POINT = {"builder": "two_point"}
+SHIFT3 = {"builder": "nonunique_shift", "depth": 3}
+GRID8 = {"builder": "grid_random", "a": 0, "b": 1, "n": 8, "num_maps": 2}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("validate", {"system": {**GRID8, "a": "x"}}, "a must be a number, got 'x'"),
+    ("validate", {"system": {**GRID8, "a": 10**400}}, "a is out of range"),
+    ("fuzzy", {"system": TWO_POINT, "fuzzy": {"max_iters": "x"}}, "max_iters must be an integer"),
+    ("invariant", {"system": SHIFT3, "invariant": {"mode": "enumerate", "levels": ["a"]}},
+     "max-plus value must be a number, got 'a'"),
+    ("invariant", {"system": SHIFT3, "invariant": {
+        "mode": "boundary", "boundary": {"anchor": "111", "levels": {"111": 0, "222": "x"}}}},
+     "max-plus value must be a number, got 'x'"),
+    ("demo31", {"demo31": {"depth": "x"}}, "depth must be an integer"),
+    ("fuzzy", {"system": TWO_POINT, "fuzzy": {"u0": ["a", 1]}}, "u0 entry must be a number"),
+    # read as bool("false"), this built a constant-weight system
+    ("validate", {"system": {**GRID8, "constant_weights": "false"}},
+     "constant_weights must be true or false"),
+    # read as "no limit given"
+    ("fuzzy", {"system": TWO_POINT, "fuzzy": {"max_iters": 0}}, "max_iters must be >= 1"),
+    # read as the tolerance 1
+    ("mane", {"system": TWO_POINT, "mane": {"tol_aubry": True}}, "tol_aubry must be a number"),
+    # read as bool("false"): exact maps, so no snapping slack in the contraction check
+    ("validate", {"system": {"inline": {**system_to_jsonable(build_two_point_system()),
+                                        "exact_maps": "false"}}},
+     "exact_maps must be true or false"),
+    # read as int(2.5) = 2 points
+    ("validate", {"system": {"inline": {**system_to_jsonable(build_two_point_system()),
+                                        "space": {"grid": {"a": 0, "b": 1, "n": 2.5}}}}},
+     "grid n must be an integer"),
+    ("mane", {"system": TWO_POINT, "mane": 5}, "config block 'mane' must be an object"),
+], ids=["grid-a", "grid-a-huge", "max_iters-str", "levels", "boundary-level", "demo31-depth", "u0",
+        "constant_weights-str", "max_iters-0", "tol_aubry-bool", "inline-exact_maps",
+        "inline-grid-n", "block"])
+def test_wrongly_typed_config_value_is_a_config_error(tmp_path, capsys, command, config, message):
+    code, _ = run(tmp_path, command, config)
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, count", [
+    ("validate", {"system": {"builder": "shift_random", "symbols": 2, "depth": 30}}, "2^30"),
+    ("validate", {"system": {"builder": "nonunique_shift", "depth": 30}}, "2^30"),
+    ("demo31", {"demo31": {"depth": 30}}, "2^30"),
+    ("validate", {"system": {**GRID8, "n": MAX_POINTS + 1}}, f"grid of {MAX_POINTS + 1}"),
+], ids=["shift_random", "nonunique_shift", "demo31", "grid_random"])
+def test_oversized_space_exits_before_allocating(tmp_path, capsys, command, config, count):
+    start = time.perf_counter()
+    code, _ = run(tmp_path, command, config)
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"{count} points is larger than the limit of {MAX_POINTS}" in capsys.readouterr().err
 
 
 def test_mane_two_point(tmp_path):
@@ -302,3 +370,79 @@ def test_seed_flag_overrides(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["frobnicate", "--config", "x"]) == 3
+
+
+# Any JSON value; integers stay small, so no drawn value asks for much work.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(valid):
+    """A valid value three times in four, any JSON value otherwise."""
+    return st.one_of(valid, valid, valid, _json)
+
+
+def _size(top):
+    """A size key: an int of at most ``top`` (at most 64) or a wrongly typed value."""
+    wrong = st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    return st.one_of(st.integers(-1, top), st.integers(-1, top), st.integers(-1, top), wrong)
+
+
+def _block(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_tol = _mostly(st.floats(1e-15, 1.0))
+_system = st.one_of(
+    st.fixed_dictionaries({"builder": st.just("two_point")}),
+    st.fixed_dictionaries({"builder": st.just("nonunique_shift"), "depth": _size(6)}),
+    st.fixed_dictionaries(
+        {"builder": st.just("grid_random"), "a": _mostly(st.floats(-2.0, 0.0)),
+         "b": _mostly(st.floats(0.5, 2.0)), "n": _size(64), "num_maps": _size(6)},
+        optional={"seed": _mostly(st.integers(0, 64)),
+                  "constant_weights": _mostly(st.booleans())},
+    ),
+    st.fixed_dictionaries(
+        {"builder": st.just("shift_random"), "symbols": _size(3), "depth": _size(4)},
+        optional={"seed": _mostly(st.integers(0, 64)),
+                  "constant_weights": _mostly(st.booleans())},
+    ),
+    st.fixed_dictionaries({"inline": _json}),
+    _json,
+)
+_level = _mostly(st.floats(max_value=0.0) | st.just("-inf"))
+
+_config = st.fixed_dictionaries({"system": _system}, optional={
+    "mane": _block(tol_aubry=_tol),
+    "invariant": _block(
+        mode=_mostly(st.sampled_from(["boundary", "constant", "enumerate"])),
+        tol=_tol,
+        tol_aubry=_tol,
+        levels=_mostly(st.lists(_level, max_size=3)),
+        boundary=_mostly(st.fixed_dictionaries({}, optional={
+            "anchor": _mostly(st.integers(-1, 8) | st.sampled_from(["0", "11", "p0"])),
+            "levels": _mostly(st.dictionaries(st.sampled_from(["0", "1", "11", "p0"]), _level,
+                                              max_size=3)),
+        })),
+    ),
+    "fuzzy": _block(
+        tol=_tol,
+        max_iters=_mostly(st.integers(1, 64)),
+        u0=_mostly(st.sampled_from(["uniform", "invariant"]) | st.lists(st.floats(0.0, 1.0))),
+    ),
+    "demo31": _block(depth=_size(6), alphas=_mostly(st.lists(st.floats(0.0, 1.0), max_size=3))),
+    "output": _block(csv=_mostly(st.booleans())),
+})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.sampled_from(["validate", "mane", "invariant", "fuzzy", "demo31"]), _config)
+def test_random_config_values_never_end_in_a_traceback(tmp_path, command, config):
+    # exit 1 would be an uncaught exception, which main() lets propagate here
+    code, _ = run(tmp_path, command, config)
+    assert code in (0, 2, 3)

@@ -14,6 +14,8 @@ from tropifs.mane import mane_potential
 from tropifs.mpifs import transfer_density
 from tropifs.spaces import build_grid, build_shift_space
 
+from oracles import word_prepend_maps
+
 
 def test_shift_system_maps_and_weights():
     system = build_nonunique_shift_system(3)
@@ -115,6 +117,20 @@ def test_random_system_validates_and_flags():
 def test_random_shift_system_needs_matching_maps():
     with pytest.raises(ConfigError):
         random_system(build_shift_space(2, 3), 3, 0)
+
+
+@pytest.mark.parametrize("symbols, depth", [(1, 3), (2, 1), (2, 5), (3, 4), (4, 3), (7, 3)])
+def test_random_shift_maps_equal_the_word_construction(symbols, depth):
+    system = random_system(build_shift_space(symbols, depth), symbols, 0)
+    assert np.array_equal(system.maps, word_prepend_maps(symbols, depth))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_nonunique_shift_maps_and_weights_equal_the_word_construction(depth):
+    system = build_nonunique_shift_system(depth)
+    assert np.array_equal(system.maps, word_prepend_maps(2, depth))
+    first = np.array([w[0] for w in system.space.points])
+    assert np.array_equal(system.weights, np.where(np.array([[1], [2]]) == first, 0.0, -1.0))
 
 
 def test_two_point_system_shape():

@@ -19,12 +19,11 @@ from tropifs.fuzzy import (
     fhb_apply,
     fhb_attractor,
     theta_conjugate,
-    theta_inverse,
 )
 from tropifs.invariant import constant_weight_density
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, dirac, normalize
+from tropifs.measures import Density, normalize
 from tropifs.mpifs import transfer_density
 from tropifs.spaces import build_grid, build_shift_space, hausdorff
 
@@ -39,6 +38,11 @@ def rand_prob(space, seed, p_bottom=0.2):
     return normalize(Density(space, vals))
 
 
+def point_mass(space, x):
+    """The probability with density 0 at x and BOTTOM elsewhere."""
+    return Density(space, np.where(np.arange(space.n) == x, 0.0, BOTTOM))
+
+
 def test_theta_conjugate_examples():
     two = build_grid(0.0, 1.0, 2)
     u = theta_conjugate(Density(two, [0.0, -1.0]))
@@ -46,7 +50,7 @@ def test_theta_conjugate_examples():
     assert u.values[1] == np.exp(-1.0)
     assert u.is_normal
 
-    d = theta_conjugate(dirac(two, 0, 0.0))
+    d = theta_conjugate(point_mass(two, 0))
     assert d.values.tolist() == [1.0, 0.0]
 
     with pytest.raises(ConfigError):
@@ -56,7 +60,8 @@ def test_theta_conjugate_examples():
 def test_theta_round_trip():
     space = build_grid(0.0, 1.0, 8)
     lam = rand_prob(space, 4)
-    back = theta_inverse(theta_conjugate(lam))
+    with np.errstate(divide="ignore"):
+        back = Density(space, np.log(theta_conjugate(lam).values))
     finite = lam.values > BOTTOM
     # log(exp(x)) is correct to the last ulp but not always bit-exact
     assert np.allclose(back.values[finite], lam.values[finite], rtol=1e-15, atol=0)
@@ -80,8 +85,8 @@ def test_d_infty_examples():
     space = build_grid(0.0, 1.0, 5)
     u = theta_conjugate(rand_prob(space, 1))
     assert d_infty(u, u) == 0.0
-    up = theta_conjugate(dirac(space, 0, 0.0))
-    uq = theta_conjugate(dirac(space, 3, 0.0))
+    up = theta_conjugate(point_mass(space, 0))
+    uq = theta_conjugate(point_mass(space, 3))
     assert d_infty(up, uq) == space.dist[0, 3]
 
 
@@ -199,8 +204,8 @@ def test_d_theta():
     space = build_grid(0.0, 1.0, 6)
     lam = rand_prob(space, 8)
     assert d_theta(lam, lam) == 0.0
-    p = normalize(dirac(space, 1, 0.0))
-    q = normalize(dirac(space, 4, 0.0))
+    p = point_mass(space, 1)
+    q = point_mass(space, 4)
     assert d_theta(p, q) == space.dist[1, 4]
     with pytest.raises(ConfigError):
         d_theta(Density(space, np.full(6, -1.0)), lam)

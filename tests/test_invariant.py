@@ -16,16 +16,15 @@ from tropifs.invariant import (
     coding_map,
     constant_weight_density,
     enumerate_invariants,
-    j0_image,
     verify_invariant,
 )
 from tropifs.maxplus import BOTTOM
 from tropifs.mane import mane_potential
-from tropifs.measures import Density, normalize
-from tropifs.mpifs import d_rho, iterate_transfer
+from tropifs.measures import Density
+from tropifs.mpifs import d_rho, transfer_density
 from tropifs.spaces import build_grid, build_shift_space
 
-from oracles import dyadic_mp
+from oracles import dyadic_mp, iterate_transfer, j0_image
 
 
 def test_boundary_data_validation():
@@ -231,10 +230,11 @@ def test_uniqueness_iteration_evidence():
         vals = dyadic_mp(rng, 40, p_bottom=0.1)
         if not (vals > BOTTOM).any():
             vals[0] = 0.0
-        start = normalize(Density(system.space, vals))
-        res = iterate_transfer(system, start, tol=1e-13)
-        assert res.converged
-        assert d_rho(res.density, lam) <= 1e-9
+        values, _, converged = iterate_transfer(
+            lambda v: transfer_density(system, Density(system.space, v)).values, vals, tol=1e-13
+        )
+        assert converged
+        assert d_rho(Density(system.space, values), lam) <= 1e-9
 
 
 def test_build_invariant_outputs_verify_exactly():

@@ -4,80 +4,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropifs.errors import DimensionError, PositiveCycleError
-from tropifs.maxplus import BOTTOM, MpMatrix, kleene_plus, mp_eye, mp_mat_mul, odot, oplus
+from tropifs.maxplus import BOTTOM, MpMatrix, kleene_plus
 
 from oracles import dyadic_mp, naive_mat_mul, paths_closure
 
-# Scalars can be arbitrary floats: the scalar laws below hold exactly for
-# any float64 values, BOTTOM included.
+# Scalars can be arbitrary floats: the semiring laws below hold exactly for
+# max and + on any float64 values, BOTTOM included, which is what lets the
+# library compute with plain numpy max and + on -inf.
 mp_scalar = st.one_of(
     st.just(BOTTOM),
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
 )
 
 
-def test_oplus_examples():
-    assert oplus(3.0, -1.0) == 3.0
-    assert oplus(BOTTOM, -5.0) == -5.0
-    assert oplus(BOTTOM, BOTTOM) == BOTTOM
-
-
-def test_odot_examples():
-    assert odot(3.0, -1.0) == 2.0
-    assert odot(BOTTOM, 7.0) == BOTTOM
-    for x in (BOTTOM, -2.5, 0.0, 17.0):
-        assert odot(0.0, x) == x
-
-
 @given(mp_scalar, mp_scalar, mp_scalar)
 def test_scalar_laws(a, b, c):
-    assert oplus(a, b) == oplus(b, a)
-    assert oplus(oplus(a, b), c) == oplus(a, oplus(b, c))
-    assert oplus(a, a) == a
-    assert oplus(a, BOTTOM) == a
-    assert odot(a, BOTTOM) == BOTTOM
-    assert odot(a, 0.0) == a
+    assert max(a, b) == max(b, a)
+    assert max(max(a, b), c) == max(a, max(b, c))
+    assert max(a, a) == a
+    assert max(a, BOTTOM) == a
+    assert a + BOTTOM == BOTTOM
+    assert a + 0.0 == a
     # distributivity is exact: adding a to both sides of a max
-    assert odot(a, oplus(b, c)) == oplus(odot(a, b), odot(a, c))
+    assert a + max(b, c) == max(a + b, a + c)
 
 
 def _mat(entries):
     return MpMatrix(np.array(entries, dtype=float))
-
-
-def test_mat_mul_frozen_square():
-    a = _mat([[0.0, -1.0], [BOTTOM, 0.0]])
-    sq = mp_mat_mul(a, a)
-    # hand expansion of max_j a[i,j] + a[j,k]
-    assert sq.entries.tolist() == [[0.0, -1.0], [BOTTOM, 0.0]]
-
-
-def test_mat_mul_identity_and_absorber():
-    rng = np.random.default_rng(1)
-    a = MpMatrix(dyadic_mp(rng, 5, 5))
-    eye = mp_eye(5)
-    assert mp_mat_mul(eye, a) == a
-    assert mp_mat_mul(a, eye) == a
-    bot = MpMatrix(np.full((5, 5), BOTTOM))
-    assert mp_mat_mul(bot, a) == bot
-    assert mp_mat_mul(a, bot) == bot
-
-
-def test_mat_mul_dimension_error():
-    with pytest.raises(DimensionError):
-        mp_mat_mul(_mat([[0.0, 1.0]]), _mat([[0.0, 1.0]]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_mat_mul_associative_and_matches_oracle(n, seed):
-    # dyadic entries keep every sum exact, so association order is moot
-    rng = np.random.default_rng(seed)
-    a, b, c = (MpMatrix(dyadic_mp(rng, n, n)) for _ in range(3))
-    left = mp_mat_mul(mp_mat_mul(a, b), c)
-    right = mp_mat_mul(a, mp_mat_mul(b, c))
-    assert left == right
-    assert np.array_equal(mp_mat_mul(a, b).entries, naive_mat_mul(a.entries, b.entries))
 
 
 def test_kleene_frozen_examples():

@@ -12,18 +12,18 @@ from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, normalize
 from tropifs.mpifs import validate
 from tropifs.serialize import (
-    density_from_jsonable,
+    aubry_to_jsonable,
     density_to_csv,
     density_to_jsonable,
     fuzzy_to_csv,
     matrix_to_csv,
-    potential_to_jsonable,
     space_from_jsonable,
     space_to_jsonable,
     system_from_jsonable,
     system_to_jsonable,
     value_from_jsonable,
     values_from_jsonable,
+    values_to_jsonable,
     write_json,
 )
 from tropifs.maxplus import MpMatrix
@@ -90,7 +90,8 @@ def test_fuzzy_csv(tmp_path):
 
 def test_potential_jsonable():
     pot = mane_potential(build_nonunique_shift_system(2))
-    doc = json.loads(json.dumps(potential_to_jsonable(pot)))
+    s_rows = [values_to_jsonable(row) for row in pot.s.entries]
+    doc = json.loads(json.dumps({"s": s_rows, "aubry": aubry_to_jsonable(pot)}))
     flat = [v for row in doc["s"] for v in row]
     assert all(v == "-inf" or isinstance(v, float) or isinstance(v, int) for v in flat)
     assert doc["aubry"]["labels"] == ["11", "22"]
@@ -102,7 +103,7 @@ def test_density_jsonable_round_trip_exact():
     space = build_grid(0.0, 1.0, 4)
     lam = normalize(Density(space, [-0.1, -2.75, BOTTOM, -1e-9]))
     doc = json.loads(json.dumps(density_to_jsonable(lam)))
-    assert np.array_equal(density_from_jsonable(space, doc).values, lam.values)
+    assert np.array_equal(values_from_jsonable(doc["values"]), lam.values)
 
 
 def test_write_json_matches_dumps(tmp_path):

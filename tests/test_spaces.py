@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tropifs.errors import ConfigError, EmptySetError
 from tropifs.spaces import (
+    MAX_POINTS,
     build_grid,
     build_point_space,
     build_shift_space,
@@ -47,6 +48,20 @@ def test_shift_space_preconditions():
         build_shift_space(0, 2)
     with pytest.raises(ConfigError):
         build_shift_space(2, 0)
+
+
+def test_builders_refuse_more_than_max_points():
+    # the count is checked before anything is allocated, so none of these
+    # builds a table; the limit leaves room for n = 8192 grids
+    assert MAX_POINTS >= 8192
+    with pytest.raises(ConfigError, match=f"grid of {MAX_POINTS + 1} points is larger"):
+        build_grid(0.0, 1.0, MAX_POINTS + 1)
+    with pytest.raises(ConfigError, match=r"2\^30 points is larger"):
+        build_shift_space(2, 30)
+    with pytest.raises(ConfigError, match=r"\^2 points is larger"):
+        build_shift_space(MAX_POINTS + 1, 2)
+    with pytest.raises(ConfigError, match="points is larger"):
+        build_shift_space(1, 10**100)  # a single point, but words too long to list
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,11 +128,6 @@ def test_snap_grid():
     assert snap(g, 1.0) == 2
 
 
-def test_snap_word():
-    s = build_shift_space(2, 3)
-    assert snap(s, (2, 1, 2)) == s.points.index((2, 1, 2))
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
 def test_snap_minimizes_distance(x):
@@ -127,6 +137,8 @@ def test_snap_minimizes_distance(x):
 
 
 def test_bad_metric_rejected():
+    with pytest.raises(ConfigError):
+        build_point_space(["a"], 5.0)  # not a table
     with pytest.raises(ConfigError):
         build_point_space(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])  # asymmetric
     with pytest.raises(ConfigError):
