@@ -115,12 +115,20 @@ def lambda_alpha(depth: int, alpha: float) -> Density:
 
 @dataclass
 class ShiftExampleSpec:
+    """Depth and parameters of the demonstration.
+
+    Each alpha is snapped to the 2^-26 lattice (and reported snapped): a
+    transfer step computes -1 + (-changes - alpha), which rounds
+    differently from the stored -changes - alpha unless alpha is dyadic.
+    """
+
     depth: int
     alphas: Sequence[float]
 
     def __post_init__(self):
         if self.depth < 2:
             raise ConfigError("depth must be >= 2")
+        self.alphas = [float(_dyadic(a)) for a in self.alphas]
         if len(set(self.alphas)) != len(self.alphas):
             raise ConfigError("alphas must be distinct")
         for a in self.alphas:

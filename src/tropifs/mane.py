@@ -14,13 +14,16 @@ max-plus spectral theory, Butkovic, *Max-linear Systems*, 2010):
 
 * a return cycle of weight >= -tol uses only edges of weight >= -tol, so
   every Aubry point lies on a nontrivial strongly connected component (or
-  a self-loop) of that edge subgraph (Tarjan, SIAM J. Comput. 1972);
-* the column S[:, z] is a single-source longest path with non-positive
-  weights, i.e. Dijkstra from z on the costs -q.
+  a self-loop) of that edge subgraph, found by an iterative Tarjan
+  (SIAM J. Comput. 1972);
+* the column S[:, z] is the fixed point of col <- max(col, transfer(col))
+  started from the unit column at z: a Bellman-Ford relaxation whose step
+  is the transfer operator itself.  Weights are <= 0, so a best path is
+  simple and the iteration settles within n rounds.
 
-:func:`mane_potential` computes those on the sparse graph; the dense n x n
-closure is built by Floyd-Warshall only when :attr:`PotentialMatrix.s` is
-read (the ``mane`` command, tests).
+:func:`mane_potential` computes those on the sparse graph in plain numpy;
+the dense n x n closure is built by Floyd-Warshall only when
+:attr:`PotentialMatrix.s` is read (the ``mane`` command, tests).
 
 Because the maps are stored pre-snapped, "landing within epsilon of x"
 degenerates to exact index equality: the S computed here is the
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyAubryError
+from .errors import ConfigError, EmptyAubryError, InternalError
 from .maxplus import BOTTOM, MpMatrix, kleene_plus
 from .mpifs import MpIfs
 
@@ -86,8 +89,7 @@ def transition_matrix(system: MpIfs) -> MpMatrix:
 def _edges(system: MpIfs):
     """Transition edges (source, target, weight): finite, one per pair, max weight.
 
-    Parallel edges are merged here because a sparse matrix built from
-    coordinates would sum them.
+    Parallel edges are merged to their max, so every pair is relaxed once.
     """
     n = system.space.n
     src = np.broadcast_to(np.arange(n), system.maps.shape).reshape(-1)
@@ -102,12 +104,120 @@ def _edges(system: MpIfs):
     return src[keep], tgt[keep], w[keep]
 
 
+def _round_limit(n: int) -> int:
+    """Relaxation rounds allowed: a best path is simple, so n always suffice."""
+    return n
+
+
+def _on_cycle(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Mask of the vertices on a cycle: nontrivial SCCs and self-loops.
+
+    Tarjan's algorithm over CSR arrays, with an explicit stack instead of
+    recursion so that a path of any length fits.
+    """
+    order = np.argsort(src, kind="stable")
+    heads = tgt[order].tolist()
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    nxt = start[:-1]  # nxt[v]: the next out-edge of v to try
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[src[src == tgt]] = True
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        path = [root]  # the depth-first path
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while path:
+            v = path[-1]
+            e = nxt[v]
+            if e < start[v + 1]:
+                nxt[v] = e + 1
+                u = heads[e]
+                if index[u] < 0:
+                    path.append(u)
+                    index[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    on_stack[u] = True
+                elif on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == index[v]:
+                component = []
+                while not component or component[-1] != v:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    component.append(u)
+                if len(component) >= 2:
+                    on_cycle[component] = True
+    return on_cycle
+
+
+def _columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
+    """col[x, k] = best weight of a path sources[k] -> x of length >= 0.
+
+    Value iteration col <- max(col, transfer(col)) on all sources at once:
+    each round relaxes, in place, only the out-edges of the rows that
+    changed in the round before, at most n edges at a time so that no
+    temporary outgrows the (n, k) block.
+    """
+    order = np.argsort(src, kind="stable")
+    src, tgt, w = src[order], tgt[order], w[order]
+    start = np.searchsorted(src, np.arange(n + 1))
+    k = sources.size
+    cols = np.full((n, k), BOTTOM)
+    cols[sources, np.arange(k)] = 0.0
+    frontier = sources
+    for _ in range(_round_limit(n)):
+        # the out-edge ranges [start[v], start[v + 1]) of the frontier, joined
+        lo, counts = start[frontier], start[frontier + 1] - start[frontier]
+        edges = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        grown = np.zeros(n, dtype=bool)
+        for first in range(0, edges.size, n):
+            part = edges[first:first + n]
+            part = part[np.argsort(tgt[part])]
+            t = tgt[part]
+            best = cols.take(src[part], axis=0)
+            best += w[part, None]
+            head = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
+            if head.size < t.size:
+                # max over each run of equal targets by doubling: after the
+                # pass with stride s, row i holds the max of rows [i, i + 2s)
+                ends = np.append(head[1:], t.size)
+                end = np.repeat(ends, ends - head)
+                rows, stride = np.arange(t.size), 1
+                while (rows := rows[rows + stride < end[rows]]).size:
+                    best[rows] = np.maximum(best[rows], best[rows + stride])
+                    stride *= 2
+                best, t = best[head], t[head]
+            old = cols.take(t, axis=0)
+            np.maximum(best, old, out=best)
+            grew = (best != old).any(axis=1)
+            cols[t[grew]] = best[grew]
+            grown[t[grew]] = True
+        frontier = np.flatnonzero(grown)
+        if not frontier.size:
+            # 0.0 + folds a -0.0 sum into 0.0
+            return np.add(0.0, cols, out=cols)
+    raise InternalError(f"path weights still changing after {_round_limit(n)} rounds")
+
+
 def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatrix:
     """Exact Aubry set and Aubry columns of the path-supremum potential.
 
     Candidates are the points on a nontrivial strongly connected component
-    or a self-loop of the edges of weight >= -tol_aubry; one Dijkstra from
-    all candidates on the costs -q gives their columns of S, and a
+    or a self-loop of the edges of weight >= -tol_aubry; one value
+    iteration from all candidates at once gives their columns of S, and a
     candidate is kept when its return weight S[z, z] is >= -tol_aubry.
     Nothing n x n is allocated unless the result's ``s`` is read.
 
@@ -117,25 +227,12 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     """
     if not system.validated:
         raise ConfigError("system must be validated first")
-    # scipy is imported here, not at module level, to keep CLI start-up fast.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, dijkstra
-
     n = system.space.n
     src, tgt, w = _edges(system)
     near = w >= -tol_aubry
-    near_graph = csr_matrix(
-        (np.ones(int(near.sum())), (src[near], tgt[near])), shape=(n, n)
-    )
-    _, scc = connected_components(near_graph, directed=True, connection="strong")
-    on_cycle = np.bincount(scc)[scc] >= 2
-    on_cycle[src[near & (src == tgt)]] = True
-    candidates = np.flatnonzero(on_cycle)
+    candidates = np.flatnonzero(_on_cycle(n, src[near], tgt[near]))
 
-    # Zero-weight edges stay explicit +0.0 entries: they are the Aubry edges.
-    cost = csr_matrix((0.0 - w, (src, tgt)), shape=(n, n))
-    # S[x, z] = -D[z, x] off the diagonal; 0.0 - D folds -0.0 into 0.0.
-    cols = 0.0 - dijkstra(cost, directed=True, indices=candidates).T
+    cols = _columns(n, src, tgt, w, candidates)
     # S[z, z] = max over edges y -> z of (best path z -> y, length >= 0) + q.
     slot = np.full(n, -1)
     slot[candidates] = np.arange(candidates.size)

@@ -46,6 +46,22 @@ def scalar(value, kind, name: str, minimum=None):
         raise ConfigError(f"{name} is out of range") from exc
 
 
+def table(rows, kind, name: str) -> np.ndarray:
+    """A JSON list of lists of ``kind`` (int, or float accepting ints) as an array.
+
+    Entries of any other JSON type, booleans included, are a ConfigError
+    naming ``name``; ``np.asarray`` alone would truncate 1.7 to 1 or read
+    "1" as a number.
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"{name} must be a list of lists")
+    bad = {type(x) for row in rows for x in row} - ({int} if kind is int else {int, float})
+    if bad:
+        got = ", ".join(sorted(t.__name__ for t in bad))
+        raise ConfigError(f"{name} entries must each be {_KINDS[kind]}, got {got}")
+    return np.asarray(rows, dtype=np.intp if kind is int else np.float64)
+
+
 def value_to_jsonable(x: float):
     return BOTTOM_TOKEN if x == BOTTOM else float(x)
 
@@ -106,7 +122,7 @@ def space_from_jsonable(obj) -> FiniteSpace:
         points = tuple(tuple(int(s) for s in w) for w in obj["words"])
     return FiniteSpace(
         labels=list(obj["labels"]),
-        dist=np.asarray(obj["dist"], dtype=np.float64),
+        dist=table(obj["dist"], float, "space dist"),
         resolution=scalar(obj.get("resolution", 0.0), float, "resolution"),
         points=points,
     )
@@ -129,13 +145,13 @@ def system_from_jsonable(obj) -> MpIfs:
     space = space_from_jsonable(obj["space"])
     isp = obj["index_space"]
     index_space = IndexSpace(
-        labels=list(isp["labels"]), dist=np.asarray(isp["dist"], dtype=np.float64)
+        labels=list(isp["labels"]), dist=table(isp["dist"], float, "index_space dist")
     )
     weights = np.vstack([values_from_jsonable(row) for row in obj["weights"]])
     return MpIfs(
         space=space,
         index_space=index_space,
-        maps=np.asarray(obj["maps"], dtype=np.intp),
+        maps=table(obj["maps"], int, "maps"),
         weights=weights,
         exact_maps=scalar(obj.get("exact_maps", False), bool, "exact_maps"),
     )

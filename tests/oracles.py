@@ -188,6 +188,27 @@ def edge_table(maps, weights, n):
     return a
 
 
+def on_cycle(n, edges):
+    """Per vertex: does it reach itself by a path of length >= 1?
+
+    A depth-first search from each vertex's successors; quadratic, and
+    shares nothing with the strongly-connected-component routine it checks.
+    """
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    out = []
+    for v in range(n):
+        seen, todo = set(), list(succ[v])
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                todo.extend(succ[u])
+        out.append(v in seen)
+    return out
+
+
 def naive_dual_transfer(maps, weights, f):
     m, n = weights.shape
     out = np.empty(n)

@@ -59,23 +59,54 @@ def test_validate_reports_renormalization(tmp_path):
     assert report["messages"] == ["weights re-normalized (drift 1e-13)"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported lazily, inside the graph computations only, and
-    # nothing the CLI imports pulls in concurrent.futures
+CONSTANT_GRID = {"builder": "grid_random", "a": 0, "b": 1, "n": 16, "num_maps": 2,
+                 "seed": 3, "constant_weights": True}
+
+# Blocks every scipy import in the process it runs in, then runs the CLI
+# once per argv list given as JSON on the command line.
+SCIPY_BLOCKED_PROBE = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(name + " is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from tropifs.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "scipy" in sys.modules, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_cli_commands_run_with_scipy_blocked(tmp_path):
+    # no command needs scipy, and nothing the CLI runs pulls in
+    # concurrent.futures
+    configs = {
+        "invariant-enumerate": ("invariant", {
+            **SHIFT4, "invariant": {"mode": "enumerate", "levels": [0.0, -0.5]}}),
+        "invariant-constant": ("invariant", {
+            "system": CONSTANT_GRID, "invariant": {"mode": "constant"}}),
+        "mane": ("mane", SHIFT4),
+        "fuzzy": ("fuzzy", {"system": CONSTANT_GRID, "fuzzy": {"u0": "invariant"}}),
+        "demo31": ("demo31", {"demo31": {"depth": 4}}),
+    }
+    argvs = []
+    for name, (command, config) in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        argvs.append([command, "--config", str(path), "--out", str(tmp_path / name)])
     src = str(Path(tropifs.__file__).resolve().parents[1])
-    probe = (
-        "import sys, tropifs.cli; "
-        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
-    )
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", SCIPY_BLOCKED_PROBE, json.dumps(argvs)],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
         check=True,
     )
-    assert done.stdout.strip() == "False False"
+    assert json.loads(done.stdout) == [[0] * len(argvs), False, False]
 
 
 def test_missing_config_file(tmp_path):
@@ -135,6 +166,7 @@ def test_enumerate_over_the_assignment_limit(tmp_path, capsys):
 TWO_POINT = {"builder": "two_point"}
 SHIFT3 = {"builder": "nonunique_shift", "depth": 3}
 GRID8 = {"builder": "grid_random", "a": 0, "b": 1, "n": 8, "num_maps": 2}
+TWO_POINT_DOC = system_to_jsonable(build_two_point_system())
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -164,9 +196,24 @@ GRID8 = {"builder": "grid_random", "a": 0, "b": 1, "n": 8, "num_maps": 2}
                                         "space": {"grid": {"a": 0, "b": 1, "n": 2.5}}}}},
      "grid n must be an integer"),
     ("mane", {"system": TWO_POINT, "mane": 5}, "config block 'mane' must be an object"),
+    # read as [[0, 0], [1, 1]]
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0.9, 0.2], [1.7, 1.0]]}}},
+     "maps entries must each be an integer, got float"),
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, True], [1, 1]]}}},
+     "maps entries must each be an integer, got bool"),
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "maps": [0, 1]}}},
+     "maps must be a list of lists"),
+    # read as the distance 1
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "space": {
+        **TWO_POINT_DOC["space"], "dist": [[0, "1"], ["1", 0]]}}}},
+     "space dist entries must each be a number, got str"),
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "index_space": {
+        **TWO_POINT_DOC["index_space"], "dist": [[0, True], [None, 0]]}}}},
+     "index_space dist entries must each be a number, got NoneType, bool"),
 ], ids=["grid-a", "grid-a-huge", "max_iters-str", "levels", "boundary-level", "demo31-depth", "u0",
         "constant_weights-str", "max_iters-0", "tol_aubry-bool", "inline-exact_maps",
-        "inline-grid-n", "block"])
+        "inline-grid-n", "block", "inline-maps-float", "inline-maps-bool", "inline-maps-flat",
+        "inline-space-dist-str", "inline-index-dist"])
 def test_wrongly_typed_config_value_is_a_config_error(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
     assert code == 3
@@ -331,6 +378,18 @@ def test_demo31(tmp_path):
     assert report["num_distinct"] == 2
     densities = json.loads((out / "density.json").read_text())
     assert len(densities) == 2
+
+
+def test_demo31_snaps_a_non_dyadic_alpha(tmp_path):
+    # unsnapped, -1 + (-changes - alpha) rounds differently from the stored
+    # -changes - alpha and the fixed-point check fails
+    alpha = 0.562231842228457
+    code, out = run(tmp_path, "demo31", {"demo31": {"depth": 5, "alphas": [alpha]}})
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    snapped = round(alpha * 2**26) / 2**26
+    assert report["alphas"] == [snapped] and snapped != alpha
+    assert report["fixed_point_exact"] == [True]
 
 
 def test_demo31_needs_no_system_block(tmp_path):

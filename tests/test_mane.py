@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropifs import mane
-from tropifs.errors import EmptyAubryError
+from tropifs.errors import EmptyAubryError, InternalError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
@@ -14,12 +14,13 @@ from tropifs.examples import (
 from tropifs.maxplus import BOTTOM, kleene_plus
 from tropifs.mane import mane_potential, transition_matrix
 from tropifs.mpifs import MpIfs, validate
-from tropifs.spaces import build_grid, build_point_space, build_shift_space
+from tropifs.spaces import build_grid, build_point_space, build_shift_space, snap
 
 from oracles import (
     check_sum_lipschitz,
     check_triangle,
     edge_table,
+    on_cycle,
     paths_closure,
     words_closure,
 )
@@ -307,3 +308,81 @@ def test_dense_closure_is_built_only_on_demand(monkeypatch):
     s = pot.s
     assert pot.s is s and built == [8]
     assert np.array_equal(s.entries[:, list(pot.aubry)], pot.columns)
+
+
+# --- the graph routines: candidates and the column iteration ------------------
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 14))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    # planted cycles make several nontrivial components common
+    if n > 1:
+        cycles = st.lists(vertex, min_size=2, max_size=min(n, 5), unique=True)
+        for cycle in draw(st.lists(cycles, max_size=3)):
+            edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_candidates_are_the_vertices_on_a_cycle(graph):
+    n, edges = graph
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    got = mane._on_cycle(n, pairs[:, 0], pairs[:, 1])
+    assert got.tolist() == on_cycle(n, edges)
+
+
+def test_candidates_of_a_long_cycle_need_no_recursion():
+    n = 2**14
+    got = mane._on_cycle(n, np.arange(n), (np.arange(n) + 1) % n)
+    assert got.all()
+
+
+def long_chain_system(n):
+    """Map 0 is x -> (1 - d) x + d snapped, d = 1.5 / (n - 1), with weight 0;
+    map 1 is the constant map onto point 0, with weight -1.
+
+    Map 0 fixes the points above about 2n/3 and moves every lower point up
+    by one or two grid steps, so the best path from an Aubry point (one
+    step to 0, then the orbit of 0) is about 2n/3 edges long.
+    """
+    space = build_grid(0.0, 1.0, n)
+    d = 1.5 / (n - 1)
+    maps = [[snap(space, (1 - d) * x + d) for x in space.points], [0] * n]
+    weights = [np.zeros(n), np.full(n, -1.0)]
+    system = MpIfs(space, discrete_index_space(["0", "1"], spacing=2.5), maps, weights)
+    validate(system)
+    return system
+
+
+def test_long_chain_columns_and_round_count(monkeypatch):
+    assert_matches_dense(long_chain_system(96), 1e-9)
+    n = 1024
+    system = long_chain_system(n)
+    step = system.maps[0]
+    orbit = [0]
+    while step[orbit[-1]] != orbit[-1]:
+        orbit.append(int(step[orbit[-1]]))
+    pot = mane_potential(system)
+    assert pot.aubry == tuple(np.flatnonzero(step == np.arange(n)).tolist())
+    assert len(pot.aubry) == 342
+    for z in pot.aubry:
+        expected = np.full(n, BOTTOM)
+        expected[orbit] = -1.0
+        expected[z] = 0.0
+        assert pot.column(z).tobytes() == expected.tobytes()
+    # 683 rounds that change a column, then one that changes nothing
+    monkeypatch.setattr(mane, "_round_limit", lambda n: 684)
+    assert mane_potential(system).aubry == pot.aubry
+    monkeypatch.setattr(mane, "_round_limit", lambda n: 683)
+    with pytest.raises(InternalError):
+        mane_potential(system)
+
+
+def test_round_cap_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(mane, "_round_limit", lambda n: 1)
+    with pytest.raises(InternalError):
+        mane_potential(build_nonunique_shift_system(4))
