@@ -28,7 +28,6 @@ from .mpifs import MpIfs, ValidationReport, d_rho, transfer_density, validate
 from .mane import PotentialMatrix, mane_potential, transition_matrix
 from .invariant import (
     BoundaryData,
-    CodingMap,
     VerifyReport,
     build_invariant,
     coding_map,

@@ -3,10 +3,11 @@
     tropifs <validate|mane|invariant|fuzzy|demo31> --config <path> --out <dir> [--seed N]
 
 Exit codes: 0 on success, 2 on a domain failure (invalid system, empty
-Aubry set, non-convergence, mode mismatch), 3 on usage or configuration
-errors, wrongly typed config values and spaces over ``spaces.MAX_POINTS``
-points included.  All outputs are JSON or CSV files in the output directory and are
-byte-identical across runs for a fixed config and seed.
+Aubry set, non-convergence, mode mismatch, no unique density for the
+constant mode), 3 on usage or configuration errors, wrongly typed config
+values and spaces over ``spaces.MAX_POINTS`` points included.  All outputs
+are JSON or CSV files in the output directory and are byte-identical
+across runs for a fixed config and seed.
 """
 
 from __future__ import annotations

@@ -41,6 +41,10 @@ class NotConstantWeightError(TropifsError):
     """An operation requiring place-independent weights got a place-dependent system."""
 
 
+class NonUniqueDensityError(TropifsError):
+    """A unique invariant density was asked for where the system has several."""
+
+
 class NonConvergenceError(TropifsError):
     """Fixed-point iteration exhausted its iteration budget."""
 

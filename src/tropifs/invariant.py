@@ -21,7 +21,12 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InternalError, NotConstantWeightError
+from .errors import (
+    ConfigError,
+    InternalError,
+    NonUniqueDensityError,
+    NotConstantWeightError,
+)
 from .maxplus import BOTTOM
 from .measures import Density, normalize
 from .mpifs import MpIfs, d_rho, transfer_density
@@ -135,121 +140,57 @@ def enumerate_invariants(
     return list(distinct.values())
 
 
-@dataclass
-class CodingMap:
-    """Finite-depth coding of points by map-index words.
-
-    ``pi`` maps words (tuples of map indices, leftmost applied last) to the
-    point index of the composed image of a reference point.  ``exact`` is
-    True when at the chosen depth every composed map is literally constant,
-    so the image does not depend on the reference point at all; otherwise
-    depth was chosen so the dependence is below the space resolution.
-    """
-
-    depth: int
-    pi: Dict[tuple, int]
-    j0: tuple
-    exact: bool
-    x_ref: int
-
-
 MAX_CODING_DEPTH = 64
 MAX_COMPOSITE_SET = 4096
-MAX_PI_WORDS = 300_000
 
 
-def coding_map(system: MpIfs, x_ref: int = 0) -> CodingMap:
-    """Depth and word-to-point table for a constant-weight system.
+def coding_map(system: MpIfs) -> Optional[int]:
+    """Collapse depth of a constant-weight system with exact maps.
 
-    The depth is the first at which all composed maps collapse to constants
-    (exact coding); if composites keep oscillating, which snapped grids can
-    do, the depth where gamma_hat^depth * diam drops below the resolution is
-    used instead.
+    The least k <= :data:`MAX_CODING_DEPTH` at which every composite of k
+    maps is constant, so that a word of length k codes one point whatever
+    it starts from.  ``None`` for snapped maps, whose composites may keep
+    oscillating, and when the depth or :data:`MAX_COMPOSITE_SET` distinct
+    composites are exceeded.
     """
     if not system.is_constant_weight():
         raise NotConstantWeightError("coding map requires place-independent weights")
-    if not system.validated:
+    if system.validation is None:
         raise ConfigError("system must be validated first")
-    m = system.num_maps
-    cw = system.weights[:, 0]
-    j0 = tuple(int(j) for j in np.flatnonzero(cw == 0.0))
-    if not j0:
-        raise InternalError("normalized constant weights must include a zero")
-
-    depth_exact = None
+    if not system.exact_maps:
+        return None
     composites = [np.arange(system.space.n)]
     for k in range(1, MAX_CODING_DEPTH + 1):
         nxt = {}
         for comp in composites:
-            for j in range(m):
+            for j in range(system.num_maps):
                 cand = system.maps[j][comp]
                 nxt[cand.tobytes()] = cand
         composites = list(nxt.values())
         if all((c == c[0]).all() for c in composites):
-            depth_exact = k
-            break
+            return k
         if len(composites) > MAX_COMPOSITE_SET:
-            break
-
-    if depth_exact is not None:
-        depth, exact = depth_exact, True
-    else:
-        res = system.space.resolution
-        diam = system.space.diameter
-        gamma = system.gamma_hat
-        if res <= 0 or diam <= 0:
-            raise ConfigError("composite maps never collapse and the space is exact")
-        if gamma <= 0:
-            depth = 1
-        else:
-            depth = 1
-            while gamma**depth * diam > res:
-                depth += 1
-                if depth > MAX_CODING_DEPTH:
-                    raise ConfigError("required coding depth exceeds the cap")
-        exact = False
-
-    if len(j0) ** depth > MAX_PI_WORDS:
-        raise ConfigError("zero-weight word table too large")
-    alphabet = range(m) if m**depth <= MAX_PI_WORDS else j0
-    pi: Dict[tuple, int] = {}
-    for word in itertools.product(alphabet, repeat=depth):
-        cur = x_ref
-        for j in reversed(word):
-            cur = int(system.maps[j, cur])
-        pi[word] = cur
-    return CodingMap(depth=depth, pi=pi, j0=j0, exact=exact, x_ref=x_ref)
+            return None
+    return None
 
 
-def _weight_series(system: MpIfs, depth: int, start: int) -> np.ndarray:
-    """Best accumulated weight of length-``depth`` words from ``start`` per endpoint."""
-    best = np.full(system.space.n, BOTTOM)
-    best[start] = 0.0
-    for _ in range(depth):
-        nxt = np.full(system.space.n, BOTTOM)
-        vals = system.weights + best[None, :]
-        np.maximum.at(nxt, system.maps.reshape(-1), vals.reshape(-1))
-        best = nxt
-    return best
-
-
-def constant_weight_density(
-    system: MpIfs, pot: PotentialMatrix, cm: Optional[CodingMap] = None
-) -> Density:
+def constant_weight_density(system: MpIfs, pot: PotentialMatrix) -> Density:
     """The unique invariant density of a constant-weight system.
 
     Returns the S column at an Aubry point after asserting all Aubry
-    columns coincide (they must, by the structure of constant weights;
-    disagreement beyond tolerance signals a bug, not bad input).  The
-    result is cross-checked against the truncated coding series: the best
-    accumulated weight over words of the coding depth starting at the
-    Aubry anchor never exceeds the density, and on exact symbolic spaces
-    matches it wherever the series is finite.
+    columns coincide.  For exact maps they must, by the structure of
+    constant weights, so a disagreement is a bug; snapped maps can split
+    the zero-cost dynamics into several closed classes, each with its own
+    invariant density, which is :class:`NonUniqueDensityError`.  The
+    result is cross-checked against the coding series, the best
+    accumulated weight over words starting at the Aubry anchor: one
+    transfer step stays below the density (so the series does at every
+    depth), and for exact maps the series at the collapse depth matches
+    it wherever the series is finite.
     """
     if not system.is_constant_weight():
         raise NotConstantWeightError("unique-density construction needs constant weights")
-    if cm is None:
-        cm = coding_map(system)
+    depth = coding_map(system)
     finite_ref = pot.column(pot.aubry[0])
     for z in pot.aubry[1:]:
         a, b = finite_ref, pot.column(z)
@@ -257,15 +198,24 @@ def constant_weight_density(
         if ((a > BOTTOM) != (b > BOTTOM)).any() or (
             both.any() and np.max(np.abs(a[both] - b[both])) > AUBRY_COLUMN_TOL
         ):
-            raise InternalError("Aubry columns of S disagree for constant weights")
+            if system.exact_maps:
+                raise InternalError("Aubry columns of S disagree for constant weights")
+            raise NonUniqueDensityError(
+                f"the snapped maps split the zero-cost dynamics into several closed "
+                f"classes: Aubry points {pot.aubry[0]} and {z} have different columns "
+                f"of S, so there is no unique invariant density; use the invariant "
+                f"command with mode 'enumerate' or 'boundary'"
+            )
     lam = normalize(Density(pot.space, finite_ref.copy()))
 
-    z = pot.aubry[0]
-    series = _weight_series(system, cm.depth, z)
-    finite = series > BOTTOM
-    if np.any(series > lam.values + SERIES_TOL):
-        raise InternalError("coding series exceeds the S-column density")
-    if system.exact_maps and cm.exact and finite.any():
+    if np.any(transfer_density(system, lam).values > lam.values + SERIES_TOL):
+        raise InternalError("one transfer step exceeds the S-column density")
+    if depth is not None:
+        series = np.full(system.space.n, BOTTOM)
+        series[pot.aubry[0]] = 0.0
+        for _ in range(depth):
+            series = transfer_density(system, Density(system.space, series)).values
+        finite = series > BOTTOM
         gap = np.max(np.abs(series[finite] - lam.values[finite]))
         if gap > SERIES_TOL:
             raise InternalError(f"coding series misses the density by {gap}")

@@ -225,7 +225,7 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     for a validated system that signals a too-tight tolerance or
     corrupted input, never correct behavior.
     """
-    if not system.validated:
+    if system.validation is None:
         raise ConfigError("system must be validated first")
     n = system.space.n
     src, tgt, w = _edges(system)

@@ -49,9 +49,6 @@ class MpIfs:
     maps: np.ndarray
     weights: np.ndarray
     exact_maps: bool = False
-    gamma_hat: Optional[float] = None
-    lip_c_hat: Optional[float] = None
-    validated: bool = field(default=False, repr=False)
     #: The report of the :func:`validate` call that validated the system.
     validation: Optional["ValidationReport"] = field(default=None, repr=False)
 
@@ -164,10 +161,9 @@ def _weight_lipschitz(system: MpIfs) -> float:
 def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> ValidationReport:
     """Check normalization, contraction, and weight regularity.
 
-    Fills ``gamma_hat``, ``lip_c_hat`` and ``validation`` (the returned
-    report) on the system and silently re-normalizes the weights
-    (subtracting the per-point max) when the drift is within
-    ``normalization_tol``; larger drift raises
+    Sets ``validation`` (the returned report) on the system and silently
+    re-normalizes the weights (subtracting the per-point max) when the
+    drift is within ``normalization_tol``; larger drift raises
     :class:`NormalizationError`, and an estimated contraction constant
     >= 1 raises :class:`NotContractiveError`.
     """
@@ -193,9 +189,6 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
         raise NotContractiveError(f"contraction estimate gamma_hat = {gamma} >= 1")
     lip = _weight_lipschitz(system)
 
-    system.gamma_hat = gamma
-    system.lip_c_hat = lip
-    system.validated = True
     system.weights.flags.writeable = False
     system.validation = ValidationReport(
         valid=True,

@@ -91,16 +91,11 @@ def density_to_jsonable(lam: Density) -> dict:
 
 
 def space_to_jsonable(space: FiniteSpace) -> dict:
-    out = {
+    return {
         "labels": list(space.labels),
         "dist": [[float(x) for x in row] for row in space.dist],
         "resolution": float(space.resolution),
     }
-    if isinstance(space.points, np.ndarray):
-        out["coordinates"] = [float(x) for x in space.points]
-    elif isinstance(space.points, tuple):
-        out["words"] = [list(w) for w in space.points]
-    return out
 
 
 def space_from_jsonable(obj) -> FiniteSpace:
@@ -115,16 +110,10 @@ def space_from_jsonable(obj) -> FiniteSpace:
         return build_shift_space(
             scalar(s["symbols"], int, "shift symbols"), scalar(s["depth"], int, "shift depth")
         )
-    points = None
-    if "coordinates" in obj:
-        points = np.asarray(obj["coordinates"], dtype=np.float64)
-    elif "words" in obj:
-        points = tuple(tuple(int(s) for s in w) for w in obj["words"])
     return FiniteSpace(
         labels=list(obj["labels"]),
         dist=table(obj["dist"], float, "space dist"),
         resolution=scalar(obj.get("resolution", 0.0), float, "resolution"),
-        points=points,
     )
 
 

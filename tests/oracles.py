@@ -114,7 +114,7 @@ def check_sum_lipschitz(system, trials=1000, seed=0):
     the weight difference grow with the word length, so for them the ratio
     is only reported.
     """
-    assert system.validated
+    assert system.validation is not None
     n = system.space.n
     if n < 2:
         return 0.0
@@ -132,7 +132,8 @@ def check_sum_lipschitz(system, trials=1000, seed=0):
             continue
         best = max(best, abs(s1 - s2) / system.space.dist[y1, y2])
     if system.exact_maps:
-        bound = system.lip_c_hat / (1.0 - system.gamma_hat)
+        report = system.validation
+        bound = report.lip_c_hat / (1.0 - report.gamma_hat)
         assert best <= bound + 1e-12, f"Lipschitz ratio {best} exceeds bound {bound}"
     return best
 
@@ -158,9 +159,29 @@ def iterate_transfer(step, lam0, tol=1e-12, max_iters=None):
     return cur, max_iters, False
 
 
-def j0_image(cm):
-    """Points a coding map sends the words over zero-weight indices to."""
-    return {cm.pi[word] for word in itertools.product(cm.j0, repeat=cm.depth)}
+def zero_weight_maps(system):
+    """Indices j whose constant weight q_j is exactly 0 (the set J_0)."""
+    return tuple(j for j in range(system.num_maps) if system.weights[j][0] == 0.0)
+
+
+def word_table(system, depth, alphabet=None, x_ref=0):
+    """Endpoint of ``x_ref`` under each word of ``depth`` map indices.
+
+    Words are tuples over ``alphabet`` (default: every map index), the
+    leftmost index applied last, composed one point at a time.
+    """
+    if alphabet is None:
+        alphabet = range(system.num_maps)
+    table = {}
+    for word in itertools.product(alphabet, repeat=depth):
+        _, end = apply_word(system.maps, system.weights, word, x_ref)
+        table[word] = int(end)
+    return table
+
+
+def j0_image(system, depth):
+    """Points the words of ``depth`` zero-weight indices send a point to."""
+    return set(word_table(system, depth, zero_weight_maps(system)).values())
 
 
 def words_closure(maps, weights, n, max_len):

@@ -202,8 +202,7 @@ def test_acceptance_5_constant_weight_uniqueness():
 
         for idx, (system, symbolic) in enumerate(systems):
             pot = mane_potential(system)
-            cm = coding_map(system)
-            lam = constant_weight_density(system, pot, cm)
+            lam = constant_weight_density(system, pot)
             cols = pot.s.entries[:, list(pot.aubry)]
             for k in range(1, cols.shape[1]):
                 both = (cols[:, 0] > BOTTOM) & (cols[:, k] > BOTTOM)
@@ -222,7 +221,7 @@ def test_acceptance_5_constant_weight_uniqueness():
                 assert converged
                 assert d_rho(Density(system.space, values), lam) <= 1e-9
             if symbolic:
-                assert j0_image(cm) == set(pot.aubry)
+                assert j0_image(system, coding_map(system)) == set(pot.aubry)
 
     run_criterion(5, "constant-weight uniqueness on 20 systems", 120.0, body)
 
@@ -250,13 +249,13 @@ def test_acceptance_6_fuzzy_conjugation():
         ]
         for system in attractor_systems:
             pot = mane_potential(system)
-            lam = constant_weight_density(system, pot, coding_map(system))
+            lam = constant_weight_density(system, pot)
             res = fhb_attractor(system, FuzzySet(system.space, np.ones(system.space.n)))
             assert np.max(np.abs(res.attractor.values - np.exp(lam.values))) <= 1e-9
             ratios = [
                 b / a for a, b in zip(res.trace, res.trace[1:]) if a > 0 and b > 0
             ]
-            assert all(r <= system.gamma_hat + 1e-12 for r in ratios)
+            assert all(r <= system.validation.gamma_hat + 1e-12 for r in ratios)
 
     run_criterion(6, "fuzzy conjugation and attractors", 30.0, body)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -280,6 +281,52 @@ def test_invariant_constant_mode_rejects_place_dependent(tmp_path):
     assert code == 2
 
 
+def _inline(space, maps, weights, exact_maps):
+    m = len(maps)
+    return {"system": {"inline": {
+        "space": space,
+        "index_space": {"labels": [str(j + 1) for j in range(m)],
+                        "dist": [[0.0 if i == j else 2.5 for j in range(m)] for i in range(m)]},
+        "maps": maps,
+        "weights": [[w] * len(row) for w, row in zip(weights, maps)],
+        "exact_maps": exact_maps,
+    }}}
+
+
+def _three_free_maps(constant_point):
+    """Constant-mode config: a snapped 129-point grid with three zero-weight maps.
+
+    One map is constant onto ``constant_point``, the other two are the
+    snapped x -> 0.875 - 0.625 x and x -> 1 - 0.625 x; gamma_hat is 0.625.
+    """
+    x = np.linspace(0.0, 1.0, 129)
+    maps = [[constant_point] * 129] + [
+        np.rint((c - 0.625 * x) * 128).astype(int).tolist() for c in (0.875, 1.0)
+    ]
+    return {**_inline({"grid": {"a": 0.0, "b": 1.0, "n": 129}}, maps, [0.0] * 3, False),
+            "invariant": {"mode": "constant"}}
+
+
+def test_invariant_constant_mode_on_three_zero_weight_snapped_maps(tmp_path, capsys):
+    # three free maps on a snapped grid: no table of zero-weight words is built
+    code, out = run(tmp_path, "invariant", _three_free_maps(96))
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "verify.json").read_text())[0]["passed"]
+
+
+def test_invariant_constant_mode_with_several_closed_classes(tmp_path, capsys):
+    # 45 Aubry points whose columns of S differ: several invariant
+    # densities, a property of the snapped input and not a bug
+    code, out = run(tmp_path, "invariant", _three_free_maps(64))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "several closed classes" in err and "'enumerate' or 'boundary'" in err
+    assert not (out / "density.json").exists()
+    code, out = run(tmp_path, "mane", _three_free_maps(64), out="mane")
+    assert code == 0
+    assert len(json.loads((out / "aubry.json").read_text())["indices"]) == 45
+
+
 def test_invariant_enumerate(tmp_path):
     code, out = run(tmp_path, "invariant", {
         "system": {"builder": "nonunique_shift", "depth": 4},
@@ -403,6 +450,83 @@ def test_missing_system_block_is_a_config_error(tmp_path, capsys):
     assert code == 3
     assert "config needs a 'system' object" in capsys.readouterr().err
     assert not (out / "validation.json").exists()
+
+
+# Snapped grid whose only zero-weight map is the constant map onto point 5.
+SNAPPED_CONSTANT = _inline(
+    {"grid": {"a": 0.0, "b": 1.0, "n": 17}},
+    [[5] * 17, [8, 8, 9, 10, 10, 10, 11, 12, 12, 12, 13, 14, 14, 14, 15, 16, 16]],
+    [0.0, -0.5], exact_maps=False,
+)
+# Prepend maps on the binary shift of depth 3 with constant weights.
+SHIFT_CONSTANT = _inline(
+    {"shift": {"symbols": 2, "depth": 3}},
+    [[0, 0, 1, 1, 2, 2, 3, 3], [4, 4, 5, 5, 6, 6, 7, 7]],
+    [0.0, -0.75], exact_maps=True,
+)
+# (name, command, config): configs with no random draws, so every output
+# file is fixed by the code alone.
+GOLDEN_RUNS = [
+    ("demo31", "demo31", {}),
+    ("two-point-validate", "validate", {"system": TWO_POINT}),
+    ("two-point-mane", "mane", {"system": TWO_POINT}),
+    ("two-point-constant", "invariant", {"system": TWO_POINT, "invariant": {"mode": "constant"}}),
+    ("two-point-enumerate", "invariant", {
+        "system": TWO_POINT, "invariant": {"mode": "enumerate", "levels": [0.0, -0.5]}}),
+    ("two-point-boundary", "invariant", {
+        "system": TWO_POINT, "invariant": {"mode": "boundary",
+                                           "boundary": {"anchor": 0, "levels": {"0": 0.0}}}}),
+    ("shift4-validate", "validate", SHIFT4),
+    ("shift4-mane", "mane", SHIFT4),
+    ("shift4-enumerate", "invariant", {
+        **SHIFT4, "invariant": {"mode": "enumerate", "levels": [0.0, -0.25, -0.5]}}),
+    ("snapped-validate", "validate", SNAPPED_CONSTANT),
+    ("snapped-mane", "mane", SNAPPED_CONSTANT),
+    ("snapped-constant", "invariant", {**SNAPPED_CONSTANT, "invariant": {"mode": "constant"}}),
+    ("shift-constant-validate", "validate", SHIFT_CONSTANT),
+    ("shift-constant-mane", "mane", SHIFT_CONSTANT),
+    ("shift-constant", "invariant", {**SHIFT_CONSTANT, "invariant": {"mode": "constant"}}),
+]
+
+# sha256 of every output file, recorded before the coding-table removal.
+GOLDEN_DIGESTS = {
+    "demo31/density.json": "a152fc8f1ff06ccc0f8bd205e35516061dcd528e884229cf79ea3d1846439d08",
+    "demo31/report.json": "4ce0b153082c859f3d73d3416a03b3214cbbcc152ed4f043aeacd59d4d10fa27",
+    "two-point-validate/validation.json": "025e26ad8fd9aef6a726c1eaebc6bb0289d396bf67b5cec55a1c8242bafec6c9",
+    "two-point-mane/S.csv": "4d13df6dadf45bd8c5165df43660aa637bcca56393897b71803cd8bb78564a2b",
+    "two-point-mane/aubry.json": "bde2725f66d58e2fa9e0c06cface603a47f6f249a97ac89814f727cf9988bb36",
+    "two-point-constant/density.json": "b21ebc65f3c112318513ca78418207e3528cd8f6ac3e63823ba95b624ad38b14",
+    "two-point-constant/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
+    "two-point-enumerate/density.json": "b21ebc65f3c112318513ca78418207e3528cd8f6ac3e63823ba95b624ad38b14",
+    "two-point-enumerate/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
+    "two-point-boundary/density.json": "b21ebc65f3c112318513ca78418207e3528cd8f6ac3e63823ba95b624ad38b14",
+    "two-point-boundary/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
+    "shift4-validate/validation.json": "af33bc4b62cea4e023e785bfd52200f577bed5d38da0d200841eabb2990a17dc",
+    "shift4-mane/S.csv": "ae10354e0963deec9e84dce6926f0e89403a832a35b384bcc27545999de25da2",
+    "shift4-mane/aubry.json": "4de4ef728a626c7479be118759ee674befe803235f70b758ed4e041e3f926195",
+    "shift4-enumerate/density.json": "c749f3fdd07da2b80d29d94e3a1790f879d1a73c705d10fdc124d42fdb6244c8",
+    "shift4-enumerate/verify.json": "0ba3fda12aaad060a4a57e069946356153770afbbc73dad9339606644e1d4b4c",
+    "snapped-validate/validation.json": "226c3781373e63341a30202d03b3bb3fbe8025ea359b076bace7da5aa275ae10",
+    "snapped-mane/S.csv": "d15b4f6557fcb9a9200b64e897dd4f5fa14dc0c50698f4ccbbfafd48c70b4ce7",
+    "snapped-mane/aubry.json": "6d174b5ea10f7605bcad7937fe3c2b45defd7f5bf21bf739b297df546c3bca03",
+    "snapped-constant/density.json": "9d5819796acc236670e61cd5e9ecc28690c392ac6f4e3b19f56e324766722a69",
+    "snapped-constant/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
+    "shift-constant-validate/validation.json": "9935ff1e72bc69d584b6a87bcc85259812e3da333030c7bba8ca7dd64a47a598",
+    "shift-constant-mane/S.csv": "3fb9a51037071b6feb6ea2684eadc6f436ca7c9d918c2be1ef8680ac4f5b3a4c",
+    "shift-constant-mane/aubry.json": "4d94b54005c98f5268f1a2232de8319d97fbbfc43b39397fbdd0aa8cc362cd93",
+    "shift-constant/density.json": "458fe673401fab05b6d151418b9a6359817dbe9549ea35892966d24affd0c377",
+    "shift-constant/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
+}
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    digests = {}
+    for name, command, config in GOLDEN_RUNS:
+        code, out = run(tmp_path, command, config, out=name)
+        assert code == 0, name
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -31,7 +31,7 @@ def test_shift_system_maps_and_weights():
 
 
 def test_shift_system_contraction_constant():
-    assert build_nonunique_shift_system(4).gamma_hat == 0.5
+    assert build_nonunique_shift_system(4).validation.gamma_hat == 0.5
 
 
 def test_lambda_alpha_displayed_values():
@@ -106,7 +106,7 @@ def test_random_system_reproducible():
 def test_random_system_validates_and_flags():
     for seed in range(8):
         s = random_system(build_grid(0.0, 1.0, 10), 2, seed)
-        assert s.validated and s.gamma_hat < 1
+        assert s.validation.valid and s.validation.gamma_hat < 1
         assert np.all(s.weights.max(axis=0) == 0.0)
     cw = random_system(build_grid(0.0, 1.0, 10), 3, 1, constant_weights=True)
     assert cw.is_constant_weight()
@@ -136,5 +136,5 @@ def test_nonunique_shift_maps_and_weights_equal_the_word_construction(depth):
 def test_two_point_system_shape():
     system = build_two_point_system()
     assert system.space.n == 2 and system.num_maps == 2
-    assert system.gamma_hat == 0.5
+    assert system.validation.gamma_hat == 0.5
     assert system.is_constant_weight()

@@ -142,7 +142,7 @@ def test_fhb_attractor_two_point():
     pot = mane_potential(system)
     lam = constant_weight_density(system, pot)
     assert np.max(np.abs(res.attractor.values - np.exp(lam.values))) <= 1e-9
-    assert all(r <= system.gamma_hat + 1e-12
+    assert all(r <= system.validation.gamma_hat + 1e-12
                for r in _ratios(res.trace))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropifs.errors import ConfigError, NotConstantWeightError
+from tropifs.errors import ConfigError, InternalError, NotConstantWeightError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
@@ -19,12 +19,12 @@ from tropifs.invariant import (
     verify_invariant,
 )
 from tropifs.maxplus import BOTTOM
-from tropifs.mane import mane_potential
+from tropifs.mane import PotentialMatrix, mane_potential
 from tropifs.measures import Density
 from tropifs.mpifs import d_rho, transfer_density
 from tropifs.spaces import build_grid, build_shift_space
 
-from oracles import dyadic_mp, iterate_transfer, j0_image
+from oracles import dyadic_mp, iterate_transfer, j0_image, word_table, zero_weight_maps
 
 
 def test_boundary_data_validation():
@@ -140,10 +140,9 @@ def test_enumerate_invariants_rejects_positive_levels():
 
 def test_coding_map_two_point():
     system = build_two_point_system()
-    cm = coding_map(system)
-    assert cm.depth == 1 and cm.exact
-    assert cm.pi == {(0,): 0, (1,): 1}
-    assert cm.j0 == (0,)
+    assert coding_map(system) == 1
+    assert word_table(system, 1) == {(0,): 0, (1,): 1}
+    assert zero_weight_maps(system) == (0,)
 
 
 def test_coding_map_single_constant_map():
@@ -156,16 +155,15 @@ def test_coding_map_single_constant_map():
         exact_maps=True,
     )
     validate(system)
-    cm = coding_map(system)
-    assert set(cm.pi.values()) == {3}
+    depth = coding_map(system)
+    assert set(word_table(system, depth).values()) == {3}
 
 
 def test_coding_map_shift_words():
     system = random_system(build_shift_space(2, 3), 2, 1, constant_weights=True)
-    cm = coding_map(system)
-    assert cm.depth == 3 and cm.exact
+    assert coding_map(system) == 3
     words = system.space.points
-    for word, target in cm.pi.items():
+    for word, target in word_table(system, 3).items():
         spelled = tuple(j + 1 for j in word)
         assert words[target] == spelled
 
@@ -198,6 +196,11 @@ def test_constant_weight_density_all_zero_weights():
     lam = constant_weight_density(system, pot)
     assert np.all(lam.values == 0.0)
     assert set(pot.aubry) == set(range(space.n))
+    # with exact maps, Aubry columns that disagree can only be a bug
+    cols = pot.columns.copy()
+    cols[0, 1] -= 0.5
+    with pytest.raises(InternalError, match="disagree"):
+        constant_weight_density(system, PotentialMatrix(pot.aubry, pot.tol_aubry, cols, system))
 
 
 def test_constant_weight_density_rejects_place_dependent():
@@ -207,18 +210,56 @@ def test_constant_weight_density_rejects_place_dependent():
         constant_weight_density(system, pot)
 
 
+def _one_free_map(space, maps, penalty, exact_maps):
+    from tropifs.examples import discrete_index_space
+    from tropifs.mpifs import MpIfs, validate
+
+    weights = np.repeat([[0.0], [penalty]], space.n, axis=1)
+    system = MpIfs(space, discrete_index_space(["1", "2"], 2.5), maps, weights,
+                   exact_maps=exact_maps)
+    validate(system)
+    return system
+
+
+@pytest.mark.parametrize("system", [
+    # prepend maps on the binary shift: exact, collapse depth 3
+    _one_free_map(build_shift_space(2, 3), build_nonunique_shift_system(3).maps, -0.75, True),
+    # a snapped grid whose only free map is constant onto point 5
+    _one_free_map(
+        build_grid(0.0, 1.0, 17),
+        [[5] * 17, np.rint((0.5 * np.linspace(0.0, 1.0, 17) + 0.5) * 16).astype(int)],
+        -0.5, False,
+    ),
+], ids=["exact-shift", "snapped-grid"])
+def test_constant_weight_density_rejects_a_lowered_column_entry(system):
+    pot = mane_potential(system)
+    (anchor,) = pot.aubry
+    assert coding_map(system) == (3 if system.exact_maps else None)
+    constant_weight_density(system, pot)
+    rows = [x for x in np.flatnonzero(pot.columns[:, 0] > BOTTOM) if x != anchor]
+    assert rows
+    # raised entries (kept below the anchor's 0) are caught only by the
+    # coding series of exact maps
+    shifts = (-0.5, 0.5) if system.exact_maps else (-0.5,)
+    for x in rows:
+        for shift in shifts:
+            cols = pot.columns.copy()
+            cols[x, 0] = min(cols[x, 0] + shift, -0.25)
+            bad = PotentialMatrix(pot.aubry, pot.tol_aubry, cols, system)
+            with pytest.raises(InternalError):
+                constant_weight_density(system, bad)
+
+
 def test_j0_image_matches_aubry_symbolic():
     for symbols, depth, seed in ((2, 3, 0), (2, 4, 5), (3, 3, 2)):
         system = random_system(
             build_shift_space(symbols, depth), symbols, seed, constant_weights=True
         )
         pot = mane_potential(system)
-        cm = coding_map(system)
-        assert j0_image(cm) == set(pot.aubry)
+        assert j0_image(system, coding_map(system)) == set(pot.aubry)
     # the two-point system: zero-weight words are the all-first-map ones
     system = build_two_point_system()
-    cm = coding_map(system)
-    assert j0_image(cm) == {0} == set(mane_potential(system).aubry)
+    assert j0_image(system, coding_map(system)) == {0} == set(mane_potential(system).aubry)
 
 
 def test_uniqueness_iteration_evidence():

@@ -162,7 +162,7 @@ def test_sum_lipschitz_constant_weights_zero():
 def test_sum_lipschitz_shift_example_bound():
     system = build_nonunique_shift_system(4)
     ratio = check_sum_lipschitz(system, trials=1000)
-    assert ratio <= system.lip_c_hat / (1 - system.gamma_hat)  # = 4
+    assert ratio <= system.validation.lip_c_hat / (1 - system.validation.gamma_hat)  # = 4
     assert ratio > 0
 
 

@@ -43,7 +43,7 @@ def test_validate_shift_example_quadruple_oracle():
     best = naive_contraction_constant(
         system.space.dist, system.index_space.dist, system.maps, system.snap_slack
     )
-    assert system.gamma_hat == best == 0.5
+    assert system.validation.gamma_hat == best == 0.5
 
 
 def _line_distances(points):
@@ -104,7 +104,7 @@ def test_contraction_constant_matches_on_random_systems():
         expected = naive_contraction_constant(
             system.space.dist, system.index_space.dist, system.maps, system.snap_slack
         )
-        assert system.gamma_hat == expected
+        assert system.validation.gamma_hat == expected
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2)])

@@ -42,14 +42,24 @@ def test_space_round_trip_grid():
     back = space_from_jsonable(json.loads(json.dumps(space_to_jsonable(g))))
     assert np.array_equal(back.dist, g.dist)
     assert back.resolution == g.resolution
-    assert np.array_equal(back.points, g.points)
+    # the labels spell the coordinates; the points payload is not serialized
+    assert back.labels == g.labels and back.points is None
 
 
 def test_space_round_trip_shift():
     s = build_shift_space(2, 3)
     back = space_from_jsonable(json.loads(json.dumps(space_to_jsonable(s))))
-    assert back.points == s.points
+    # the labels spell the words; the points payload is not serialized
+    assert back.labels == s.labels and back.points is None
     assert np.array_equal(back.dist, s.dist)
+
+
+def test_inline_space_points_payload_is_not_read():
+    # only builder spaces carry points; an inline payload was read with
+    # int(), so the words ["1", 1.9] became (1, 1)
+    doc = {"labels": ["a"], "dist": [[0.0]]}
+    assert space_from_jsonable({**doc, "words": [["1", 1.9]]}).points is None
+    assert space_from_jsonable({**doc, "coordinates": ["0.3"]}).points is None
 
 
 def test_space_builder_forms():
@@ -64,7 +74,7 @@ def test_system_round_trip():
     validate(back)
     assert np.array_equal(back.maps, system.maps)
     assert np.array_equal(back.weights, system.weights)
-    assert back.gamma_hat == system.gamma_hat
+    assert back.validation.gamma_hat == system.validation.gamma_hat
 
 
 def test_density_csv(tmp_path):
