@@ -149,9 +149,12 @@ def coding_map(system: MpIfs) -> Optional[int]:
 
     The least k <= :data:`MAX_CODING_DEPTH` at which every composite of k
     maps is constant, so that a word of length k codes one point whatever
-    it starts from.  ``None`` for snapped maps, whose composites may keep
-    oscillating, and when the depth or :data:`MAX_COMPOSITE_SET` distinct
-    composites are exceeded.
+    it starts from.  A composite phi_w is constant exactly when its image
+    phi_w(X) is one point, and phi_{j w}(X) = phi_j(phi_w(X)), so the
+    distinct image sets are tracked level by level instead of the
+    composites (on a shift they hold n points per level in all).  ``None``
+    for snapped maps, whose composites may keep oscillating, and when the
+    depth or :data:`MAX_COMPOSITE_SET` distinct image sets are exceeded.
     """
     if not system.is_constant_weight():
         raise NotConstantWeightError("coding map requires place-independent weights")
@@ -159,17 +162,17 @@ def coding_map(system: MpIfs) -> Optional[int]:
         raise ConfigError("system must be validated first")
     if not system.exact_maps:
         return None
-    composites = [np.arange(system.space.n)]
+    images = [np.arange(system.space.n)]
     for k in range(1, MAX_CODING_DEPTH + 1):
         nxt = {}
-        for comp in composites:
+        for image in images:
             for j in range(system.num_maps):
-                cand = system.maps[j][comp]
+                cand = np.unique(system.maps[j][image])
                 nxt[cand.tobytes()] = cand
-        composites = list(nxt.values())
-        if all((c == c[0]).all() for c in composites):
+        images = list(nxt.values())
+        if all(len(image) == 1 for image in images):
             return k
-        if len(composites) > MAX_COMPOSITE_SET:
+        if len(images) > MAX_COMPOSITE_SET:
             return None
     return None
 

@@ -3,12 +3,20 @@
 BOTTOM is spelled "-inf" in both formats (on the CSV side that is just
 ``repr(-inf)``); finite numbers round-trip bit-exactly (shortest
 round-trip decimal on the CSV side, native JSON numbers otherwise).
+
+The bytes on disk are fixed: a JSON file is
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, and a CSV
+file is what ``csv.writer`` writes in the excel dialect (``\r\n`` line
+ends, fields quoted only where needed) with ``repr`` of each float as its
+cell.  Both writers format each distinct float once per file, so a
+document of many values drawn from few costs little more than its size.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import io
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,10 +70,6 @@ def table(rows, kind, name: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.intp if kind is int else np.float64)
 
 
-def value_to_jsonable(x: float):
-    return BOTTOM_TOKEN if x == BOTTOM else float(x)
-
-
 def value_from_jsonable(x) -> float:
     if x == BOTTOM_TOKEN:
         return BOTTOM
@@ -76,7 +80,9 @@ def value_from_jsonable(x) -> float:
 
 
 def values_to_jsonable(arr) -> list:
-    return [value_to_jsonable(float(x)) for x in np.asarray(arr).reshape(-1)]
+    """The entries of ``arr``, flattened, as floats with BOTTOM spelled "-inf"."""
+    return [BOTTOM_TOKEN if x == BOTTOM else x
+            for x in np.asarray(arr, dtype=np.float64).ravel().tolist()]
 
 
 def values_from_jsonable(items) -> np.ndarray:
@@ -146,49 +152,178 @@ def system_from_jsonable(obj) -> MpIfs:
     )
 
 
-def write_json(path, obj) -> None:
-    """Stream ``obj`` as indented, key-sorted JSON plus a final newline.
+def _float_text(x: float) -> str:
+    """A float as json writes it: ``float.__repr__``, or NaN and ±Infinity."""
+    if x != x:
+        return "NaN"
+    if x == np.inf:
+        return "Infinity"
+    if x == -np.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
-    The bytes equal ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``;
-    the document is never held in memory as one string.
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: non-str keys are quoted spellings."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _float_text(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+class _JsonEncoder:
+    """``json.dumps(indent=2, sort_keys=True)`` with one spelling per distinct value.
+
+    ``texts`` maps each exact ``float`` and ``str`` seen to its JSON text;
+    the two types never compare equal, so one dict holds both.  Zeros stay
+    out of it, since 0.0 and -0.0 are one key but two spellings.  Other
+    types, subclasses such as ``np.float64`` included, are dispatched with
+    ``isinstance`` in the order json uses.
     """
+
+    def __init__(self):
+        self.texts = {}
+
+    def value(self, o, nl: str) -> str:
+        """The text of ``o`` nested at the indent that ``nl`` (newline + pad) opens."""
+        if type(o) in (float, str):
+            return self.scalar(o)
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple)):
+            return self.container(o, nl, "[]")
+        if isinstance(o, dict):
+            return self.container(o, nl, "{}")
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def scalar(self, x) -> str:
+        """Text of an exact ``float`` or ``str``, formatted once per document."""
+        text = self.texts.get(x)
+        if text is None:
+            text = encode_basestring_ascii(x) if type(x) is str else _float_text(x)
+            if x != 0.0:
+                self.texts[x] = text
+        return text
+
+    def container(self, o, nl: str, brackets: str) -> str:
+        if not o:
+            return brackets
+        inner = nl + "  "
+        return brackets[0] + inner + ("," + inner).join(self.members(o, inner)) + nl + brackets[1]
+
+    def members(self, o, inner: str):
+        """Texts of the items of a list, or ``"key": value`` of a dict, in order."""
+        if isinstance(o, dict):
+            return (f"{_key_text(k)}: {self.value(v, inner)}" for k, v in sorted(o.items()))
+        if not set(map(type, o)) <= {float, str}:
+            return (self.value(x, inner) for x in o)
+        out = list(map(self.texts.get, o))
+        at = 0
+        for _ in range(out.count(None)):  # zeros, and values new to the document
+            at = out.index(None, at)
+            out[at] = self.scalar(o[at])
+        return out
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON plus a final newline.
+
+    The bytes equal ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.
+    A top-level list or dict is written one element at a time, so the
+    document is never held in memory as one string.
+    """
+    encoder = _JsonEncoder()
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if isinstance(obj, (list, tuple, dict)) and obj:
+            brackets = "{}" if isinstance(obj, dict) else "[]"
+            sep = brackets[0] + "\n  "
+            for text in encoder.members(obj, "\n  "):
+                fh.write(sep + text)
+                sep = ",\n  "
+            fh.write("\n" + brackets[1] + "\n")
+        else:
+            fh.write(encoder.value(obj, "\n") + "\n")
 
 
-def matrix_to_csv(path, matrix: MpMatrix, labels=None) -> None:
+def _reprs(values) -> np.ndarray:
+    """``repr`` of each float64 in ``values``, flattened, as an object array.
+
+    Each distinct bit pattern is formatted once (so -0.0 and 0.0 keep
+    their own spellings) and the texts are gathered back in place.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts.take(inverse)
+
+
+def _csv_fields(fields) -> list:
+    """Each of ``fields`` as ``csv.writer`` spells it in an excel-dialect row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    spelled = []
+    for field in fields:
+        # a second, empty field keeps the row from being one empty field,
+        # which csv quotes; the ",\r\n" it ends with is sliced off
+        writer.writerow([field, None])
+        spelled.append(buf.getvalue()[:-3])
+        buf.seek(0)
+        buf.truncate()
+    return spelled
+
+
+def _labelled_csv(path, header, labels, cells) -> None:
+    """Excel-dialect CSV: ``header``, then each label followed by its row of cells.
+
+    The bytes are those ``csv.writer`` writes.  The cells are float reprs,
+    which csv never quotes, so only the header and labels go through it.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if labels is not None:
-            writer.writerow([""] + list(labels))
-        for i, row in enumerate(matrix.entries.tolist()):
-            head = [labels[i]] if labels is not None else []
-            writer.writerow(head + list(map(repr, row)))
+        csv.writer(fh).writerow(header)
+        fh.writelines(
+            head + "," + ",".join(row) + "\r\n" for head, row in zip(_csv_fields(labels), cells)
+        )
+
+
+def matrix_to_csv(path, matrix: MpMatrix, labels) -> None:
+    cells = _reprs(matrix.entries).reshape(matrix.entries.shape).tolist()
+    _labelled_csv(path, ["", *labels], labels, cells)
 
 
 def density_to_csv(path, lam: Density) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "value"])
-        for label, x in zip(lam.space.labels, lam.values):
-            writer.writerow([label, repr(float(x))])
+    cells = _reprs(lam.values).reshape(-1, 1).tolist()
+    _labelled_csv(path, ["label", "value"], lam.space.labels, cells)
 
 
 def fuzzy_to_csv(path, u: FuzzySet) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "membership"])
-        for label, x in zip(u.space.labels, u.values):
-            writer.writerow([label, repr(float(x))])
+    cells = _reprs(u.values).reshape(-1, 1).tolist()
+    _labelled_csv(path, ["label", "membership"], u.space.labels, cells)
 
 
 def trace_to_csv(path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "d_infty"])
-        for i, d in enumerate(trace, start=1):
-            writer.writerow([i, repr(float(d))])
+    cells = _reprs(trace).reshape(-1, 1).tolist()
+    _labelled_csv(path, ["iteration", "d_infty"], range(1, len(cells) + 1), cells)
 
 
 def aubry_to_jsonable(pot: PotentialMatrix) -> dict:

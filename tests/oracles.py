@@ -7,6 +7,8 @@ association order; exact-equality comparisons between an oracle and the
 library are then meaningful.
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -179,6 +181,28 @@ def word_table(system, depth, alphabet=None, x_ref=0):
     return table
 
 
+def composite_collapse_depth(maps, max_depth):
+    """Least k <= ``max_depth`` at which every composite of k maps is constant.
+
+    Builds the distinct composites of k maps, as tuples, level by level.
+    Each level is a function of the one before, so a level seen before
+    means the levels cycle without collapsing: ``None``, as past
+    ``max_depth``.
+    """
+    n = len(maps[0])
+    composites = {tuple(range(n))}
+    seen = set()
+    for k in range(1, max_depth + 1):
+        composites = {tuple(int(m[x]) for x in c) for c in composites for m in maps}
+        if all(len(set(c)) == 1 for c in composites):
+            return k
+        level = frozenset(composites)
+        if level in seen:
+            return None
+        seen.add(level)
+    return None
+
+
 def j0_image(system, depth):
     """Points the words of ``depth`` zero-weight indices send a point to."""
     return set(word_table(system, depth, zero_weight_maps(system)).values())
@@ -333,3 +357,13 @@ def naive_contraction_constant(dx, dj, maps, slack):
                         if q > best:
                             best = q
     return best
+
+
+def labelled_csv(header, labels, rows):
+    """Text ``csv.writer`` writes for ``header``, then per label: it and ``repr`` of its floats."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for label, row in zip(labels, rows):
+        writer.writerow([label] + [repr(float(x)) for x in row])
+    return buf.getvalue()

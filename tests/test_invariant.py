@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,12 @@ from tropifs.errors import ConfigError, InternalError, NotConstantWeightError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
+    discrete_index_space,
     lambda_alpha,
     random_system,
 )
 from tropifs.invariant import (
+    MAX_CODING_DEPTH,
     BoundaryData,
     build_invariant,
     coding_map,
@@ -21,10 +25,17 @@ from tropifs.invariant import (
 from tropifs.maxplus import BOTTOM
 from tropifs.mane import PotentialMatrix, mane_potential
 from tropifs.measures import Density
-from tropifs.mpifs import d_rho, transfer_density
-from tropifs.spaces import build_grid, build_shift_space
+from tropifs.mpifs import MpIfs, d_rho, transfer_density, validate
+from tropifs.spaces import build_grid, build_point_space, build_shift_space
 
-from oracles import dyadic_mp, iterate_transfer, j0_image, word_table, zero_weight_maps
+from oracles import (
+    composite_collapse_depth,
+    dyadic_mp,
+    iterate_transfer,
+    j0_image,
+    word_table,
+    zero_weight_maps,
+)
 
 
 def test_boundary_data_validation():
@@ -171,6 +182,35 @@ def test_coding_map_shift_words():
 def test_coding_map_requires_constant_weights():
     with pytest.raises(NotConstantWeightError):
         coding_map(build_nonunique_shift_system(3))
+
+
+@st.composite
+def exact_constant_weight_systems(draw):
+    """Prepend maps on a shift, or arbitrary index maps on a few points."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        symbols = draw(st.integers(2, 3))
+        depth = draw(st.integers(1, 5 if symbols == 2 else 3))
+        return random_system(build_shift_space(symbols, depth), symbols, seed,
+                             constant_weights=True)
+    # n <= 5 keeps the oracle's composites at most 5^5 per level
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    weights = np.repeat(-np.arange(m, dtype=np.float64)[:, None], n, axis=1)
+    # unit distances and a resolution of 1/2 let the contraction check
+    # accept any maps; coding_map reads the maps only once validated
+    space = build_point_space([str(i) for i in range(n)], 1.0 - np.eye(n), resolution=0.5)
+    system = MpIfs(space, discrete_index_space([str(j) for j in range(m)]),
+                   rng.integers(0, n, size=(m, n)), weights)
+    validate(system)
+    return dataclasses.replace(system, exact_maps=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_constant_weight_systems())
+def test_coding_map_depth_matches_the_composite_oracle(system):
+    expected = composite_collapse_depth(system.maps.tolist(), MAX_CODING_DEPTH)
+    assert coding_map(system) == expected
 
 
 def test_constant_weight_density_two_point():

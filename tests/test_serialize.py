@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropifs.errors import ConfigError
 from tropifs.examples import build_nonunique_shift_system, build_two_point_system, random_system
-from tropifs.fuzzy import theta_conjugate
+from tropifs.fuzzy import FuzzySet, theta_conjugate
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, normalize
@@ -27,7 +29,9 @@ from tropifs.serialize import (
     write_json,
 )
 from tropifs.maxplus import MpMatrix
-from tropifs.spaces import build_grid, build_shift_space
+from tropifs.spaces import build_grid, build_point_space, build_shift_space
+
+from oracles import QUANT, labelled_csv
 
 
 def test_value_tokens():
@@ -131,3 +135,106 @@ def test_matrix_csv_cells(tmp_path):
     path = tmp_path / "s.csv"
     matrix_to_csv(path, MpMatrix(np.array([[0.0, BOTTOM], [-0.0, -0.3]])), labels=["a", "b"])
     assert path.read_text().splitlines() == [",a,b", "a,0.0,-inf", "b,-0.0,-0.3"]
+
+
+def dumps(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-300, 0.1]
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(SPECIAL_FLOATS + [1, 1.0, True, 0, False, "-inf", ""]),
+    st.builds(np.float64, st.floats()),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_documents)
+@example([1, 1.0, True, 0, False, None])
+@example([0.0, -0.0, 0.0, "-inf", -0.0, 2.5, "", float("nan"), float("inf"), -float("inf")])
+@example([np.float64(0.1), np.float64(-0.0), 0.1, -0.0, np.float64("nan")])
+@example({"x\u00e9\n\x01\u1234": ["\x7f", "\"", "\\"], "": [], "e": {}})
+def test_write_json_is_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "o.json"
+    write_json(path, obj)
+    assert path.read_bytes() == dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.one_of(st.integers(), st.floats(), st.booleans()),
+    st.lists(st.sampled_from(SPECIAL_FLOATS)),
+))
+def test_write_json_non_str_keys_are_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "o.json"
+    write_json(path, obj)
+    assert path.read_bytes() == dumps(obj)
+
+
+def test_write_json_deep_nesting_and_repeats(tmp_path):
+    deep = [0.5]
+    for depth in range(60):
+        deep = {"k": deep, "v": [-0.0, 0.0, 0.5, "-inf"]} if depth % 2 else [deep, 0.5, -0.0]
+    # one memo serves the whole file: a value first seen deep is reused at the top
+    obj = [deep, [0.5] * 5, {"-0.0": -0.0, "0.0": 0.0}]
+    path = tmp_path / "o.json"
+    write_json(path, obj)
+    assert path.read_bytes() == dumps(obj)
+
+
+def test_write_json_rejects_what_json_rejects(tmp_path):
+    for obj in ([object()], {"a": np.int64(1)}, {1: 1, "a": 2}, {(1,): 2}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "o.json", obj)
+
+
+# Dyadic values (many distinct ones), both zeros and BOTTOM.
+csv_values = st.one_of(
+    st.integers(-2**28, 0).map(lambda k: k * QUANT), st.sampled_from([0.0, -0.0, BOTTOM])
+)
+csv_labels = st.one_of(
+    st.text(), st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r", "", " ", "caf\u00e9", "1.5"])
+)
+
+
+def _text(path) -> str:
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(csv_labels, min_size=1, max_size=8), st.data())
+def test_matrix_csv_is_csv_writer(tmp_path_factory, labels, data):
+    n = len(labels)
+    entries = np.array(data.draw(st.lists(csv_values, min_size=n * n, max_size=n * n)))
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    matrix_to_csv(path, MpMatrix(entries.reshape(n, n)), labels)
+    expected = labelled_csv(["", *labels], labels, entries.reshape(n, n))
+    assert _text(path) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(csv_labels, csv_values), min_size=1, max_size=12))
+def test_density_and_fuzzy_csv_are_csv_writer(tmp_path_factory, points):
+    labels = [label for label, _ in points]
+    values = np.array([x for _, x in points])
+    values[0] = 0.0  # a nonempty support
+    space = build_point_space(labels, 1.0 - np.eye(len(labels)))
+    tmp = tmp_path_factory.mktemp("csv")
+    density_to_csv(tmp / "d.csv", Density(space, values))
+    expected = labelled_csv(["label", "value"], labels, values[:, None])
+    assert _text(tmp / "d.csv") == expected
+    memberships = np.exp(values)
+    fuzzy_to_csv(tmp / "u.csv", FuzzySet(space, memberships))
+    expected = labelled_csv(["label", "membership"], labels, memberships[:, None])
+    assert _text(tmp / "u.csv") == expected
