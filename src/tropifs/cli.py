@@ -191,14 +191,18 @@ COMMANDS = {
 }
 
 
+#: Built once at import: the first ``ArgumentParser()`` of a process imports
+#: ``locale`` through gettext, a start-up cost ``main`` then no longer pays.
+PARSER = argparse.ArgumentParser(prog="tropifs", description=__doc__)
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("--config", required=True)
+PARSER.add_argument("--out", default=".")
+PARSER.add_argument("--seed", type=int, default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="tropifs", description=__doc__)
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=".")
-    parser.add_argument("--seed", type=int, default=None)
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 

@@ -14,10 +14,12 @@ builds its own shift system), names exactly one source:
 Command blocks ("mane", "invariant", "fuzzy", "demo31") hold the knobs of
 the corresponding subcommand; "output" holds format flags.
 
-Every scalar is read through :func:`serialize.scalar`, and the ``maps``
-and ``dist`` tables of an inline system through :func:`serialize.table`:
-numbers must be JSON numbers, map targets JSON integers and flags JSON
-booleans (``"false"`` is not false, and ``true`` is not 1), so a wrongly
+Every scalar is read through :func:`serialize.scalar`, the ``maps`` and
+``dist`` tables of an inline system through :func:`serialize.table` and
+its ``labels`` through :func:`serialize.string_list`:
+numbers must be JSON numbers, map targets JSON integers, labels JSON
+strings and flags JSON booleans (``"false"`` is not false, and ``true`` is
+not 1), so a wrongly
 typed value is a :class:`ConfigError`
 (exit 3), never a traceback or a silent misreading.  The grid and shift
 builders refuse more than ``spaces.MAX_POINTS`` points before allocating

@@ -251,9 +251,9 @@ def _shift_weights(space: FiniteSpace, symbols: int, rng, constant: bool):
         zeros = rng.choice(symbols, size=int(rng.integers(1, min(symbols, 2) + 1)), replace=False)
         w[zeros] = 0.0
         return np.repeat(w[:, None], space.n, axis=1)
-    first = np.array([w[0] for w in space.points])
+    first = np.arange(space.n) // space.shift.block(1)  # leading symbol minus 1
     table = -_dyadic(rng.uniform(0.0, 2.0, size=(symbols, symbols)))
-    raw = table[:, first - 1]
+    raw = table[:, first]
     return raw - raw.max(axis=0, keepdims=True)
 
 
@@ -274,10 +274,9 @@ def random_system(
     """
     if num_maps < 1:
         raise ConfigError("need at least one map")
-    symbolic = isinstance(space.points, tuple)
+    symbolic = space.shift is not None
     if symbolic:
-        depth = len(space.points[0])
-        symbols = max(w[0] for w in space.points)
+        symbols, depth = space.shift
         if num_maps != symbols:
             raise ConfigError("shift systems need one prepend map per symbol")
         maps = _prepend_maps(symbols, depth)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .maxplus import BOTTOM
 from .measures import Density
-from .spaces import FiniteSpace, IndexSpace
+from .spaces import FiniteSpace, IndexSpace, Shift
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12
@@ -110,13 +110,17 @@ class ValidationReport:
 def _contraction_constant(system: MpIfs) -> float:
     """Max over (j1,x1,j2,x2) of (d(img1, img2) - 2*slack) / (dJ + dX), floored at 0.
 
-    Works one n x n block per map pair (j1, j2) with j2 >= j1, so memory is
+    On a shift the maximum is read from the cylinder blocks in
+    O(m^2 * n * depth) (:func:`_shift_contraction_constant`).  Elsewhere it
+    works one n x n block per map pair (j1, j2) with j2 >= j1, so memory is
     O(n^2), the size of the space's own ``dist``.  The pair (j2, j1) is
     skipped: its block is the transpose with the same quotients, because
     both distance tables are exactly symmetric (``check_metric`` enforces
-    it, and the grid and shift builders are symmetric by construction).
-    Only the diagonal blocks (dJ = 0) contain zero denominators.
+    it, and the grid builder is symmetric by construction).  Only the
+    diagonal blocks (dJ = 0) contain zero denominators.
     """
+    if system.space.shift is not None:
+        return _shift_contraction_constant(system, system.space.shift)
     dx = system.space.dist
     dj = system.index_space.dist
     img = system.maps  # (m, n)
@@ -141,7 +145,54 @@ def _contraction_constant(system: MpIfs) -> float:
     return best
 
 
+def _by_block(shift: Shift, ufunc, rows: np.ndarray):
+    """``ufunc`` over every block of every level of each row, side by side,
+    and the distance ``levels[p]`` of the level p of each block."""
+    parts = list(shift.blockwise(ufunc, rows))
+    dx = np.concatenate([np.full(r.shape[-1], shift.levels[p]) for p, r in parts])
+    return np.concatenate([r for _, r in parts], axis=-1), dx
+
+
+def _shift_contraction_constant(system: MpIfs, shift: Shift) -> float:
+    """:func:`_contraction_constant` from the cylinder blocks of a shift.
+
+    The quadruples (j1, x1, j2, x2) fall in three kinds:
+
+    * j1 = j2, x1 != x2.  A block of level p stands for its pairs, at their
+      largest distance levels[p], with the largest d(img, img) over them as
+      numerator: the diameter of the image of the block, which in the word
+      order is d(min index, max index).  Float -, + and / by a positive
+      number are monotone, so a block's quotient is never above that of
+      the pair attaining its numerator, and a pair at distance levels[p]
+      sits in a block of level p with a numerator no smaller.
+    * j1 != j2, x1 = x2 (dX = 0, and dJ > 0 since J is a metric space):
+      taken point by point.
+    * j1 != j2, x1 != x2 never exceeds the other two, so it is skipped: in
+      the ultrametric, d(img1(x1), img2(x2)) is at most d(img1(x1),
+      img1(x2)), whose quotient over dX is no smaller than over dJ + dX,
+      or d(img1(x2), img2(x2)), whose quotient over dJ is no smaller
+      either (both again by monotone rounding).
+
+    The maximum is then the dense one, bit for bit, in O(m^2 * n * depth).
+    """
+    dj = system.index_space.dist
+    img = system.maps
+    slack2 = 2.0 * system.snap_slack
+    lo, dx = _by_block(shift, np.minimum, img)
+    hi, _ = _by_block(shift, np.maximum, img)
+    best = max(0.0, float(((shift.distances(lo, hi) - slack2) / dx).max()))
+    for j1 in range(img.shape[0]):
+        for j2 in range(j1 + 1, img.shape[0]):
+            same = shift.distances(img[j1], img[j2]) - slack2
+            best = max(best, float((same / dj[j1, j2]).max()))
+    return best
+
+
 def _weight_lipschitz(system: MpIfs) -> float:
+    """Max over maps j and points x1 != x2 with finite weights of
+    |q_j(x1) - q_j(x2)| / d(x1, x2), floored at 0."""
+    if system.space.shift is not None:
+        return _shift_weight_lipschitz(system, system.space.shift)
     dx = system.space.dist
     best = 0.0
     for j in range(system.num_maps):
@@ -156,6 +207,19 @@ def _weight_lipschitz(system: MpIfs) -> float:
         if mask.any():
             best = max(best, float(np.max(diff[mask] / sub[mask])))
     return best
+
+
+def _shift_weight_lipschitz(system: MpIfs, shift: Shift) -> float:
+    """:func:`_weight_lipschitz` from the cylinder blocks of a shift.
+
+    A block of level p gives (max - min of its finite weights) / levels[p]:
+    never above the quotient of its extreme pair, whose distance is at most
+    levels[p], and never below that of any pair at exactly levels[p].
+    """
+    w = system.weights
+    hi, dx = _by_block(shift, np.maximum, w)  # BOTTOM is -inf: only finite weights count
+    lo, _ = _by_block(shift, np.minimum, np.where(w > BOTTOM, w, np.inf))
+    return max(0.0, float(((hi - lo) / dx).max()))
 
 
 def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> ValidationReport:

@@ -70,6 +70,17 @@ def table(rows, kind, name: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.intp if kind is int else np.float64)
 
 
+def string_list(value, name: str) -> list:
+    """A JSON list of strings, else ConfigError naming ``name``.
+
+    Labels head the rows of ``S.csv`` and fill ``density.json``; any other
+    JSON value would be written there as an empty field or a Python repr.
+    """
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ConfigError(f"{name} must be a list of strings, got {value!r}")
+    return list(value)
+
+
 def value_from_jsonable(x) -> float:
     if x == BOTTOM_TOKEN:
         return BOTTOM
@@ -117,7 +128,7 @@ def space_from_jsonable(obj) -> FiniteSpace:
             scalar(s["symbols"], int, "shift symbols"), scalar(s["depth"], int, "shift depth")
         )
     return FiniteSpace(
-        labels=list(obj["labels"]),
+        labels=string_list(obj["labels"], "space labels"),
         dist=table(obj["dist"], float, "space dist"),
         resolution=scalar(obj.get("resolution", 0.0), float, "resolution"),
     )
@@ -140,7 +151,8 @@ def system_from_jsonable(obj) -> MpIfs:
     space = space_from_jsonable(obj["space"])
     isp = obj["index_space"]
     index_space = IndexSpace(
-        labels=list(isp["labels"]), dist=table(isp["dist"], float, "index_space dist")
+        labels=string_list(isp["labels"], "index_space labels"),
+        dist=table(isp["dist"], float, "index_space dist"),
     )
     weights = np.vstack([values_from_jsonable(row) for row in obj["weights"]])
     return MpIfs(

@@ -6,13 +6,21 @@ to the continuum it stands in for (0 when the space is exact, as for the
 two-point space or any space used as-is).  Interval grids carry float
 coordinates; truncated shift spaces carry words (tuples of symbols) under
 the cylinder metric d(w, v) = (1/2)^(first mismatch position).
+
+A shift space also carries a :class:`Shift` record of its alphabet size
+and depth.  Its words are listed lexicographically, so the words sharing a
+prefix of length p form contiguous index blocks of side
+symbols^(depth - p), and the metric can be read from the word order alone:
+the routines on a shift (here :func:`hausdorff`, and the contraction,
+Lipschitz and fuzzy level-cut routines) work in O(n * depth) on those
+blocks, and a shift builds its dense ``dist`` only when something reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +28,9 @@ from .errors import ConfigError, EmptySetError
 
 METRIC_TOL = 1e-12
 #: Most points :func:`build_grid` and :func:`build_shift_space` will build.
-#: Every space holds a dense n x n ``dist`` (2 GiB at this limit), so the
-#: count is checked before anything is allocated.
+#: A grid holds a dense n x n ``dist`` (2 GiB at this limit), so the count
+#: is checked before anything is allocated; a shift builds its table only
+#: when it is read.
 MAX_POINTS = 2**14
 
 
@@ -56,37 +65,138 @@ def check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
         raise ConfigError("triangle inequality violated")
 
 
-@dataclass
+class Shift(NamedTuple):
+    """The words of length ``depth`` over {1..symbols}, listed lexicographically.
+
+    The word at index i is the base-``symbols`` numeral of i, so the words
+    sharing a prefix of length p are the index blocks of side
+    :meth:`block` (p), and in any block the first and last index are
+    farthest apart.
+    """
+
+    symbols: int
+    depth: int
+
+    @property
+    def levels(self) -> np.ndarray:
+        """``levels[p]`` = (1/2)^(p + 1), the distance of two words whose
+        longest common prefix has length p.
+
+        The dense table and every routine reading the metric from the word
+        order take their distances from this array, so both give the same
+        floats.
+        """
+        return 0.5 ** np.arange(1, self.depth + 1)
+
+    def block(self, p: int) -> int:
+        """Side of the index blocks of the words sharing a prefix of length ``p``."""
+        return self.symbols ** (self.depth - p)
+
+    def blockwise(self, ufunc, rows):
+        """``ufunc`` reduced over every block of the last axis of ``rows``.
+
+        Yields ``(p, r)`` for p = depth - 1 down to 0, where ``r[..., q]``
+        reduces ``rows[..., q * block(p):(q + 1) * block(p)]``; each level
+        is reduced from the one below it, in O(n) in all.
+        """
+        r = np.asarray(rows)
+        for p in range(self.depth - 1, -1, -1):
+            r = ufunc.reduce(r.reshape(*r.shape[:-1], -1, self.symbols), axis=-1)
+            yield p, r
+
+    def distances(self, i, k) -> np.ndarray:
+        """d(i, k) elementwise over index arrays: the level of the longest
+        common prefix, which counts the levels p >= 1 whose blocks hold both."""
+        i, k = np.asarray(i), np.asarray(k)
+        common = np.zeros(np.broadcast(i, k).shape, dtype=np.intp)
+        for p in range(1, self.depth + 1):
+            common += i // self.block(p) == k // self.block(p)
+        return np.append(self.levels, 0.0)[common]
+
+    def distances_to(self, t: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
+        """Distance from each word ``xs[i]`` to the set {v : t[v] < k[i]},
+        +inf where that set is empty.
+
+        The block of level p around x meets the set when the least ``t`` in
+        it is below k.  Blocks nest, so the longest prefix x shares with the
+        set counts the levels p >= 1 whose block meets it.
+        """
+        k = np.broadcast_to(k, xs.shape)
+        common = (t[xs] < k).astype(np.intp)
+        for p, first in self.blockwise(np.minimum, t):
+            if p:
+                common += first[xs // self.block(p)] < k
+        near = np.append(self.levels, 0.0)[common]
+        near[t.min() >= k] = np.inf
+        return near
+
+    def table(self) -> np.ndarray:
+        """The dense n x n table, filled block-diagonally one level at a time."""
+        n = self.symbols**self.depth
+        dist = np.empty((n, n))
+        for p, level in enumerate(self.levels):
+            b = self.block(p)
+            diagonal = np.arange(n // b)
+            dist.reshape(n // b, b, n // b, b)[diagonal, :, diagonal, :] = level
+        np.fill_diagonal(dist, 0.0)
+        return dist
+
+
 class FiniteSpace:
-    """Finite point set standing in for a compact metric space."""
+    """Finite point set standing in for a compact metric space.
 
-    labels: list
-    dist: np.ndarray
-    resolution: float = 0.0
-    #: Optional payload: grid coordinates (float array, read by
-    #: :func:`snap`) or shift words (tuple of tuples).
-    points: Optional[object] = None
-    #: Set only by the builders whose tables are metrics by construction
-    #: (|x - y| on distinct grid points, the cylinder ultrametric), which
-    #: skip the O(n^3) :func:`check_metric`.
-    _metric_by_construction: InitVar[bool] = False
+    ``points`` is an optional payload: grid coordinates (float array, read
+    by :func:`snap`) or shift words (tuple of tuples).  ``shift`` is set
+    only by :func:`build_shift_space`, and is how code tells a shift: such
+    a space takes no table, and builds ``dist`` on its first read.
+    ``_metric_by_construction`` is set only by the builders whose tables
+    are metrics by construction (|x - y| on distinct grid points), which
+    skip the O(n^3) :func:`check_metric`.
+    """
 
-    def __post_init__(self, _metric_by_construction):
-        self.dist = _lock(np.asarray(self.dist, dtype=np.float64))
-        if not _metric_by_construction:
-            check_metric(self.dist)
-        if len(self.labels) != self.dist.shape[0]:
+    def __init__(
+        self,
+        labels: list,
+        dist=None,
+        resolution: float = 0.0,
+        points: Optional[object] = None,
+        shift: Optional[Shift] = None,
+        _metric_by_construction: bool = False,
+    ):
+        self.labels = labels
+        self.resolution = resolution
+        self.points = points
+        self.shift = shift
+        if shift is None:
+            self._dist = _lock(dist)
+            if not _metric_by_construction:
+                check_metric(self._dist)
+            size = self._dist.shape[0]
+        else:
+            self._dist = None
+            size = shift.symbols**shift.depth
+        if len(self.labels) != size:
             raise ConfigError("labels and distance table disagree in size")
         if self.resolution < 0:
             raise ConfigError("resolution must be >= 0")
 
     @property
+    def dist(self) -> np.ndarray:
+        if self._dist is None:
+            self._dist = _lock(self.shift.table())
+        return self._dist
+
+    @property
     def n(self) -> int:
-        return self.dist.shape[0]
+        return len(self.labels)
 
     @property
     def diameter(self) -> float:
-        return float(self.dist.max()) if self.n else 0.0
+        if self.n < 2:
+            return 0.0
+        if self.shift is not None:
+            return float(self.shift.levels[0])
+        return float(self.dist.max())
 
 
 @dataclass
@@ -144,20 +254,11 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
             f"shift space of {symbols}^{depth} points is larger than the limit of {MAX_POINTS}"
         )
     words = tuple(itertools.product(range(1, symbols + 1), repeat=depth))
-    n = len(words)
-    arr = np.array(words)
-    dist = np.zeros((n, n))
-    for i in range(depth):
-        level = np.where(arr[:, None, i] != arr[None, :, i], 0.5 ** (i + 1), 0.0)
-        mask = dist == 0
-        dist[mask] = level[mask]
-    np.fill_diagonal(dist, 0.0)
     return FiniteSpace(
         labels=["".join(map(str, w)) for w in words],
-        dist=dist,
         resolution=0.5**depth,
         points=words,
-        _metric_by_construction=True,
+        shift=Shift(symbols, depth),
     )
 
 
@@ -173,11 +274,23 @@ def snap(space: FiniteSpace, value: float) -> int:
     return int(np.argmin(np.abs(space.points - float(value))))
 
 
+def _shift_directed(shift: Shift, ai: np.ndarray, bi: np.ndarray) -> float:
+    """max over x in ``ai`` of the distance from x to the set ``bi``."""
+    outside = np.ones(shift.symbols**shift.depth, dtype=np.intp)
+    outside[bi] = 0
+    return float(shift.distances_to(outside, ai, 1).max())
+
+
 def hausdorff(space: FiniteSpace, a, b) -> float:
-    """Hausdorff distance between two nonempty index sets."""
+    """Hausdorff distance between two nonempty index sets.
+
+    O(n * depth) on a shift (no table is read), O(|a| * |b|) otherwise.
+    """
     ai = np.fromiter(a, dtype=int) if not isinstance(a, np.ndarray) else a
     bi = np.fromiter(b, dtype=int) if not isinstance(b, np.ndarray) else b
     if ai.size == 0 or bi.size == 0:
         raise EmptySetError("hausdorff requires nonempty sets")
+    if space.shift is not None:
+        return max(_shift_directed(space.shift, ai, bi), _shift_directed(space.shift, bi, ai))
     sub = space.dist[np.ix_(ai, bi)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))

@@ -359,6 +359,32 @@ def naive_contraction_constant(dx, dj, maps, slack):
     return best
 
 
+def naive_weight_lipschitz(dx, weights):
+    """max over maps j and pairs x1 != x2 with finite weights of
+    |q_j(x1) - q_j(x2)| / d(x1, x2), floored at 0."""
+    dx, weights = dx.tolist(), weights.tolist()
+    best = 0.0
+    for w in weights:
+        for x1, a in enumerate(w):
+            for x2, b in enumerate(w):
+                if a != BOTTOM and b != BOTTOM and dx[x1][x2] > 0:
+                    best = max(best, abs(a - b) / dx[x1][x2])
+    return best
+
+
+def naive_cylinder_table(words):
+    """d(w, v) = (1/2)^i at the first position i >= 1 where the words differ."""
+    n = len(words)
+    table = np.zeros((n, n))
+    for x, w in enumerate(words):
+        for y, v in enumerate(words):
+            for i, (a, b) in enumerate(zip(w, v)):
+                if a != b:
+                    table[x, y] = 0.5 ** (i + 1)
+                    break
+    return table
+
+
 def labelled_csv(header, labels, rows):
     """Text ``csv.writer`` writes for ``header``, then per label: it and ``repr`` of its floats."""
     buf = io.StringIO()

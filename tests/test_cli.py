@@ -211,10 +211,18 @@ TWO_POINT_DOC = system_to_jsonable(build_two_point_system())
     ("validate", {"system": {"inline": {**TWO_POINT_DOC, "index_space": {
         **TWO_POINT_DOC["index_space"], "dist": [[0, True], [None, 0]]}}}},
      "index_space dist entries must each be a number, got NoneType, bool"),
+    # written as the S.csv header ",,['a']"
+    ("mane", {"system": {"inline": {**TWO_POINT_DOC, "space": {
+        **TWO_POINT_DOC["space"], "labels": [None, ["a"]]}}}},
+     "space labels must be a list of strings, got [None, ['a']]"),
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "index_space": {
+        **TWO_POINT_DOC["index_space"], "labels": "12"}}}},
+     "index_space labels must be a list of strings, got '12'"),
 ], ids=["grid-a", "grid-a-huge", "max_iters-str", "levels", "boundary-level", "demo31-depth", "u0",
         "constant_weights-str", "max_iters-0", "tol_aubry-bool", "inline-exact_maps",
         "inline-grid-n", "block", "inline-maps-float", "inline-maps-bool", "inline-maps-flat",
-        "inline-space-dist-str", "inline-index-dist"])
+        "inline-space-dist-str", "inline-index-dist", "inline-space-labels",
+        "inline-index-labels"])
 def test_wrongly_typed_config_value_is_a_config_error(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
     assert code == 3
