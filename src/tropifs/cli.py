@@ -35,6 +35,7 @@ from .examples import ShiftExampleSpec, demonstrate_nonuniqueness
 from .fuzzy import FuzzySet, fhb_attractor, theta_conjugate
 from .invariant import (
     BoundaryData,
+    VerifyReport,
     build_invariant,
     constant_weight_density,
     enumerate_invariants,
@@ -110,6 +111,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     tol_aubry = scalar(params.get("tol_aubry", 1e-9), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol_aubry)
 
+    reports = None  # enumerate verifies its densities itself
     if mode == "boundary":
         raw = params.get("boundary")
         if not (isinstance(raw, dict) and "anchor" in raw and isinstance(raw.get("levels"), dict)):
@@ -124,11 +126,14 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
         densities = [constant_weight_density(system, pot)]
     elif mode == "enumerate":
         levels = [serialize.value_from_jsonable(v) for v in _list(params, "levels", [0.0])]
-        densities = enumerate_invariants(system, pot, levels)
+        found = enumerate_invariants(system, pot, levels)
+        densities = [lam for lam, _ in found]
+        reports = [VerifyReport(dev <= tol, dev, tol) for _, dev in found]
     else:
         raise ConfigError(f"unknown invariant mode {mode!r}")
 
-    reports = [verify_invariant(system, lam, tol=tol) for lam in densities]
+    if reports is None:
+        reports = [verify_invariant(system, lam, tol=tol) for lam in densities]
     serialize.write_json(
         out / "density.json", [serialize.density_to_jsonable(lam) for lam in densities]
     )
@@ -153,7 +158,9 @@ def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
         pot = mane_potential(system)
         u0 = theta_conjugate(constant_weight_density(system, pot))
     elif isinstance(u0_spec, list):
-        u0 = FuzzySet(system.space, [scalar(x, float, "u0 entry") for x in u0_spec])
+        u0 = FuzzySet(
+            system.space, serialize.floats(u0_spec, lambda x: scalar(x, float, "u0 entry"))
+        )
     else:
         raise ConfigError(f"u0 must be 'uniform', 'invariant' or a list, got {u0_spec!r}")
     try:

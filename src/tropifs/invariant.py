@@ -106,8 +106,10 @@ def enumerate_invariants(
     """Sweep boundary levels over the non-anchor Aubry points.
 
     The lowest Aubry index is anchored at 0; every assignment of ``levels``
-    to the remaining Aubry points is built, verified as a fixed point, and
-    the distinct results are returned.  This generates (not enumerates) the
+    to the remaining Aubry points is built, and each distinct result is
+    verified once as a fixed point (a deviation above ``verify_tol`` is
+    an :class:`InternalError`).  Returns ``(density, max_deviation)``
+    pairs in first-seen order.  This generates (not enumerates) the
     continuum of invariant densities the boundary freedom allows.  More
     than :data:`MAX_ASSIGNMENTS` assignments raise :class:`ConfigError`
     before any is built.
@@ -125,18 +127,23 @@ def enumerate_invariants(
         )
 
     # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
-    # 0.0, so two densities share a key exactly when np.array_equal holds.
+    # 0.0, so two densities share a key exactly when np.array_equal holds,
+    # and then their deviations (on the exp scale, where -0.0 and 0.0 are
+    # both 1) are equal too, so verifying the first one verifies both.
     distinct = {}
     for assignment in itertools.product(levels, repeat=len(others)):
         vals = {anchor: 0.0}
         vals.update(dict(zip(others, assignment)))
         lam = build_invariant(pot, BoundaryData(values=vals, anchor=anchor))
+        key = (lam.values + 0.0).tobytes()
+        if key in distinct:
+            continue
         rep = verify_invariant(system, lam, tol=verify_tol)
         if not rep.passed:
             raise InternalError(
                 f"built density failed verification (deviation {rep.max_deviation})"
             )
-        distinct.setdefault((lam.values + 0.0).tobytes(), lam)
+        distinct[key] = (lam, rep.max_deviation)
     return list(distinct.values())
 
 

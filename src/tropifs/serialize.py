@@ -81,6 +81,22 @@ def string_list(value, name: str) -> list:
     return list(value)
 
 
+def floats(items, read) -> np.ndarray:
+    """The JSON list ``items`` as a float64 array.
+
+    One scan of the item types and one ``np.array`` when every item is an
+    int or a float; otherwise ``read`` (a float from one JSON value, or a
+    ConfigError) takes the items one by one, so the first bad one raises
+    its own error.  An int too large for a float is left to ``read`` too.
+    """
+    if set(map(type, items)) <= {int, float}:
+        try:
+            return np.array(items, dtype=np.float64)
+        except OverflowError:
+            pass
+    return np.array([read(x) for x in items], dtype=np.float64)
+
+
 def value_from_jsonable(x) -> float:
     if x == BOTTOM_TOKEN:
         return BOTTOM
@@ -97,12 +113,19 @@ def values_to_jsonable(arr) -> list:
 
 
 def values_from_jsonable(items) -> np.ndarray:
-    return np.array([value_from_jsonable(x) for x in items], dtype=np.float64)
+    """Max-plus values, each read as :func:`value_from_jsonable` reads it, in one pass."""
+    if str in set(map(type, items)):
+        items = [BOTTOM if x == BOTTOM_TOKEN else x for x in items]
+    values = floats(items, value_from_jsonable)
+    if not (values < np.inf).all():  # NaN or +inf, which only the one pass lets in
+        for x in items:
+            value_from_jsonable(x)
+    return values
 
 
 def density_to_jsonable(lam: Density) -> dict:
     return {
-        "labels": list(lam.space.labels),
+        "labels": lam.space.labels,
         "values": values_to_jsonable(lam.values),
     }
 
@@ -202,10 +225,17 @@ class _JsonEncoder:
     out of it, since 0.0 and -0.0 are one key but two spellings.  Other
     types, subclasses such as ``np.float64`` included, are dispatched with
     ``isinstance`` in the order json uses.
+
+    ``lists`` does the same for a list or tuple that recurs at one indent,
+    such as the labels every density of a space shares: it is keyed by
+    ``(id(o), nl)`` and holds ``o``, so no other object can take that id
+    while the document is written.  The text is kept from the second time
+    it is met, so lists met once cost no memory.
     """
 
     def __init__(self):
         self.texts = {}
+        self.lists = {}
 
     def value(self, o, nl: str) -> str:
         """The text of ``o`` nested at the indent that ``nl`` (newline + pad) opens."""
@@ -224,7 +254,7 @@ class _JsonEncoder:
         if isinstance(o, float):
             return _float_text(o)
         if isinstance(o, (list, tuple)):
-            return self.container(o, nl, "[]")
+            return self.sequence(o, nl)
         if isinstance(o, dict):
             return self.container(o, nl, "{}")
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -236,6 +266,16 @@ class _JsonEncoder:
             text = encode_basestring_ascii(x) if type(x) is str else _float_text(x)
             if x != 0.0:
                 self.texts[x] = text
+        return text
+
+    def sequence(self, o, nl: str) -> str:
+        """Text of a list or tuple, formatted at most twice per indent."""
+        key = (id(o), nl)
+        held = self.lists.get(key)
+        if held is not None and held[1] is not None:
+            return held[1]
+        text = self.container(o, nl, "[]")
+        self.lists[key] = (o, None if held is None else text)
         return text
 
     def container(self, o, nl: str, brackets: str) -> str:

@@ -145,10 +145,12 @@ class Shift(NamedTuple):
 class FiniteSpace:
     """Finite point set standing in for a compact metric space.
 
-    ``points`` is an optional payload: grid coordinates (float array, read
-    by :func:`snap`) or shift words (tuple of tuples).  ``shift`` is set
-    only by :func:`build_shift_space`, and is how code tells a shift: such
-    a space takes no table, and builds ``dist`` on its first read.
+    ``labels`` is kept as a tuple, so every reader shares one immutable
+    object.  ``points`` is an optional payload: grid coordinates (float
+    array, read by :func:`snap`) or shift words (tuple of tuples).
+    ``shift`` is set only by :func:`build_shift_space`, and is how code
+    tells a shift: such a space takes no table, and builds ``dist`` on its
+    first read.
     ``_metric_by_construction`` is set only by the builders whose tables
     are metrics by construction (|x - y| on distinct grid points), which
     skip the O(n^3) :func:`check_metric`.
@@ -156,14 +158,14 @@ class FiniteSpace:
 
     def __init__(
         self,
-        labels: list,
+        labels: Sequence[str],
         dist=None,
         resolution: float = 0.0,
         points: Optional[object] = None,
         shift: Optional[Shift] = None,
         _metric_by_construction: bool = False,
     ):
-        self.labels = labels
+        self.labels = tuple(labels)
         self.resolution = resolution
         self.points = points
         self.shift = shift
@@ -264,7 +266,7 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
 
 def build_point_space(labels: Sequence[str], dist, resolution: float = 0.0) -> FiniteSpace:
     """Explicit space from a distance table; exact (no discretization error) by default."""
-    return FiniteSpace(labels=list(labels), dist=np.asarray(dist, float), resolution=resolution)
+    return FiniteSpace(labels=labels, dist=np.asarray(dist, float), resolution=resolution)
 
 
 def snap(space: FiniteSpace, value: float) -> int:

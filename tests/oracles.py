@@ -74,6 +74,28 @@ def paths_closure(a, max_len=None):
     return best
 
 
+def closure_to_fixed_point(a, max_sweeps=8):
+    """Floyd-Warshall closure of ``a`` by full sweeps until one changes nothing.
+
+    The loop ``kleene_plus`` ran for every input before it learnt to stop
+    after one sweep whose sums are all exact, kept as the reference for
+    it.  A positive cycle is a ValueError, no fixed point within
+    ``max_sweeps`` a RuntimeError.
+    """
+    p = a.copy()
+    n = a.shape[0]
+    for _ in range(max_sweeps):
+        before = p.copy()
+        for k in range(n):
+            np.maximum(p, p[:, k, None] + p[None, k, :], out=p)
+        diag_max = np.max(np.diagonal(p)) if n else BOTTOM
+        if diag_max > 0:
+            raise ValueError(f"positive-weight cycle detected (diag max {diag_max})")
+        if np.array_equal(p, before):
+            return p
+    raise RuntimeError("closure failed to stabilize")
+
+
 def apply_word(maps, weights, word, y):
     """Re-implementation of word application: (total weight, endpoint)."""
     total = 0.0

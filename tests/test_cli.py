@@ -229,6 +229,43 @@ def test_wrongly_typed_config_value_is_a_config_error(tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+def _weights(row):
+    return {"system": {"inline": {**TWO_POINT_DOC, "weights": [row, [0.0, 0.0]]}}}
+
+
+def _u0(u0):
+    return {"system": TWO_POINT, "fuzzy": {"u0": u0}}
+
+
+# The first bad entry of a list names the error, read in one pass or not.
+@pytest.mark.parametrize("command, config, message", [
+    ("validate", _weights([0.0, "x"]), "a max-plus value must be a number, got 'x'"),
+    ("validate", _weights([0, 10**400]), "a max-plus value is out of range"),
+    ("validate", _weights([-(10**400), 0.0]), "a max-plus value is out of range"),
+    ("validate", _weights(["-inf", float("nan")]), "not a max-plus value: nan"),
+    ("validate", _weights([0.0, float("inf")]), "not a max-plus value: inf"),
+    ("validate", _weights([True, 0.0]), "a max-plus value must be a number, got True"),
+    ("validate", _weights([float("nan"), "x"]), "not a max-plus value: nan"),
+    ("validate", _weights(["x", float("nan")]), "a max-plus value must be a number, got 'x'"),
+    ("validate", _weights(["-Infinity", 0.0]),
+     "a max-plus value must be a number, got '-Infinity'"),
+    ("fuzzy", _u0([1.0, "x"]), "u0 entry must be a number, got 'x'"),
+    ("fuzzy", _u0([10**400, 1.0]), "u0 entry is out of range"),
+    ("fuzzy", _u0([1, False]), "u0 entry must be a number, got False"),
+], ids=["str", "huge", "huge-negative", "nan", "inf", "bool", "nan-first", "str-first",
+        "inf-spelled", "u0-str", "u0-huge", "u0-bool"])
+def test_inline_number_lists_keep_their_messages(tmp_path, capsys, command, config, message):
+    code, _ = run(tmp_path, command, config)
+    assert code == 3
+    assert capsys.readouterr().err == f"tropifs: config error: {message}\n"
+
+
+def test_inline_weights_take_ints_and_the_bottom_token(tmp_path):
+    code, out = run(tmp_path, "validate", _weights([0, "-inf"]))
+    assert code == 0
+    assert json.loads((out / "validation.json").read_text())["valid"]
+
+
 @pytest.mark.parametrize("command, config, count", [
     ("validate", {"system": {"builder": "shift_random", "symbols": 2, "depth": 30}}, "2^30"),
     ("validate", {"system": {"builder": "nonunique_shift", "depth": 30}}, "2^30"),
@@ -475,6 +512,12 @@ SHIFT_CONSTANT = _inline(
 # The two-point system on labels that csv must quote and json must escape.
 QUOTED_LABELS = {"system": {"inline": {
     **TWO_POINT_DOC, "space": {**TWO_POINT_DOC["space"], "labels": ["x,y", 'say "\u00e9"']}}}}
+# The same maps with signed-zero weights: one Floyd-Warshall sweep leaves
+# some zeros of S with the other sign than sweeping to a fixed point does.
+SIGNED_ZEROS = {"system": {"inline": {
+    **SHIFT_CONSTANT["system"]["inline"],
+    "weights": [[-0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0],
+                [-0.75, -0.75, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0]]}}}
 # Identity maps: gamma_hat is 1, so validate writes the error report.
 NON_CONTRACTIVE = {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, 1], [0, 1]]}}}
 # (name, command, config): configs with no random draws, so every output
@@ -505,6 +548,7 @@ GOLDEN_RUNS = [
     ("quoted-labels-mane", "mane", QUOTED_LABELS),
     ("quoted-labels-enumerate", "invariant", {**QUOTED_LABELS, "invariant": {"mode": "enumerate"}}),
     ("non-contractive-validate", "validate", NON_CONTRACTIVE),
+    ("signed-zeros-mane", "mane", SIGNED_ZEROS),
 ]
 #: Golden runs that end in a domain failure and still write their report.
 GOLDEN_EXIT = {"non-contractive-validate": 2}
@@ -548,6 +592,9 @@ GOLDEN_DIGESTS = {
     "quoted-labels-enumerate/density.json": "d83221a305b25cccec965e94522769827c0116628575de2d55f9d51612865830",
     "quoted-labels-enumerate/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
     "non-contractive-validate/validation.json": "d32f66bb14f2d010fa57ecf1cf3f1212e29c788bdf6a62f152b74b0fa06b282a",
+    # recorded before the closure learnt to stop after one exact sweep
+    "signed-zeros-mane/S.csv": "87a54a3a758e1ea1a17143a383e792c36a1af28e11865e81a808be2b041e82da",
+    "signed-zeros-mane/aubry.json": "dde3e38600753f76b29d5637dde16f6c8a363d175672084f68cd92c8436816c2",
 }
 
 

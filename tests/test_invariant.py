@@ -120,13 +120,13 @@ def test_enumerate_invariants_shift():
     pot = mane_potential(system)
     found = enumerate_invariants(system, pot, [0.0, -0.25, -0.5])
     assert len(found) == 3
-    for lam in found:
+    for lam, dev in found:
         rep = verify_invariant(system, lam)
-        assert rep.passed
+        assert rep.passed and rep.max_deviation == dev
     # the three are exactly the family members
     for alpha in (0.0, 0.25, 0.5):
         target = lambda_alpha(4, alpha).values
-        assert any(np.array_equal(lam.values, target) for lam in found)
+        assert any(np.array_equal(lam.values, target) for lam, _ in found)
 
 
 def test_enumerate_invariants_constant_weight_collapses():

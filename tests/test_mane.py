@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropifs import mane
+from tropifs import mane, maxplus
 from tropifs.errors import EmptyAubryError, InternalError
 from tropifs.examples import (
     build_nonunique_shift_system,
@@ -282,17 +282,32 @@ def test_cycle_of_near_zero_edges_below_tolerance_is_not_aubry():
     assert assert_matches_dense(system, 2 * TOL).aubry == (0, 1, 2, 3)
 
 
-def test_triangle_exact_on_non_dyadic_chain():
+def non_dyadic_chain():
     # chain 0 -> 1 -> 2 -> 3; map 1 drains 0, 1, 2 into the absorbing point 4.
     # One Floyd-Warshall sweep sums S[3, 0] as -0.3 + (-0.2 + -0.1), one ulp
     # below S[3, 1] + S[1, 0] = -0.5 + -0.1.
-    system = index_system(
+    return index_system(
         [[1, 2, 3, 4, 4], [4, 4, 4, 4, 4]],
         [[-0.1, -0.2, -0.3, BOTTOM, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]],
     )
-    pot = mane_potential(system)
+
+
+def test_triangle_exact_on_non_dyadic_chain():
+    pot = mane_potential(non_dyadic_chain())
     assert pot.aubry == (4,)
     assert check_triangle(pot.s.entries)
+
+
+def test_one_sweep_only_where_every_sum_is_exact(monkeypatch):
+    # with one sweep allowed, a closure that must confirm its fixed point
+    # cannot: the dyadic closure stops after its first sweep, the chain not
+    dyadic = transition_matrix(build_nonunique_shift_system(4))
+    chain = transition_matrix(non_dyadic_chain())
+    expected = kleene_plus(dyadic).entries
+    monkeypatch.setattr(maxplus, "_MAX_SWEEPS", 1)
+    assert kleene_plus(dyadic).entries.tobytes() == expected.tobytes()
+    with pytest.raises(InternalError):
+        kleene_plus(chain)
 
 
 def test_dense_closure_is_built_only_on_demand(monkeypatch):

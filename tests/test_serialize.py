@@ -41,6 +41,39 @@ def test_value_tokens():
         value_from_jsonable("nan")
 
 
+def _read_each(items):
+    """Today's reading of a JSON value list, one ``value_from_jsonable`` per item."""
+    try:
+        return np.array([value_from_jsonable(x) for x in items], dtype=np.float64)
+    except ConfigError as exc:
+        return str(exc)
+
+
+json_numbers = st.one_of(
+    st.floats(), st.integers(), st.integers(-(10**400), 10**400),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0, 10**400, "-inf"]),
+)
+json_values = st.one_of(
+    json_numbers, st.sampled_from(["inf", "x", True, False, None]),
+    st.lists(st.floats(), max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(json_numbers, max_size=8), st.lists(json_values, max_size=8)))
+@example([0, -1, "-inf", -0.5, -(2**60) - 1, -0.0])
+def test_values_read_in_one_pass_as_one_by_one(items):
+    try:
+        got = values_from_jsonable(items)
+    except ConfigError as exc:
+        got = str(exc)
+    expected = _read_each(items)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+
 def test_space_round_trip_grid():
     g = build_grid(0.0, 1.0, 5)
     back = space_from_jsonable(json.loads(json.dumps(space_to_jsonable(g))))
@@ -174,6 +207,26 @@ def test_write_json_is_json_dumps(tmp_path_factory, obj):
     st.lists(st.sampled_from(SPECIAL_FLOATS)),
 ))
 def test_write_json_non_str_keys_are_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "o.json"
+    write_json(path, obj)
+    assert path.read_bytes() == dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.lists(json_scalars, max_size=4), st.lists(json_scalars, max_size=4).map(tuple),
+              st.lists(json_documents, max_size=3)),
+    st.lists(st.integers(0, 4), max_size=6),
+)
+def test_write_json_shared_container_at_several_depths(tmp_path_factory, shared, depths):
+    # one list object recurs at several indents and several times at one
+    obj = [shared, {"a": shared, "b": [shared]}]
+    for depth in depths:
+        node = shared
+        for level in range(depth):
+            node = {"k": node, "v": shared} if level % 2 else [node, shared]
+        obj.append(node)
+    obj.append(shared)
     path = tmp_path_factory.getbasetemp() / "o.json"
     write_json(path, obj)
     assert path.read_bytes() == dumps(obj)
