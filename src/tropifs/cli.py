@@ -42,6 +42,7 @@ from .invariant import (
     verify_invariant,
 )
 from .mane import mane_potential
+from .measures import Density
 from .serialize import scalar
 
 DOMAIN_ERRORS = (
@@ -111,7 +112,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     tol_aubry = scalar(params.get("tol_aubry", 1e-9), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol_aubry)
 
-    reports = None  # enumerate verifies its densities itself
+    found = None  # enumerate verifies its densities itself
     if mode == "boundary":
         raw = params.get("boundary")
         if not (isinstance(raw, dict) and "anchor" in raw and isinstance(raw.get("levels"), dict)):
@@ -121,26 +122,25 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
             for k, v in raw["levels"].items()
         }
         anchor = _resolve_point(system.space, raw["anchor"])
-        densities = [build_invariant(pot, BoundaryData(values=levels, anchor=anchor))]
+        lam = build_invariant(pot, BoundaryData(values=levels, anchor=anchor))
     elif mode == "constant":
-        densities = [constant_weight_density(system, pot)]
+        lam = constant_weight_density(system, pot)
     elif mode == "enumerate":
         levels = [serialize.value_from_jsonable(v) for v in _list(params, "levels", [0.0])]
         found = enumerate_invariants(system, pot, levels)
-        densities = [lam for lam, _ in found]
-        reports = [VerifyReport(dev <= tol, dev, tol) for _, dev in found]
+        lam = found.density
     else:
         raise ConfigError(f"unknown invariant mode {mode!r}")
 
-    if reports is None:
-        reports = [verify_invariant(system, lam, tol=tol) for lam in densities]
+    lam = Density(lam.space, np.atleast_2d(lam.values))  # every mode writes a block
+    devs = verify_invariant(system, lam, tol).max_deviation if found is None else found.deviations
+    serialize.write_json(out / "density.json", serialize.density_to_jsonable(lam))
     serialize.write_json(
-        out / "density.json", [serialize.density_to_jsonable(lam) for lam in densities]
+        out / "verify.json", [VerifyReport(d <= tol, d, tol).to_jsonable() for d in devs.tolist()]
     )
-    serialize.write_json(out / "verify.json", [r.to_jsonable() for r in reports])
     if scalar(cfg.output.get("csv", False), bool, "output.csv"):
-        for i, lam in enumerate(densities):
-            serialize.density_to_csv(out / f"density_{i:03d}.csv", lam)
+        for i, values in enumerate(lam.values):
+            serialize.density_to_csv(out / f"density_{i:03d}.csv", Density(lam.space, values))
     return EXIT_OK
 
 

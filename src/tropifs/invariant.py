@@ -15,7 +15,6 @@ sequences.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
     NotConstantWeightError,
 )
 from .maxplus import BOTTOM
-from .measures import Density, normalize
+from .measures import CHUNK_VALUES, Density, normalize
 from .mpifs import MpIfs, d_rho, transfer_density
 from .mane import PotentialMatrix
 
@@ -43,7 +42,8 @@ MAX_ASSIGNMENTS = 100_000
 class BoundaryData:
     """Levels assigned to Aubry points; omitted points count as BOTTOM.
 
-    ``anchor`` must carry the level 0 exactly, which forces the built
+    A level is a float, or an array of k levels for a block of k densities.
+    ``anchor`` must carry the level 0 exactly, which forces each built
     density to be a probability.
     """
 
@@ -53,31 +53,31 @@ class BoundaryData:
     def __post_init__(self):
         if self.anchor not in self.values:
             raise ConfigError("anchor must appear in the boundary mapping")
-        if self.values[self.anchor] != 0.0:
+        if np.any(self.values[self.anchor] != 0.0):
             raise ConfigError("anchor level must be exactly 0")
         for z, v in self.values.items():
-            if np.isnan(v) or v > 0 or v == np.inf:
+            if np.any(np.isnan(v) | (np.asarray(v) > 0)):
                 raise ConfigError(f"boundary level at {z} must lie in [-inf, 0]")
 
 
 def build_invariant(pot: PotentialMatrix, boundary: BoundaryData) -> Density:
     """Density lam(x) = max over boundary points z of S[x, z] + level(z).
 
-    The anchor forces lam(anchor) >= S[anchor, anchor] = 0 while every term
-    is <= 0, so the result is a probability (a drift up to the Aubry
-    diagonal tolerance is shifted away; more than that is a bug).
+    Array levels give a block, one density per row.  The anchor forces
+    lam(anchor) >= S[anchor, anchor] = 0 while every term is <= 0, so each
+    is a probability (a drift up to the Aubry tolerance is shifted away).
     """
     extra = set(boundary.values) - set(pot.aubry)
     if extra:
         raise ConfigError(f"boundary points {sorted(extra)} are not Aubry points")
-    lam = np.full(pot.space.n, BOTTOM)
+    shape = np.broadcast_shapes(*map(np.shape, boundary.values.values()))
+    lam = np.full(shape + (pot.space.n,), BOTTOM)
     for z, level in boundary.values.items():
-        np.maximum(lam, pot.column(z) + level, out=lam)
-    top = lam.max()
-    if top != 0.0:
-        if abs(top) > pot.tol_aubry:
-            raise InternalError(f"built density peaks at {top}, not 0")
-        lam = lam - top
+        np.maximum(lam, pot.column(z) + np.asarray(level)[..., None], out=lam)
+    top = lam.max(axis=-1, keepdims=True)
+    for peak in top[np.abs(top) > pot.tol_aubry][:1]:
+        raise InternalError(f"built density peaks at {peak}, not 0")
+    lam -= np.where(top != 0.0, top, 0.0)  # - 0.0 keeps every bit, -0.0 included
     return Density(pot.space, lam)
 
 
@@ -92,9 +92,21 @@ class VerifyReport:
 
 
 def verify_invariant(system: MpIfs, lam: Density, tol: float = 1e-12) -> VerifyReport:
-    """Apply the transfer operator once and report the exp-scale deviation."""
+    """Apply the transfer operator once and report the exp-scale deviation(s)."""
     dev = d_rho(transfer_density(system, lam), lam)
     return VerifyReport(passed=dev <= tol, max_deviation=dev, tol=tol)
+
+
+@dataclass
+class Enumeration:
+    """Distinct densities, one per row of ``density``, with the deviation
+    each was verified at; its length is the number of densities."""
+
+    density: Density
+    deviations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.deviations)
 
 
 def enumerate_invariants(
@@ -102,49 +114,57 @@ def enumerate_invariants(
     pot: PotentialMatrix,
     levels: Sequence[float],
     verify_tol: float = 1e-9,
-) -> list:
+) -> Enumeration:
     """Sweep boundary levels over the non-anchor Aubry points.
 
     The lowest Aubry index is anchored at 0; every assignment of ``levels``
-    to the remaining Aubry points is built, and each distinct result is
-    verified once as a fixed point (a deviation above ``verify_tol`` is
-    an :class:`InternalError`).  Returns ``(density, max_deviation)``
-    pairs in first-seen order.  This generates (not enumerates) the
-    continuum of invariant densities the boundary freedom allows.  More
-    than :data:`MAX_ASSIGNMENTS` assignments raise :class:`ConfigError`
-    before any is built.
+    to the remaining Aubry points is built, in ``itertools.product`` order
+    and in blocks of at most ``CHUNK_VALUES`` values, and each distinct
+    result is verified once as a fixed point (a deviation above
+    ``verify_tol`` is an :class:`InternalError`); they come back in
+    first-seen order.  This generates (not enumerates) the continuum of
+    invariant densities the boundary freedom allows.  More than
+    :data:`MAX_ASSIGNMENTS` assignments, or none, raise
+    :class:`ConfigError` before any is built.
     """
-    for lv in levels:
-        if np.isnan(lv) or lv > 0:
-            raise ConfigError("levels must lie in [-inf, 0]")
+    levels = np.asarray(levels, dtype=np.float64)
+    if (np.isnan(levels) | (levels > 0)).any():
+        raise ConfigError("levels must lie in [-inf, 0]")
     anchor = pot.aubry[0]
     others = list(pot.aubry[1:])
-    if len(levels) ** len(others) > MAX_ASSIGNMENTS:
+    total = len(levels) ** len(others)
+    if total > MAX_ASSIGNMENTS:
         raise ConfigError(
             f"enumerate would build {len(levels)}^{len(others)} boundary assignments "
             f"({len(levels)} levels, {len(pot.aubry)} Aubry points), "
             f"more than the limit of {MAX_ASSIGNMENTS}"
         )
+    if total == 0:
+        raise ConfigError(f"levels is empty, but the {len(pot.aubry)} Aubry points need levels")
 
     # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
     # 0.0, so two densities share a key exactly when np.array_equal holds,
     # and then their deviations (on the exp scale, where -0.0 and 0.0 are
     # both 1) are equal too, so verifying the first one verifies both.
-    distinct = {}
-    for assignment in itertools.product(levels, repeat=len(others)):
-        vals = {anchor: 0.0}
-        vals.update(dict(zip(others, assignment)))
+    seen = {}  # key -> number of the first assignment that built it
+    blocks, deviations = [], []
+    step = max(1, CHUNK_VALUES // pot.space.n)
+    for first in range(0, total, step):
+        rows = np.arange(first, min(first + step, total))
+        vals = {anchor: np.zeros(len(rows))}
+        for i, z in enumerate(others):  # the digits of each row number, most significant first
+            vals[z] = levels[rows // len(levels) ** (len(others) - 1 - i) % len(levels)]
         lam = build_invariant(pot, BoundaryData(values=vals, anchor=anchor))
-        key = (lam.values + 0.0).tobytes()
-        if key in distinct:
-            continue
+        keys = map(np.ndarray.tobytes, lam.values + 0.0)
+        fresh = [i for i, (key, row) in enumerate(zip(keys, rows.tolist()))
+                 if seen.setdefault(key, row) == row]
+        lam = Density(pot.space, lam.values[fresh])
         rep = verify_invariant(system, lam, tol=verify_tol)
-        if not rep.passed:
-            raise InternalError(
-                f"built density failed verification (deviation {rep.max_deviation})"
-            )
-        distinct[key] = (lam, rep.max_deviation)
-    return list(distinct.values())
+        for dev in rep.max_deviation[~rep.passed][:1]:
+            raise InternalError(f"built density failed verification (deviation {dev})")
+        blocks.append(lam.values)
+        deviations.append(rep.max_deviation)
+    return Enumeration(Density(pot.space, np.concatenate(blocks)), np.concatenate(deviations))
 
 
 MAX_CODING_DEPTH = 64

@@ -17,6 +17,11 @@ from .maxplus import BOTTOM
 from .spaces import FiniteSpace
 
 
+#: Most values (rows x points) of a block that one step takes at a time:
+#: each temporary stays within 512 KiB, or one row when a row is longer.
+CHUNK_VALUES = 2**16
+
+
 def _as_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if np.isnan(v).any() or (v == np.inf).any():
@@ -26,16 +31,17 @@ def _as_values(values) -> np.ndarray:
 
 @dataclass
 class Density:
-    """Per-point max-plus values of an idempotent measure on a finite space."""
+    """Per-point max-plus values of an idempotent measure on a finite space,
+    or of a block of k measures, one per row of (k, n) ``values``."""
 
     space: FiniteSpace
     values: np.ndarray
 
     def __post_init__(self):
         self.values = _as_values(self.values)
-        if self.values.shape != (self.space.n,):
+        if self.values.shape[-1:] != (self.space.n,) or self.values.ndim > 2:
             raise DimensionError("density length must match the space size")
-        if not np.any(self.values > BOTTOM):
+        if not np.any(self.values > BOTTOM, axis=-1).all():
             raise EmptySupportError("density has empty support")
         self.values.flags.writeable = False
 
@@ -48,8 +54,5 @@ class Density:
 
 
 def normalize(lam: Density) -> Density:
-    """Shift so the maximum finite value is exactly 0."""
-    top = lam.values.max()
-    if top == BOTTOM:
-        raise EmptySupportError("cannot normalize an all-bottom density")
-    return Density(lam.space, lam.values - top)
+    """Shift so the maximum finite value (of each row of a block) is exactly 0."""
+    return Density(lam.space, lam.values - lam.values.max(axis=-1, keepdims=True))

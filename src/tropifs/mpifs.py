@@ -268,19 +268,26 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
 def transfer_density(system: MpIfs, lam: Density) -> Density:
     """(L lam)(x) = max over pairs (j, y) with phi_j(y) = x of q_j(y) + lam(y).
 
-    Points with empty preimage get BOTTOM.
+    Points with empty preimage get BOTTOM.  A block is done on its (n, k)
+    transpose with one flat ``np.maximum.at`` per map, so every value meets
+    the pairs in the (j, y) order of one sequential pass, as ties of ±0 need.
     """
     if lam.space is not system.space and lam.space.n != system.space.n:
         raise DimensionError("density lives on a different space")
-    vals = system.weights + lam.values[None, :]
-    out = np.full(system.space.n, BOTTOM)
-    np.maximum.at(out, system.maps.reshape(-1), vals.reshape(-1))
-    return Density(system.space, out)
+    vals = np.atleast_2d(lam.values).T
+    out = np.full(vals.shape, BOTTOM)
+    cols = np.arange(vals.shape[1])
+    for phi, q in zip(system.maps, system.weights):
+        hit = phi[:, None] * len(cols) + cols
+        np.maximum.at(out.reshape(-1), hit.reshape(-1), (vals + q[:, None]).reshape(-1))
+    return Density(system.space, np.ascontiguousarray(out.T).reshape(lam.values.shape))
 
 
-def d_rho(a: Density, b: Density) -> float:
+def d_rho(a: Density, b: Density):
     """Sup distance on the exponential scale: max_x |e^a(x) - e^b(x)|.
 
     BOTTOM entries compare as 0, so the metric is finite on all densities.
+    A float for two densities, an array of one per row for two blocks.
     """
-    return float(np.max(np.abs(np.exp(a.values) - np.exp(b.values))))
+    dev = np.max(np.abs(np.exp(a.values) - np.exp(b.values)), axis=-1)
+    return dev if dev.ndim else float(dev)

@@ -8,8 +8,8 @@ The bytes on disk are fixed: a JSON file is
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, and a CSV
 file is what ``csv.writer`` writes in the excel dialect (``\r\n`` line
 ends, fields quoted only where needed) with ``repr`` of each float as its
-cell.  Both writers format each distinct float once per file, so a
-document of many values drawn from few costs little more than its size.
+cell.  CSV files and JSON densities spell each distinct float once
+per file or chunk, so many values drawn from few cost little more than their size.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .maxplus import BOTTOM, MpMatrix
-from .measures import Density
+from .measures import CHUNK_VALUES, Density
 from .mpifs import MpIfs
 from .mane import PotentialMatrix
 from .fuzzy import FuzzySet
@@ -108,8 +108,7 @@ def value_from_jsonable(x) -> float:
 
 def values_to_jsonable(arr) -> list:
     """The entries of ``arr``, flattened, as floats with BOTTOM spelled "-inf"."""
-    return [BOTTOM_TOKEN if x == BOTTOM else x
-            for x in np.asarray(arr, dtype=np.float64).ravel().tolist()]
+    return list(map(_jsonable_value, np.asarray(arr, dtype=np.float64).ravel().tolist()))
 
 
 def values_from_jsonable(items) -> np.ndarray:
@@ -123,11 +122,19 @@ def values_from_jsonable(items) -> np.ndarray:
     return values
 
 
-def density_to_jsonable(lam: Density) -> dict:
-    return {
-        "labels": lam.space.labels,
-        "values": values_to_jsonable(lam.values),
-    }
+def density_to_jsonable(lam: Density):
+    """``{"labels", "values"}`` of a density, or a list of them, one per row,
+    for a block.  Each chunk of rows is spelled from one table of its
+    distinct values; a row holds its :func:`values_to_jsonable` values and
+    their JSON texts, which :func:`write_json` writes as they are."""
+    block = np.atleast_2d(lam.values)
+    step = max(1, CHUNK_VALUES // lam.space.n)
+    docs = []
+    for first in range(0, len(block), step):
+        items, texts = _spelled(block[first:first + step], _jsonable_value, _value_text)
+        for row in map(_Items, items.tolist(), texts.tolist()):
+            docs.append({"labels": lam.space.labels, "values": row})
+    return docs if lam.values.ndim == 2 else docs[0]
 
 
 def space_to_jsonable(space: FiniteSpace) -> dict:
@@ -198,6 +205,24 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+def _jsonable_value(x: float):
+    """A max-plus value as JSON data: BOTTOM is the string "-inf"."""
+    return BOTTOM_TOKEN if x == BOTTOM else x
+
+
+def _value_text(x: float) -> str:
+    """The JSON text of a max-plus value."""
+    return '"-inf"' if x == BOTTOM else _float_text(x)
+
+
+class _Items(list):
+    """A list whose items' JSON ``texts`` are known."""
+
+    def __init__(self, items, texts):
+        super().__init__(items)
+        self.texts = texts
+
+
 def _key_text(key) -> str:
     """A dict key as json writes it: non-str keys are quoted spellings."""
     if isinstance(key, str):
@@ -218,15 +243,11 @@ def _key_text(key) -> str:
 
 
 class _JsonEncoder:
-    """``json.dumps(indent=2, sort_keys=True)`` with one spelling per distinct value.
+    """``json.dumps(indent=2, sort_keys=True)``, with the rows of a density
+    (:class:`_Items`) written from their ready texts.
 
-    ``texts`` maps each exact ``float`` and ``str`` seen to its JSON text;
-    the two types never compare equal, so one dict holds both.  Zeros stay
-    out of it, since 0.0 and -0.0 are one key but two spellings.  Other
-    types, subclasses such as ``np.float64`` included, are dispatched with
-    ``isinstance`` in the order json uses.
-
-    ``lists`` does the same for a list or tuple that recurs at one indent,
+    Values are dispatched with ``isinstance`` in the order json uses.
+    ``lists`` keeps the text of a list or tuple that recurs at one indent,
     such as the labels every density of a space shares: it is keyed by
     ``(id(o), nl)`` and holds ``o``, so no other object can take that id
     while the document is written.  The text is kept from the second time
@@ -234,13 +255,10 @@ class _JsonEncoder:
     """
 
     def __init__(self):
-        self.texts = {}
         self.lists = {}
 
     def value(self, o, nl: str) -> str:
         """The text of ``o`` nested at the indent that ``nl`` (newline + pad) opens."""
-        if type(o) in (float, str):
-            return self.scalar(o)
         if isinstance(o, str):
             return encode_basestring_ascii(o)
         if o is None:
@@ -258,15 +276,6 @@ class _JsonEncoder:
         if isinstance(o, dict):
             return self.container(o, nl, "{}")
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    def scalar(self, x) -> str:
-        """Text of an exact ``float`` or ``str``, formatted once per document."""
-        text = self.texts.get(x)
-        if text is None:
-            text = encode_basestring_ascii(x) if type(x) is str else _float_text(x)
-            if x != 0.0:
-                self.texts[x] = text
-        return text
 
     def sequence(self, o, nl: str) -> str:
         """Text of a list or tuple, formatted at most twice per indent."""
@@ -288,14 +297,9 @@ class _JsonEncoder:
         """Texts of the items of a list, or ``"key": value`` of a dict, in order."""
         if isinstance(o, dict):
             return (f"{_key_text(k)}: {self.value(v, inner)}" for k, v in sorted(o.items()))
-        if not set(map(type, o)) <= {float, str}:
-            return (self.value(x, inner) for x in o)
-        out = list(map(self.texts.get, o))
-        at = 0
-        for _ in range(out.count(None)):  # zeros, and values new to the document
-            at = out.index(None, at)
-            out[at] = self.scalar(o[at])
-        return out
+        if type(o) is _Items:
+            return o.texts
+        return (self.value(x, inner) for x in o)
 
 
 def write_json(path, obj) -> None:
@@ -318,16 +322,18 @@ def write_json(path, obj) -> None:
             fh.write(encoder.value(obj, "\n") + "\n")
 
 
-def _reprs(values) -> np.ndarray:
-    """``repr`` of each float64 in ``values``, flattened, as an object array.
+def _spelled(values, *spells) -> list:
+    """For each of ``spells``, an object array of its value at each float64
+    of ``values``, in their shape.
 
-    Each distinct bit pattern is formatted once (so -0.0 and 0.0 keep
-    their own spellings) and the texts are gathered back in place.
+    Each distinct bit pattern is spelled once (so -0.0 and 0.0 keep their
+    own texts) and the spellings are gathered back in place.
     """
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts.take(inverse)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    return [np.array(list(map(spell, distinct)), dtype=object).take(inverse).reshape(values.shape)
+            for spell in spells]
 
 
 def _csv_fields(fields) -> list:
@@ -359,22 +365,24 @@ def _labelled_csv(path, header, labels, cells) -> None:
 
 
 def matrix_to_csv(path, matrix: MpMatrix, labels) -> None:
-    cells = _reprs(matrix.entries).reshape(matrix.entries.shape).tolist()
+    cells = _spelled(matrix.entries, repr)[0].tolist()
     _labelled_csv(path, ["", *labels], labels, cells)
 
 
 def density_to_csv(path, lam: Density) -> None:
-    cells = _reprs(lam.values).reshape(-1, 1).tolist()
+    if lam.values.ndim != 1:
+        raise DimensionError("a density CSV file holds one density")
+    cells = _spelled(lam.values, repr)[0].reshape(-1, 1).tolist()
     _labelled_csv(path, ["label", "value"], lam.space.labels, cells)
 
 
 def fuzzy_to_csv(path, u: FuzzySet) -> None:
-    cells = _reprs(u.values).reshape(-1, 1).tolist()
+    cells = _spelled(u.values, repr)[0].reshape(-1, 1).tolist()
     _labelled_csv(path, ["label", "membership"], u.space.labels, cells)
 
 
 def trace_to_csv(path, trace) -> None:
-    cells = _reprs(trace).reshape(-1, 1).tolist()
+    cells = _spelled(trace, repr)[0].reshape(-1, 1).tolist()
     _labelled_csv(path, ["iteration", "d_infty"], range(1, len(cells) + 1), cells)
 
 

@@ -301,6 +301,15 @@ def naive_transfer_density(maps, weights, lam):
     return out
 
 
+def scatter_transfer_density(maps, weights, lam):
+    """One ``np.maximum.at`` pass over the pairs (j, y) in order: the form
+    ``transfer_density`` had before it took blocks.  It fixes which of 0.0
+    and -0.0 a tie keeps, which the loop above (strict ``>``) does not."""
+    out = np.full(len(lam), BOTTOM)
+    np.maximum.at(out, maps.reshape(-1), (weights + lam[None, :]).reshape(-1))
+    return out
+
+
 def naive_mu_eval(lam, f):
     best = BOTTOM
     for lv, fv in zip(lam, f):
@@ -415,3 +424,46 @@ def labelled_csv(header, labels, rows):
     for label, row in zip(labels, rows):
         writer.writerow([label] + [repr(float(x)) for x in row])
     return buf.getvalue()
+
+
+def enumerate_by_assignment(system, pot, levels, verify_tol=1e-9):
+    """The loop ``enumerate_invariants`` ran before it built its densities as a block.
+
+    One density per assignment of ``levels`` to the non-anchor Aubry
+    points, in ``itertools.product`` order, each distinct one verified
+    once.  Returns ``(density, max_deviation)`` pairs in first-seen order.
+    """
+    from tropifs.errors import ConfigError, InternalError
+    from tropifs.invariant import MAX_ASSIGNMENTS, BoundaryData, build_invariant, verify_invariant
+
+    for lv in levels:
+        if np.isnan(lv) or lv > 0:
+            raise ConfigError("levels must lie in [-inf, 0]")
+    anchor = pot.aubry[0]
+    others = list(pot.aubry[1:])
+    if len(levels) ** len(others) > MAX_ASSIGNMENTS:
+        raise ConfigError(
+            f"enumerate would build {len(levels)}^{len(others)} boundary assignments "
+            f"({len(levels)} levels, {len(pot.aubry)} Aubry points), "
+            f"more than the limit of {MAX_ASSIGNMENTS}"
+        )
+
+    # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
+    # 0.0, so two densities share a key exactly when np.array_equal holds,
+    # and then their deviations (on the exp scale, where -0.0 and 0.0 are
+    # both 1) are equal too, so verifying the first one verifies both.
+    distinct = {}
+    for assignment in itertools.product(levels, repeat=len(others)):
+        vals = {anchor: 0.0}
+        vals.update(dict(zip(others, assignment)))
+        lam = build_invariant(pot, BoundaryData(values=vals, anchor=anchor))
+        key = (lam.values + 0.0).tobytes()
+        if key in distinct:
+            continue
+        rep = verify_invariant(system, lam, tol=verify_tol)
+        if not rep.passed:
+            raise InternalError(
+                f"built density failed verification (deviation {rep.max_deviation})"
+            )
+        distinct[key] = (lam, rep.max_deviation)
+    return list(distinct.values())

@@ -497,6 +497,20 @@ def test_missing_system_block_is_a_config_error(tmp_path, capsys):
     assert not (out / "validation.json").exists()
 
 
+def test_enumerate_with_empty_levels(tmp_path, capsys):
+    # two Aubry points and no level to give the second: nothing to build
+    config = {**SHIFT4, "invariant": {"mode": "enumerate", "levels": []}}
+    code, out = run(tmp_path, "invariant", config)
+    assert code == 3
+    assert "levels" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # one Aubry point needs no level: its density is written
+    config = {"system": TWO_POINT, "invariant": {"mode": "enumerate", "levels": []}}
+    code, out = run(tmp_path, "invariant", config, out="single")
+    assert code == 0
+    assert [d["values"] for d in json.loads((out / "density.json").read_text())] == [[0.0, -1.0]]
+
+
 # Snapped grid whose only zero-weight map is the constant map onto point 5.
 SNAPPED_CONSTANT = _inline(
     {"grid": {"a": 0.0, "b": 1.0, "n": 17}},
@@ -518,6 +532,15 @@ SIGNED_ZEROS = {"system": {"inline": {
     **SHIFT_CONSTANT["system"]["inline"],
     "weights": [[-0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0],
                 [-0.75, -0.75, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0]]}}}
+# A snapped 9-point grid with place-dependent weights: the non-injective
+# maps fix three points at zero cost, so enumerate assigns levels to two.
+SNAPPED_GRID = {"system": {"inline": {
+    "space": {"grid": {"a": 0.0, "b": 1.0, "n": 9}},
+    "index_space": {"labels": ["1", "2"], "dist": [[0.0, 2.5], [2.5, 0.0]]},
+    "maps": [[0, 0, 1, 1, 2, 2, 3, 3, 4], [4, 4, 5, 5, 6, 6, 7, 7, 8]],
+    "weights": [[0.0, 0.0, 0.0, 0.0, 0.0, -0.25, -0.5, -0.75, -1.0],
+                [-1.0, -0.75, -0.5, -0.25, 0.0, 0.0, 0.0, 0.0, 0.0]],
+    "exact_maps": False}}}
 # Identity maps: gamma_hat is 1, so validate writes the error report.
 NON_CONTRACTIVE = {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, 1], [0, 1]]}}}
 # (name, command, config): configs with no random draws, so every output
@@ -549,6 +572,14 @@ GOLDEN_RUNS = [
     ("quoted-labels-enumerate", "invariant", {**QUOTED_LABELS, "invariant": {"mode": "enumerate"}}),
     ("non-contractive-validate", "validate", NON_CONTRACTIVE),
     ("signed-zeros-mane", "mane", SIGNED_ZEROS),
+    # repeated, signed-zero and bottom levels give duplicate densities
+    ("shift4-enumerate-csv", "invariant", {
+        **SHIFT4, "invariant": {"mode": "enumerate",
+                                "levels": [0.0, "-inf", -0.25, 0.0, -0.0, "-inf"]},
+        "output": {"csv": True}}),
+    ("snapped-grid-enumerate", "invariant", {
+        **SNAPPED_GRID, "invariant": {"mode": "enumerate",
+                                      "levels": [0.0, -0.5, "-inf", -0.5, -0.0]}}),
 ]
 #: Golden runs that end in a domain failure and still write their report.
 GOLDEN_EXIT = {"non-contractive-validate": 2}
@@ -595,6 +626,14 @@ GOLDEN_DIGESTS = {
     # recorded before the closure learnt to stop after one exact sweep
     "signed-zeros-mane/S.csv": "87a54a3a758e1ea1a17143a383e792c36a1af28e11865e81a808be2b041e82da",
     "signed-zeros-mane/aubry.json": "dde3e38600753f76b29d5637dde16f6c8a363d175672084f68cd92c8436816c2",
+    # recorded before enumerate built its densities as one block
+    "shift4-enumerate-csv/density.json": "35504878ac2cdce8f04f5f8708a9a611496272821c09d7842b5a402f6b875e13",
+    "shift4-enumerate-csv/density_000.csv": "717d0759d846328021e0c5043a211d367a4bc51faaa702eb50717eb8209bd4a6",
+    "shift4-enumerate-csv/density_001.csv": "93ce08baa0bee22072859a4833beacd13c4d756cb47bcb7beff5b6ed6d3fc658",
+    "shift4-enumerate-csv/density_002.csv": "57613feb9b216232ec300a098cf52b50ae073158a710ea6a4d17f587edf0effd",
+    "shift4-enumerate-csv/verify.json": "0ba3fda12aaad060a4a57e069946356153770afbbc73dad9339606644e1d4b4c",
+    "snapped-grid-enumerate/density.json": "fa342848132bf3b39eb96a5d516072f86fb8d8f123de6d89b88cd7007e463f3f",
+    "snapped-grid-enumerate/verify.json": "23faa3587c8688b640eb7fe365075fc6a3e9d6643524a2707efd4103bd64483d",
 }
 
 

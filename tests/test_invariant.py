@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropifs import invariant
 from tropifs.errors import ConfigError, InternalError, NotConstantWeightError
 from tropifs.examples import (
     build_nonunique_shift_system,
@@ -24,13 +26,14 @@ from tropifs.invariant import (
 )
 from tropifs.maxplus import BOTTOM
 from tropifs.mane import PotentialMatrix, mane_potential
-from tropifs.measures import Density
+from tropifs.measures import CHUNK_VALUES, Density
 from tropifs.mpifs import MpIfs, d_rho, transfer_density, validate
 from tropifs.spaces import build_grid, build_point_space, build_shift_space
 
 from oracles import (
     composite_collapse_depth,
     dyadic_mp,
+    enumerate_by_assignment,
     iterate_transfer,
     j0_image,
     word_table,
@@ -120,13 +123,81 @@ def test_enumerate_invariants_shift():
     pot = mane_potential(system)
     found = enumerate_invariants(system, pot, [0.0, -0.25, -0.5])
     assert len(found) == 3
-    for lam, dev in found:
-        rep = verify_invariant(system, lam)
+    for values, dev in zip(found.density.values, found.deviations.tolist()):
+        rep = verify_invariant(system, Density(system.space, values))
         assert rep.passed and rep.max_deviation == dev
     # the three are exactly the family members
     for alpha in (0.0, 0.25, 0.5):
         target = lambda_alpha(4, alpha).values
-        assert any(np.array_equal(lam.values, target) for lam, _ in found)
+        assert any(np.array_equal(values, target) for values in found.density.values)
+
+
+def _outcome(enumerate_fn, *args):
+    try:
+        return enumerate_fn(*args)
+    except (ConfigError, InternalError) as exc:
+        return type(exc), str(exc)
+
+
+def _enumeration_system(kind, seed, scale, signed_zeros):
+    """A random shift or grid system whose weights are scaled by ``scale``
+    (non-dyadic unless it is a power of 2), its zero weights given random
+    signs when ``signed_zeros``.  On a "free shift" the map of each word's
+    first symbol costs 0, so all three constant words are Aubry points."""
+    if kind == "grid":  # snapped affine maps: not injective
+        system = random_system(build_grid(0.0, 1.0, 11), 3, seed)
+    else:
+        system = random_system(build_shift_space(3, 2), 3, seed)
+    weights = system.weights * scale
+    if kind == "free shift":
+        weights[np.arange(9) // 3, np.arange(9)] = 0.0
+    if signed_zeros:
+        rng = np.random.default_rng(seed)
+        weights[weights == 0.0] = rng.choice([0.0, -0.0], size=int((weights == 0.0).sum()))
+    system = MpIfs(system.space, system.index_space, system.maps, weights, system.exact_maps)
+    validate(system)
+    return system
+
+
+_levels = st.lists(
+    st.sampled_from([0.0, -0.0, BOTTOM, -0.25, -1.5, -0.1, -0.7000000000000001, -2.0**-30]),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["shift", "free shift", "grid"]),
+    st.integers(0, 2**16),
+    st.sampled_from([1.0, 0.5, 0.1, 0.3]),
+    st.booleans(),
+    _levels,
+    st.sampled_from([1e-9, 0.05, 0.5]),
+    st.sampled_from([1, 7, 64, CHUNK_VALUES]),
+)
+@example("free shift", 0, 1.0, False, [], 1e-9, CHUNK_VALUES)  # three Aubry points, no level
+def test_enumerate_invariants_matches_assignment_loop(
+    kind, seed, scale, signed_zeros, levels, tol_aubry, chunk
+):
+    system = _enumeration_system(kind, seed, scale, signed_zeros)
+    pot = mane_potential(system, tol_aubry=tol_aubry)
+    if signed_zeros:  # -0.0 in the columns, so that densities can differ in the sign of 0 only
+        columns = np.where(pot.columns == 0.0, -0.0, pot.columns)
+        pot = PotentialMatrix(pot.aubry, pot.tol_aubry, columns, system)
+    if len(levels) ** (len(pot.aubry) - 1) > 256:
+        return  # the loop would take long; the limit itself is checked elsewhere
+    expected = _outcome(enumerate_by_assignment, system, pot, levels)
+    with mock.patch.object(invariant, "CHUNK_VALUES", chunk):
+        got = _outcome(enumerate_invariants, system, pot, levels)
+    if not levels and len(pot.aubry) > 1:  # the loop built nothing and returned []
+        assert expected == [] and got[0] is ConfigError and "levels" in got[1]
+    elif isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert [lam.values.tobytes() for lam, _ in expected] == [
+            row.tobytes() for row in got.density.values
+        ]
+        assert np.array([dev for _, dev in expected]).tobytes() == got.deviations.tobytes()
 
 
 def test_enumerate_invariants_constant_weight_collapses():

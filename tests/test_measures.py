@@ -29,6 +29,13 @@ def test_normalize_examples():
         Density(two, [BOTTOM, BOTTOM])
 
 
+def test_normalize_block_is_row_by_row():
+    block = np.array([[-2.0, -5.0], [0.0, -1.0], [BOTTOM, -7.0], [-0.0, BOTTOM]])
+    two = build_grid(0.0, 1.0, 2)
+    rows = [normalize(Density(two, row)).values for row in block]
+    assert normalize(Density(two, block)).values.tobytes() == np.stack(rows).tobytes()
+
+
 def test_dirac():
     # a one-point density: normalize lifts its level to 0 and keeps BOTTOM elsewhere
     lam = Density(SPACE, np.where(np.arange(6) == 2, 0.0, BOTTOM))

@@ -26,6 +26,7 @@ from oracles import (
     naive_dual_transfer,
     naive_mu_eval,
     naive_transfer_density,
+    scatter_transfer_density,
 )
 
 
@@ -210,6 +211,33 @@ def test_operators_match_naive_loops(seed):
         transfer_density(system, lam).values,
         naive_transfer_density(system.maps, system.weights, lam.values),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["shift", "grid", "constant"]),
+       st.integers(1, 5))
+def test_block_transfer_is_the_scatter_pass_row_by_row(seed, kind, k):
+    # signed zeros in weights and densities: every row's bits, -0.0 included,
+    # and every row's deviation equal those of the density alone; "constant"
+    # is a grid whose first map sends every point to one point
+    rng = np.random.default_rng(seed)
+    space = build_shift_space(3, 2) if kind == "shift" else build_grid(0.0, 1.0, 13)
+    system = random_system(space, 3, seed % 1000)
+    weights = system.weights * 0.1
+    weights[weights == 0.0] = rng.choice([0.0, -0.0], size=int((weights == 0.0).sum()))
+    maps = system.maps.copy()
+    if kind == "constant":
+        maps[0] = rng.integers(space.n)
+    system = MpIfs(space, system.index_space, maps, weights, system.exact_maps)
+    block = rng.choice([0.0, -0.0, BOTTOM, -0.5, -0.1], size=(k, space.n))
+    block[:, 0] = rng.choice([0.0, -0.0], size=k)
+    out = transfer_density(system, Density(space, block)).values
+    devs = d_rho(Density(space, out), Density(space, block))
+    for row, got, dev in zip(block, out, devs):
+        assert got.tobytes() == scatter_transfer_density(maps, weights, row).tobytes()
+        assert got.tobytes() == transfer_density(system, Density(space, row)).values.tobytes()
+        alone = d_rho(Density(space, got), Density(space, row))
+        assert np.float64(alone).tobytes() == dev.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,17 +1,19 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropifs.errors import ConfigError
+from tropifs import serialize
+from tropifs.errors import ConfigError, DimensionError
 from tropifs.examples import build_nonunique_shift_system, build_two_point_system, random_system
 from tropifs.fuzzy import FuzzySet, theta_conjugate
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, normalize
+from tropifs.measures import CHUNK_VALUES, Density, normalize
 from tropifs.mpifs import validate
 from tropifs.serialize import (
     aubry_to_jsonable,
@@ -236,7 +238,7 @@ def test_write_json_deep_nesting_and_repeats(tmp_path):
     deep = [0.5]
     for depth in range(60):
         deep = {"k": deep, "v": [-0.0, 0.0, 0.5, "-inf"]} if depth % 2 else [deep, 0.5, -0.0]
-    # one memo serves the whole file: a value first seen deep is reused at the top
+    # a value first seen deep recurs at the top
     obj = [deep, [0.5] * 5, {"-0.0": -0.0, "0.0": 0.0}]
     path = tmp_path / "o.json"
     write_json(path, obj)
@@ -258,6 +260,37 @@ csv_values = st.one_of(
 csv_labels = st.one_of(
     st.text(), st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r", "", " ", "caf\u00e9", "1.5"])
 )
+
+
+# Values a density block may hold: both zeros, BOTTOM, subnormals, repeats.
+block_values = st.one_of(
+    st.integers(-2**28, 0).map(lambda k: k * QUANT),
+    st.sampled_from([0.0, -0.0, BOTTOM, 5e-324, -5e-324, -1e-310, -0.1, -1e300]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(csv_labels, min_size=1, max_size=6), st.integers(1, 5), st.data(),
+       st.sampled_from([1, 5, CHUNK_VALUES]))
+@example(["a"], 1, None, CHUNK_VALUES)
+def test_density_block_json_is_json_dumps(tmp_path_factory, labels, k, data, chunk):
+    n = len(labels)
+    if data is None:  # n = 1, one row
+        values = np.zeros((1, 1))
+    else:
+        values = np.array(data.draw(st.lists(block_values, min_size=k * n, max_size=k * n)))
+        values = values.reshape(k, n)
+    values[(values == BOTTOM).all(axis=1), 0] = -0.0  # a nonempty support
+    space = build_point_space(labels, 1.0 - np.eye(n))
+    path = tmp_path_factory.mktemp("json") / "density.json"
+    with mock.patch.object(serialize, "CHUNK_VALUES", chunk):  # rows spelled in chunks
+        obj = density_to_jsonable(Density(space, values))
+        write_json(path, obj)
+    rows = [{"labels": labels, "values": values_to_jsonable(row)} for row in values]
+    assert path.read_bytes() == dumps(rows)
+    assert dumps(obj) == dumps(rows)  # the rows hold the values, not only their texts
+    with pytest.raises(DimensionError):
+        density_to_csv(path, Density(space, values))
 
 
 def _text(path) -> str:
