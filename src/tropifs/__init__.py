@@ -16,9 +16,7 @@ reference computations for the tests live in the test suite.
 from .maxplus import BOTTOM, MpMatrix, kleene_plus
 from .spaces import (
     FiniteSpace,
-    IndexSpace,
     build_grid,
-    build_point_space,
     build_shift_space,
     hausdorff,
     snap,

@@ -182,10 +182,12 @@ def cmd_demo31(cfg: RunConfig, out: Path, seed) -> int:
     )
     report = demonstrate_nonuniqueness(spec)
     serialize.write_json(out / "report.json", report.to_jsonable())
-    serialize.write_json(
-        out / "density.json",
-        [serialize.density_to_jsonable(lam) for lam in report.densities],
-    )
+    lams, docs = report.densities, []
+    if lams:  # one block: the densities share their space's labels
+        docs = serialize.density_to_jsonable(
+            Density(lams[0].space, np.stack([lam.values for lam in lams]))
+        )
+    serialize.write_json(out / "density.json", docs)
     return EXIT_OK
 
 

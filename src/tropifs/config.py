@@ -9,7 +9,12 @@ builds its own shift system), names exactly one source:
      "seed": 7, "constant_weights": false}
     {"builder": "shift_random", "symbols": 2, "depth": 4, "seed": 7,
      "constant_weights": true}
-    {"inline": {... full system as emitted by serialize.system_to_jsonable ...}}
+    {"inline": {"space": {"grid": ...} or {"shift": ...} or
+                         {"labels": [...], "dist": [[...]], "resolution": 0.0},
+                "index_space": {"labels": [...], "dist": [[...]]},
+                "maps": [[target of each point, per map]],
+                "weights": [[weight of each point, per map; "-inf" is BOTTOM]],
+                "exact_maps": false}}
 
 Command blocks ("mane", "invariant", "fuzzy", "demo31") hold the knobs of
 the corresponding subcommand; "output" holds format flags.

@@ -32,7 +32,7 @@ from .mpifs import MpIfs, transfer_density, validate
 from .mane import mane_potential
 from .invariant import BoundaryData, build_invariant
 from .fuzzy import d_theta
-from .spaces import FiniteSpace, IndexSpace, build_shift_space, snap
+from .spaces import FiniteSpace, build_shift_space, snap
 
 QUANT = float(2**-26)
 
@@ -42,10 +42,10 @@ def _dyadic(arr: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(arr, dtype=np.float64) / QUANT) * QUANT
 
 
-def discrete_index_space(labels: Sequence[str], spacing: float = 1.0) -> IndexSpace:
+def discrete_index_space(labels: Sequence[str], spacing: float = 1.0) -> FiniteSpace:
     m = len(labels)
     dist = spacing * (1.0 - np.eye(m))
-    return IndexSpace(labels=list(labels), dist=dist)
+    return FiniteSpace(labels=labels, dist=dist)
 
 
 def _prepend_maps(symbols: int, depth: int) -> np.ndarray:

@@ -169,7 +169,9 @@ def _columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     Value iteration col <- max(col, transfer(col)) on all sources at once:
     each round relaxes, in place, only the out-edges of the rows that
     changed in the round before, at most n edges at a time so that no
-    temporary outgrows the (n, k) block.
+    temporary outgrows the (n, k) block.  Each such chunk reads the block
+    before it scatters its sums with one ``np.maximum.at``; any order of
+    these monotone updates reaches the same least fixed point.
     """
     order = np.argsort(src, kind="stable")
     src, tgt, w = src[order], tgt[order], w[order]
@@ -185,26 +187,11 @@ def _columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
         grown = np.zeros(n, dtype=bool)
         for first in range(0, edges.size, n):
             part = edges[first:first + n]
-            part = part[np.argsort(tgt[part])]
             t = tgt[part]
             best = cols.take(src[part], axis=0)
             best += w[part, None]
-            head = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
-            if head.size < t.size:
-                # max over each run of equal targets by doubling: after the
-                # pass with stride s, row i holds the max of rows [i, i + 2s)
-                ends = np.append(head[1:], t.size)
-                end = np.repeat(ends, ends - head)
-                rows, stride = np.arange(t.size), 1
-                while (rows := rows[rows + stride < end[rows]]).size:
-                    best[rows] = np.maximum(best[rows], best[rows + stride])
-                    stride *= 2
-                best, t = best[head], t[head]
-            old = cols.take(t, axis=0)
-            np.maximum(best, old, out=best)
-            grew = (best != old).any(axis=1)
-            cols[t[grew]] = best[grew]
-            grown[t[grew]] = True
+            grown[t[(best > cols.take(t, axis=0)).any(axis=1)]] = True
+            np.maximum.at(cols.reshape(-1), (t[:, None] * k + np.arange(k)).ravel(), best.ravel())
         frontier = np.flatnonzero(grown)
         if not frontier.size:
             # 0.0 + folds a -0.0 sum into 0.0

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .maxplus import BOTTOM
 from .measures import Density
-from .spaces import FiniteSpace, IndexSpace, Shift
+from .spaces import FiniteSpace, Shift
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12
@@ -45,7 +45,7 @@ class MpIfs:
     """
 
     space: FiniteSpace
-    index_space: IndexSpace
+    index_space: FiniteSpace
     maps: np.ndarray
     weights: np.ndarray
     exact_maps: bool = False
@@ -55,7 +55,7 @@ class MpIfs:
     def __post_init__(self):
         self.maps = np.asarray(self.maps, dtype=np.intp)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        m, n = self.index_space.m, self.space.n
+        m, n = self.index_space.n, self.space.n
         if self.maps.shape != (m, n):
             raise DimensionError("maps must have shape (|J|, |X|)")
         if self.weights.shape != (m, n):
@@ -67,7 +67,7 @@ class MpIfs:
 
     @property
     def num_maps(self) -> int:
-        return self.index_space.m
+        return self.index_space.n
 
     @property
     def snap_slack(self) -> float:

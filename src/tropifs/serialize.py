@@ -8,15 +8,17 @@ The bytes on disk are fixed: a JSON file is
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, and a CSV
 file is what ``csv.writer`` writes in the excel dialect (``\r\n`` line
 ends, fields quoted only where needed) with ``repr`` of each float as its
-cell.  CSV files and JSON densities spell each distinct float once
-per file or chunk, so many values drawn from few cost little more than their size.
+cell.  CSV files and blocks of densities spell each distinct float once
+per file or chunk, so many values drawn from few cost little more than
+their size; a density block is the one JSON document not written by
+``json.dumps`` itself, but streamed from those texts, one density at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from json.encoder import encode_basestring_ascii
+import json
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .measures import CHUNK_VALUES, Density
 from .mpifs import MpIfs
 from .mane import PotentialMatrix
 from .fuzzy import FuzzySet
-from .spaces import FiniteSpace, IndexSpace, build_grid, build_shift_space
+from .spaces import FiniteSpace, build_grid, build_shift_space
 
 BOTTOM_TOKEN = "-inf"
 
@@ -106,11 +108,6 @@ def value_from_jsonable(x) -> float:
     return v
 
 
-def values_to_jsonable(arr) -> list:
-    """The entries of ``arr``, flattened, as floats with BOTTOM spelled "-inf"."""
-    return list(map(_jsonable_value, np.asarray(arr, dtype=np.float64).ravel().tolist()))
-
-
 def values_from_jsonable(items) -> np.ndarray:
     """Max-plus values, each read as :func:`value_from_jsonable` reads it, in one pass."""
     if str in set(map(type, items)):
@@ -125,24 +122,19 @@ def values_from_jsonable(items) -> np.ndarray:
 def density_to_jsonable(lam: Density):
     """``{"labels", "values"}`` of a density, or a list of them, one per row,
     for a block.  Each chunk of rows is spelled from one table of its
-    distinct values; a row holds its :func:`values_to_jsonable` values and
-    their JSON texts, which :func:`write_json` writes as they are."""
+    distinct values, and a block keeps those texts for :func:`write_json`."""
     block = np.atleast_2d(lam.values)
     step = max(1, CHUNK_VALUES // lam.space.n)
-    docs = []
+    docs, texts = [], []
     for first in range(0, len(block), step):
-        items, texts = _spelled(block[first:first + step], _jsonable_value, _value_text)
-        for row in map(_Items, items.tolist(), texts.tolist()):
-            docs.append({"labels": lam.space.labels, "values": row})
-    return docs if lam.values.ndim == 2 else docs[0]
-
-
-def space_to_jsonable(space: FiniteSpace) -> dict:
-    return {
-        "labels": list(space.labels),
-        "dist": [[float(x) for x in row] for row in space.dist],
-        "resolution": float(space.resolution),
-    }
+        items, spelled = _spelled(block[first:first + step], _jsonable_value, _value_text)
+        docs.extend({"labels": lam.space.labels, "values": row} for row in items.tolist())
+        texts.extend(spelled.tolist())
+    if lam.values.ndim == 1:
+        return docs[0]
+    # the labels array as it is indented inside each document of the list
+    head = json.dumps(lam.space.labels, indent=2).replace("\n", "\n    ")
+    return _DensityBlock(docs, head, texts)
 
 
 def space_from_jsonable(obj) -> FiniteSpace:
@@ -164,23 +156,10 @@ def space_from_jsonable(obj) -> FiniteSpace:
     )
 
 
-def system_to_jsonable(system: MpIfs) -> dict:
-    return {
-        "space": space_to_jsonable(system.space),
-        "index_space": {
-            "labels": list(system.index_space.labels),
-            "dist": [[float(x) for x in row] for row in system.index_space.dist],
-        },
-        "maps": [[int(t) for t in row] for row in system.maps],
-        "weights": [values_to_jsonable(row) for row in system.weights],
-        "exact_maps": bool(system.exact_maps),
-    }
-
-
 def system_from_jsonable(obj) -> MpIfs:
     space = space_from_jsonable(obj["space"])
     isp = obj["index_space"]
-    index_space = IndexSpace(
+    index_space = FiniteSpace(
         labels=string_list(isp["labels"], "index_space labels"),
         dist=table(isp["dist"], float, "index_space dist"),
     )
@@ -194,132 +173,44 @@ def system_from_jsonable(obj) -> MpIfs:
     )
 
 
-def _float_text(x: float) -> str:
-    """A float as json writes it: ``float.__repr__``, or NaN and ±Infinity."""
-    if x != x:
-        return "NaN"
-    if x == np.inf:
-        return "Infinity"
-    if x == -np.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _jsonable_value(x: float):
     """A max-plus value as JSON data: BOTTOM is the string "-inf"."""
     return BOTTOM_TOKEN if x == BOTTOM else x
 
 
 def _value_text(x: float) -> str:
-    """The JSON text of a max-plus value."""
-    return '"-inf"' if x == BOTTOM else _float_text(x)
+    """The JSON text of a density value (finite or BOTTOM): its ``repr``."""
+    return '"-inf"' if x == BOTTOM else repr(x)
 
 
-class _Items(list):
-    """A list whose items' JSON ``texts`` are known."""
+class _DensityBlock(list):
+    """The ``{"labels", "values"}`` documents of a block of densities, with
+    the JSON texts :func:`write_json` lays them out from: ``head``, the
+    labels array they share, and ``texts``, each row's value texts."""
 
-    def __init__(self, items, texts):
-        super().__init__(items)
+    def __init__(self, docs, head: str, texts: list):
+        super().__init__(docs)
+        self.head = head
         self.texts = texts
 
 
-def _key_text(key) -> str:
-    """A dict key as json writes it: non-str keys are quoted spellings."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _float_text(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-class _JsonEncoder:
-    """``json.dumps(indent=2, sort_keys=True)``, with the rows of a density
-    (:class:`_Items`) written from their ready texts.
-
-    Values are dispatched with ``isinstance`` in the order json uses.
-    ``lists`` keeps the text of a list or tuple that recurs at one indent,
-    such as the labels every density of a space shares: it is keyed by
-    ``(id(o), nl)`` and holds ``o``, so no other object can take that id
-    while the document is written.  The text is kept from the second time
-    it is met, so lists met once cost no memory.
-    """
-
-    def __init__(self):
-        self.lists = {}
-
-    def value(self, o, nl: str) -> str:
-        """The text of ``o`` nested at the indent that ``nl`` (newline + pad) opens."""
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if isinstance(o, (list, tuple)):
-            return self.sequence(o, nl)
-        if isinstance(o, dict):
-            return self.container(o, nl, "{}")
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    def sequence(self, o, nl: str) -> str:
-        """Text of a list or tuple, formatted at most twice per indent."""
-        key = (id(o), nl)
-        held = self.lists.get(key)
-        if held is not None and held[1] is not None:
-            return held[1]
-        text = self.container(o, nl, "[]")
-        self.lists[key] = (o, None if held is None else text)
-        return text
-
-    def container(self, o, nl: str, brackets: str) -> str:
-        if not o:
-            return brackets
-        inner = nl + "  "
-        return brackets[0] + inner + ("," + inner).join(self.members(o, inner)) + nl + brackets[1]
-
-    def members(self, o, inner: str):
-        """Texts of the items of a list, or ``"key": value`` of a dict, in order."""
-        if isinstance(o, dict):
-            return (f"{_key_text(k)}: {self.value(v, inner)}" for k, v in sorted(o.items()))
-        if type(o) is _Items:
-            return o.texts
-        return (self.value(x, inner) for x in o)
-
-
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented, key-sorted JSON plus a final newline.
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
 
-    The bytes equal ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.
-    A top-level list or dict is written one element at a time, so the
-    document is never held in memory as one string.
+    A block from :func:`density_to_jsonable` is written from its ready
+    texts to the same bytes, one density at a time, so the document is
+    never held in memory as one string.
     """
-    encoder = _JsonEncoder()
     with open(path, "w") as fh:
-        if isinstance(obj, (list, tuple, dict)) and obj:
-            brackets = "{}" if isinstance(obj, dict) else "[]"
-            sep = brackets[0] + "\n  "
-            for text in encoder.members(obj, "\n  "):
-                fh.write(sep + text)
+        if isinstance(obj, _DensityBlock) and obj:
+            head = '{\n    "labels": ' + obj.head + ',\n    "values": [\n      '
+            sep = "[\n  "
+            for texts in obj.texts:
+                fh.write(sep + head + ",\n      ".join(texts) + "\n    ]\n  }")
                 sep = ",\n  "
-            fh.write("\n" + brackets[1] + "\n")
+            fh.write("\n]\n")
         else:
-            fh.write(encoder.value(obj, "\n") + "\n")
+            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _spelled(values, *spells) -> list:

@@ -19,7 +19,6 @@ blocks, and a shift builds its dense ``dist`` only when something reads it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -143,7 +142,8 @@ class Shift(NamedTuple):
 
 
 class FiniteSpace:
-    """Finite point set standing in for a compact metric space.
+    """Finite point set standing in for a compact metric space, or the
+    metric space of map indices of a system.
 
     ``labels`` is kept as a tuple, so every reader shares one immutable
     object.  ``points`` is an optional payload: grid coordinates (float
@@ -201,24 +201,6 @@ class FiniteSpace:
         return float(self.dist.max())
 
 
-@dataclass
-class IndexSpace:
-    """Finite metric space of map indices."""
-
-    labels: list
-    dist: np.ndarray
-
-    def __post_init__(self):
-        self.dist = _lock(np.asarray(self.dist, dtype=np.float64))
-        check_metric(self.dist)
-        if len(self.labels) != self.dist.shape[0]:
-            raise ConfigError("labels and distance table disagree in size")
-
-    @property
-    def m(self) -> int:
-        return self.dist.shape[0]
-
-
 def build_grid(a: float, b: float, n: int) -> FiniteSpace:
     """Uniform grid of ``n`` points on [a, b]; covering radius is half the spacing."""
     if n < 2:
@@ -262,11 +244,6 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
         points=words,
         shift=Shift(symbols, depth),
     )
-
-
-def build_point_space(labels: Sequence[str], dist, resolution: float = 0.0) -> FiniteSpace:
-    """Explicit space from a distance table; exact (no discretization error) by default."""
-    return FiniteSpace(labels=labels, dist=np.asarray(dist, float), resolution=resolution)
 
 
 def snap(space: FiniteSpace, value: float) -> int:

@@ -467,3 +467,38 @@ def enumerate_by_assignment(system, pot, levels, verify_tol=1e-9):
             )
         distinct[key] = (lam, rep.max_deviation)
     return list(distinct.values())
+
+
+def build_point_space(labels, dist, resolution=0.0):
+    """Explicit space from a distance table; exact (no discretization error) by default."""
+    from tropifs.spaces import FiniteSpace
+
+    return FiniteSpace(labels=labels, dist=np.asarray(dist, float), resolution=resolution)
+
+
+def values_to_jsonable(arr):
+    """The entries of ``arr``, flattened, as floats with BOTTOM spelled "-inf"."""
+    return ["-inf" if x == BOTTOM else x for x in np.asarray(arr, dtype=np.float64).ravel().tolist()]
+
+
+def space_to_jsonable(space):
+    """The explicit ``{"labels", "dist", "resolution"}`` form of a space."""
+    return {
+        "labels": list(space.labels),
+        "dist": [[float(x) for x in row] for row in space.dist],
+        "resolution": float(space.resolution),
+    }
+
+
+def system_to_jsonable(system):
+    """A system as the ``inline`` block of a config, with an explicit space."""
+    return {
+        "space": space_to_jsonable(system.space),
+        "index_space": {
+            "labels": list(system.index_space.labels),
+            "dist": [[float(x) for x in row] for row in system.index_space.dist],
+        },
+        "maps": [[int(t) for t in row] for row in system.maps],
+        "weights": [values_to_jsonable(row) for row in system.weights],
+        "exact_maps": bool(system.exact_maps),
+    }

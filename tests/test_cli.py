@@ -15,8 +15,9 @@ import tropifs
 from tropifs.cli import main
 from tropifs.examples import build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
-from tropifs.serialize import system_to_jsonable
 from tropifs.spaces import MAX_POINTS
+
+from oracles import system_to_jsonable
 
 
 def run(tmp_path, command, config, out="out", seed=None):
@@ -547,6 +548,8 @@ NON_CONTRACTIVE = {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, 1], [0, 1
 # file is fixed by the code alone.
 GOLDEN_RUNS = [
     ("demo31", "demo31", {}),
+    ("demo31-no-alphas", "demo31", {"demo31": {"alphas": []}}),
+    ("demo31-depth12", "demo31", {"demo31": {"depth": 12, "alphas": [0.0, 0.25, 0.5, 0.75]}}),
     ("two-point-validate", "validate", {"system": TWO_POINT}),
     ("two-point-mane", "mane", {"system": TWO_POINT}),
     ("two-point-constant", "invariant", {"system": TWO_POINT, "invariant": {"mode": "constant"}}),
@@ -634,6 +637,11 @@ GOLDEN_DIGESTS = {
     "shift4-enumerate-csv/verify.json": "0ba3fda12aaad060a4a57e069946356153770afbbc73dad9339606644e1d4b4c",
     "snapped-grid-enumerate/density.json": "fa342848132bf3b39eb96a5d516072f86fb8d8f123de6d89b88cd7007e463f3f",
     "snapped-grid-enumerate/verify.json": "23faa3587c8688b640eb7fe365075fc6a3e9d6643524a2707efd4103bd64483d",
+    # recorded before demo31 wrote its densities as one block
+    "demo31-no-alphas/density.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "demo31-no-alphas/report.json": "b561d49779c14c10db38f0bed89228d62741fa5f7b7eefcdef4dda65105e153b",
+    "demo31-depth12/density.json": "b89a0b5d530e85c5db9994c9eaf1e2b27a1a9d2908d4cc5f16927f139e131ba4",
+    "demo31-depth12/report.json": "95a26e1980adfd44553d4b868482e4844d60fb44933d48672052e5c8a838975e",
 }
 
 

@@ -28,9 +28,10 @@ from tropifs.maxplus import BOTTOM
 from tropifs.mane import PotentialMatrix, mane_potential
 from tropifs.measures import CHUNK_VALUES, Density
 from tropifs.mpifs import MpIfs, d_rho, transfer_density, validate
-from tropifs.spaces import build_grid, build_point_space, build_shift_space
+from tropifs.spaces import build_grid, build_shift_space
 
 from oracles import (
+    build_point_space,
     composite_collapse_depth,
     dyadic_mp,
     enumerate_by_assignment,

@@ -14,9 +14,10 @@ from tropifs.examples import (
 from tropifs.maxplus import BOTTOM, kleene_plus
 from tropifs.mane import mane_potential, transition_matrix
 from tropifs.mpifs import MpIfs, validate
-from tropifs.spaces import build_grid, build_point_space, build_shift_space, snap
+from tropifs.spaces import build_grid, build_shift_space, snap
 
 from oracles import (
+    build_point_space,
     check_sum_lipschitz,
     check_triangle,
     edge_table,

@@ -16,9 +16,10 @@ from tropifs.examples import (
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, normalize
 from tropifs.mpifs import MpIfs, _contraction_constant, d_rho, transfer_density, validate
-from tropifs.spaces import IndexSpace, build_grid, build_point_space, build_shift_space
+from tropifs.spaces import FiniteSpace, build_grid, build_shift_space
 
 from oracles import (
+    build_point_space,
     dyadic,
     dyadic_mp,
     iterate_transfer,
@@ -75,7 +76,7 @@ def contraction_systems(draw):
     else:
         ks = draw(st.lists(st.integers(-7, 7), min_size=m, max_size=m, unique=True))
         jpts = [0.3 * k for k in ks]
-        isp = IndexSpace(labels=[str(j) for j in range(m)], dist=_line_distances(jpts))
+        isp = FiniteSpace(labels=[str(j) for j in range(m)], dist=_line_distances(jpts))
     maps = draw(st.lists(
         st.lists(st.integers(0, space.n - 1), min_size=space.n, max_size=space.n),
         min_size=m, max_size=m,

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,18 +23,22 @@ from tropifs.serialize import (
     fuzzy_to_csv,
     matrix_to_csv,
     space_from_jsonable,
-    space_to_jsonable,
     system_from_jsonable,
-    system_to_jsonable,
     value_from_jsonable,
     values_from_jsonable,
-    values_to_jsonable,
     write_json,
 )
 from tropifs.maxplus import MpMatrix
-from tropifs.spaces import build_grid, build_point_space, build_shift_space
+from tropifs.spaces import build_grid, build_shift_space
 
-from oracles import QUANT, labelled_csv
+from oracles import (
+    QUANT,
+    build_point_space,
+    labelled_csv,
+    space_to_jsonable,
+    system_to_jsonable,
+    values_to_jsonable,
+)
 
 
 def test_value_tokens():
@@ -291,6 +296,25 @@ def test_density_block_json_is_json_dumps(tmp_path_factory, labels, k, data, chu
     assert dumps(obj) == dumps(rows)  # the rows hold the values, not only their texts
     with pytest.raises(DimensionError):
         density_to_csv(path, Density(space, values))
+
+
+def test_density_block_json_is_written_row_by_row(tmp_path):
+    # 729 densities on 343 points drawn from few values, the size of the
+    # benchmark's enumerate run: written row by row they peak at 6.3 MiB,
+    # and joined into one document before writing at 32 MiB
+    space = build_shift_space(7, 3)
+    rng = np.random.default_rng(0)
+    pool = np.append(-rng.integers(0, 2**20, 300) * 2.0**-16, [0.0, BOTTOM])
+    values = rng.choice(pool, size=(729, space.n))
+    values[:, 0] = 0.0
+    lam = Density(space, values)
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "density.json", density_to_jsonable(lam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _text(path) -> str:

@@ -23,8 +23,8 @@ from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density
 from tropifs.mpifs import MpIfs, _contraction_constant, _weight_lipschitz, validate
-from tropifs.serialize import space_from_jsonable, space_to_jsonable
-from tropifs.spaces import FiniteSpace, IndexSpace, build_shift_space, hausdorff
+from tropifs.serialize import space_from_jsonable
+from tropifs.spaces import FiniteSpace, build_shift_space, hausdorff
 
 from oracles import (
     naive_contraction_constant,
@@ -33,6 +33,7 @@ from oracles import (
     naive_d_infty,
     naive_d_theta,
     naive_weight_lipschitz,
+    space_to_jsonable,
 )
 
 
@@ -80,7 +81,7 @@ def shift_systems(draw):
     else:
         ks = draw(st.lists(st.integers(-7, 7), min_size=m, max_size=m, unique=True))
         pts = np.array([0.3 * k for k in ks])
-        isp = IndexSpace([str(j) for j in range(m)], np.abs(pts[:, None] - pts[None, :]))
+        isp = FiniteSpace([str(j) for j in range(m)], np.abs(pts[:, None] - pts[None, :]))
     return MpIfs(space, isp, maps, weights, exact_maps=draw(st.booleans()))
 
 

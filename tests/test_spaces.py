@@ -7,12 +7,13 @@ from tropifs.errors import ConfigError, EmptySetError
 from tropifs.spaces import (
     MAX_POINTS,
     build_grid,
-    build_point_space,
     build_shift_space,
     check_metric,
     hausdorff,
     snap,
 )
+
+from oracles import build_point_space
 
 
 def test_grid_basics():
