@@ -5,7 +5,8 @@
 Exit codes: 0 on success, 2 on a domain failure (invalid system, empty
 Aubry set, non-convergence, mode mismatch, no unique density for the
 constant mode), 3 on usage or configuration errors, wrongly typed config
-values and spaces over ``spaces.MAX_POINTS`` points included.  All outputs
+values, spaces over ``spaces.MAX_POINTS`` points and ``mane`` on more than
+``mane.MAX_CLOSURE_POINTS`` points included.  All outputs
 are JSON or CSV files in the output directory and are byte-identical
 across runs for a fixed config and seed.
 """
@@ -41,7 +42,7 @@ from .invariant import (
     enumerate_invariants,
     verify_invariant,
 )
-from .mane import mane_potential
+from .mane import MAX_CLOSURE_POINTS, mane_potential
 from .measures import Density
 from .serialize import scalar
 
@@ -97,6 +98,11 @@ def cmd_validate(cfg: RunConfig, out: Path, seed) -> int:
 
 def cmd_mane(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
+    if system.space.n > MAX_CLOSURE_POINTS:
+        raise ConfigError(
+            f"mane writes the dense n x n closure S, and n = {system.space.n} points "
+            f"is larger than the limit of {MAX_CLOSURE_POINTS}"
+        )
     tol = scalar(cfg.mane.get("tol_aubry", 1e-9), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol)
     serialize.matrix_to_csv(out / "S.csv", pot.s, labels=system.space.labels)

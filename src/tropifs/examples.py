@@ -223,8 +223,7 @@ def _affine_grid_maps(space: FiniteSpace, num_maps: int, rng, constant_first: bo
         span_lo = min(slope * a, slope * b)
         span_hi = max(slope * a, slope * b)
         shift = rng.uniform(a - span_lo, b - span_hi)
-        for i, x in enumerate(xs):
-            maps[j, i] = snap(space, shift + slope * float(x))
+        maps[j] = snap(space, shift + slope * xs)
     return maps
 
 

@@ -42,6 +42,12 @@ from .maxplus import BOTTOM, MpMatrix, kleene_plus
 from .mpifs import MpIfs
 
 AUBRY_TOL = 1e-9
+#: Most points whose dense closure :attr:`PotentialMatrix.s` the ``mane``
+#: command builds.  Floyd-Warshall is n^3: at this limit ``tropifs mane``
+#: took 32-37 s and 240 MiB of max RSS (``grid_random`` and
+#: ``shift_random``, 2 shared vCPUs), and each doubling of n costs 8x the
+#: time and 4x the memory of its n x n tables.
+MAX_CLOSURE_POINTS = 2**11
 
 
 class PotentialMatrix:

@@ -27,11 +27,19 @@ from .errors import (
     NotContractiveError,
 )
 from .maxplus import BOTTOM
-from .measures import Density
+from .measures import CHUNK_VALUES, Density
 from .spaces import FiniteSpace, Shift
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12
+#: Relative width of the window of near-ties that the grid routines
+#: evaluate exactly (see :func:`_grid_contraction_constant`).
+NEAR_TIE = 1e-9
+#: Pairs per point the grid routines may evaluate before they fall back
+#: to the row blocks.
+PAIR_BUDGET = 64
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1000  # well inside the normal floats
 
 
 @dataclass
@@ -111,38 +119,227 @@ def _contraction_constant(system: MpIfs) -> float:
     """Max over (j1,x1,j2,x2) of (d(img1, img2) - 2*slack) / (dJ + dX), floored at 0.
 
     On a shift the maximum is read from the cylinder blocks in
-    O(m^2 * n * depth) (:func:`_shift_contraction_constant`).  Elsewhere it
-    works one n x n block per map pair (j1, j2) with j2 >= j1, so memory is
-    O(n^2), the size of the space's own ``dist``.  The pair (j2, j1) is
-    skipped: its block is the transpose with the same quotients, because
-    both distance tables are exactly symmetric (``check_metric`` enforces
-    it, and the grid builder is symmetric by construction).  Only the
-    diagonal blocks (dJ = 0) contain zero denominators.
+    O(m^2 * n * depth) (:func:`_shift_contraction_constant`), and on a grid
+    located and verified from the coordinates in about O(m^2 * n log n)
+    (:func:`_grid_contraction_constant`), which falls back to the row
+    blocks of :func:`_block_contraction_constant` on rare inputs.  An
+    explicit table always takes the row blocks.
     """
-    if system.space.shift is not None:
-        return _shift_contraction_constant(system, system.space.shift)
-    dx = system.space.dist
+    space = system.space
+    if space.shift is not None:
+        return _shift_contraction_constant(system, space.shift)
+    if space.grid is not None:
+        best = _grid_contraction_constant(system, space.grid.xs)
+        if best is not None:
+            return best
+    return _block_contraction_constant(system)
+
+
+def _row_blocks(n: int):
+    """Column vectors of consecutive indices below ``n``, each block of rows
+    of an n-column table holding at most ``CHUNK_VALUES`` values."""
+    step = max(1, CHUNK_VALUES // n)
+    rows = np.arange(n)
+    for first in range(0, n, step):
+        yield rows[first:first + step, None]
+
+
+def _block_contraction_constant(system: MpIfs) -> float:
+    """:func:`_contraction_constant` over every quadruple, one block of rows
+    of x1 at a time, so memory is O(n) beyond the space itself.
+
+    The distances come from :meth:`FiniteSpace.distances`, which equal the
+    table's.  Only the map pairs j2 >= j1 are taken: the block of (j2, j1)
+    holds the same quotients transposed, because both distance tables are
+    exactly symmetric (``check_metric`` enforces it, and the builders'
+    metrics are symmetric by construction).  Only the diagonal blocks
+    (dJ = 0) contain zero denominators.  O(m^2 * n^2) time.
+    """
+    space, img = system.space, system.maps
     dj = system.index_space.dist
-    img = system.maps  # (m, n)
     slack2 = 2.0 * system.snap_slack
     m, n = img.shape
-    numer = np.empty((n, n))
-    denom = np.empty((n, n))
     best = 0.0
-    for j1 in range(m):
-        rows = dx[img[j1]]
-        for j2 in range(j1, m):
-            np.take(rows, img[j2], axis=1, out=numer)
-            np.subtract(numer, slack2, out=numer)
-            np.add(dj[j1, j2], dx, out=denom)
-            if dj[j1, j2] > 0:
-                quot = np.divide(numer, denom, out=numer)
-            else:
-                mask = denom > 0
-                quot = numer[mask] / denom[mask]
-            if quot.size:
-                best = max(best, float(quot.max()))
+    for r in _row_blocks(n):
+        dx = space.distances(r, np.arange(n))
+        for j1 in range(m):
+            for j2 in range(j1, m):
+                numer = space.distances(img[j1][r], img[j2]) - slack2
+                denom = dj[j1, j2] + dx
+                if dj[j1, j2] > 0:
+                    quot = numer / denom
+                else:
+                    mask = denom > 0
+                    quot = numer[mask] / denom[mask]
+                if quot.size:
+                    best = max(best, float(quot.max()))
     return best
+
+
+def _grid_contraction_constant(system: MpIfs, xs: np.ndarray) -> Optional[float]:
+    """:func:`_contraction_constant` on a grid from its sorted coordinates
+    ``xs``, bit for bit, or None when the row blocks must decide.
+
+    The quadruples are split into cases, one per map pair (ja, jb) taken in
+    both orders and per sign s = +-1, each over the index pairs i <= k
+    (i < k when dJ = 0, whose i = k has no quotient):
+
+        (s * (y_ja(i) - y_jb(k)) - 2*slack) / (dJ + x_k - x_i),
+
+    y_j being the coordinates of the images of map j.  The dense quotient
+    of a pair uses |y_ja(i) - y_jb(k)|, the largest of its two signs.
+
+    * **Locate.** Dinkelbach's method (Management Sci. 13, 1967) raises a
+      shared bound: for the bound L it finds, in every case at once, the
+      pair maximizing numerator - L * denominator from prefix maxima of
+      s * y_ja(i) + L * x_i, and L becomes the largest dense float quotient
+      of those pairs, until it stops growing.  L is the quotient of a pair,
+      so it is at most the maximum.  The first round (L = 0) finds the
+      largest float numerator of every case exactly (float addition is
+      monotone), so if its pairs have no positive quotient, none has.
+    * **Verify.** Every pair whose dense float quotient is >= L is listed,
+      with a few near-ties more, and the maximum is read off them.  With
+      u = 2^-53 and L >= 2^-1000 (so the quotients that count are normal
+      floats), such a pair has (a - 2*slack) / (dJ + e) >= L * (1 - 3u)
+      >= C = L * (1 - NEAR_TIE), where a and e are the float distances.
+      They differ from the exact |y_ja(i) - y_jb(k)| and |x_k - x_i| by at
+      most 2u * X, X bounding |xs|, so in exact arithmetic the pair has,
+      in the case of its sign,
+
+          A_i + B_k >= 2*slack + C * dJ - 2u * X * (1 + C),
+          A_i = s * y_ja(i) + C * x_i,   B_k = -s * y_jb(k) - C * x_k.
+
+      Each term is at most R = 2 * X * (1 + C) + 2*slack + C * dJ in size,
+      so computing both sides in floats errs by less than 8u * R, and the
+      test is run with a margin of 64u * R.  It is separable, so
+      :func:`_pairs_above` lists its pairs in O(n + hits * log n) per case.
+
+    Falls back (None) when L is outside the normal range, when R
+    overflows, or when the cases list more than ``PAIR_BUDGET`` * n pairs.
+    """
+    img = system.maps
+    m, n = img.shape
+    slack2 = 2.0 * system.snap_slack
+    j1, j2 = np.triu_indices(m)
+    off = j1 < j2
+    ja = np.tile(np.concatenate([j1, j2[off]]), 2)
+    jb = np.tile(np.concatenate([j2, j1[off]]), 2)
+    sign = np.repeat([1.0, -1.0], ja.size // 2)
+    dj = system.index_space.dist[ja, jb]
+    ys = xs[img]
+    step = max(1, CHUNK_VALUES // n)
+    groups = [np.arange(first, min(first + step, ja.size)) for first in range(0, ja.size, step)]
+
+    def sums(c, bound):
+        """The separable halves s * y_ja(i) + bound * x_i and
+        -s * y_jb(k) - bound * x_k of the cases ``c``, one row each."""
+        lead = sign[c, None] * ys[ja[c]] + bound * xs
+        return lead, -sign[c, None] * ys[jb[c]] - bound * xs
+
+    def quotients(c, i, k):
+        """The dense float quotients of the pairs (i, k) of the cases ``c``."""
+        numer = np.abs(ys[ja[c], i] - ys[jb[c], k]) - slack2
+        return numer / (dj[c] + np.abs(xs[i] - xs[k]))
+
+    low = 0.0
+    for _ in range(16):
+        found = low
+        for c in groups:
+            strict = dj[c] == 0
+            lead, tail = sums(c, low)
+            best_before = np.maximum.accumulate(lead, axis=1)
+            best_before[strict, 1:] = best_before[strict, :-1]
+            best_before[strict, 0] = -np.inf
+            k = np.argmax(best_before + tail, axis=1)
+            allowed = np.arange(n) < (k + ~strict)[:, None]
+            i = np.argmax(np.where(allowed, lead, -np.inf), axis=1)
+            found = max(found, float(quotients(c, i, k).max()))
+        if not found > low:
+            break
+        low = found
+    if low == 0.0:  # the first round's pairs have the largest numerators
+        return 0.0
+    if not _TINY <= low < np.inf:
+        return None
+    bound = low * (1.0 - NEAR_TIE)
+    scale = max(abs(float(xs[0])), abs(float(xs[-1])))
+    best, budget = low, PAIR_BUDGET * n
+    for c in groups:
+        reach = 2.0 * scale * (1.0 + bound) + slack2 + bound * dj[c]
+        if not np.isfinite(reach).all():
+            return None
+        lead, tail = sums(c, bound)
+        hits = _pairs_above(lead, tail, slack2 + bound * dj[c] - 64 * _U * reach,
+                            dj[c] == 0, budget)
+        if hits is None:
+            return None
+        rows, i, k = hits
+        budget -= rows.size
+        if rows.size:
+            best = max(best, float(quotients(c[rows], i, k).max()))
+    return best
+
+
+def _pairs_above(lead: np.ndarray, tail: np.ndarray, floor: np.ndarray, strict: np.ndarray,
+                 budget: int):
+    """Every (row, i, k) with i <= k (i < k on a ``strict`` row) and
+    fl(lead[row, i] + tail[row, k]) >= floor[row], or None when more than
+    ``budget`` of them (or of their enclosing blocks) turn up.
+
+    The columns are padded to a power of two and halved into dyadic
+    blocks.  A pair of blocks I < K holds a pair at least as large as the
+    sum of their maxima, and a block I with itself holds the largest sum
+    ``inner`` of its pairs i <= k, which the halves give: the best of their
+    own and of the left half's maximum plus the right half's.  Float
+    addition is monotone, so every bound is attained by a pair below it,
+    and a descent from the whole range keeps only the block pairs that
+    hold a listed pair: O(n) per row to build, O(log n) per pair listed.
+    """
+    size = 1 << max(0, lead.shape[1] - 1).bit_length()
+    pad = ((0, 0), (0, size - lead.shape[1]))
+    leads = [np.pad(lead, pad, constant_values=-np.inf)]
+    tails = [np.pad(tail, pad, constant_values=-np.inf)]
+    inner = [np.where(strict[:, None], -np.inf, leads[0] + tails[0])]
+    while leads[-1].shape[1] > 1:
+        a, b, both = leads[-1], tails[-1], inner[-1]
+        inner.append(np.maximum(np.maximum(both[:, 0::2], both[:, 1::2]), a[:, 0::2] + b[:, 1::2]))
+        leads.append(np.maximum(a[:, 0::2], a[:, 1::2]))
+        tails.append(np.maximum(b[:, 0::2], b[:, 1::2]))
+    # (row, i) of a block of width w is tracked as row * w + i: a child's
+    # index is then twice its parent's plus 0 or 1
+    top = len(leads) - 1
+    i = k = np.arange(lead.shape[0])  # the whole range of each row
+    for level in range(top, -1, -1):
+        if level < top:
+            i, k = 2 * i[:, None] + [0, 0, 1, 1], 2 * k[:, None] + [0, 1, 0, 1]
+            keep = i <= k
+            i, k = i[keep], k[keep]
+        total = leads[level].ravel()[i] + tails[level].ravel()[k]
+        same = np.flatnonzero(i == k)
+        total[same] = inner[level].ravel()[i[same]]
+        keep = total >= floor[i >> (top - level)]
+        i, k = i[keep], k[keep]
+        if i.size > budget:
+            return None
+    return i >> top, i & (size - 1), k & (size - 1)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """The integers lo[r] <= v < hi[r] of every r, in order, and their r."""
+    count = hi - lo
+    r = np.repeat(np.arange(lo.size), count)
+    return r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count) + lo[r]
+
+
+def _run_pairs(side: np.ndarray):
+    """The pairs a < b of points inside one maximal run of the adjacent
+    slopes t (joining points t and t + 1) that share one nonzero ``side``."""
+    changes = np.concatenate([[True], side[1:] != side[:-1], [True]])
+    first = np.flatnonzero(changes[:-1] & (side != 0))
+    stop = np.flatnonzero(changes[1:] & (side != 0)) + 2  # past the run's last point
+    run, a = _ranges(first, stop - 1)
+    at, b = _ranges(a + 1, stop[run])
+    return a[at], b
 
 
 def _by_block(shift: Shift, ufunc, rows: np.ndarray):
@@ -190,22 +387,90 @@ def _shift_contraction_constant(system: MpIfs, shift: Shift) -> float:
 
 def _weight_lipschitz(system: MpIfs) -> float:
     """Max over maps j and points x1 != x2 with finite weights of
-    |q_j(x1) - q_j(x2)| / d(x1, x2), floored at 0."""
-    if system.space.shift is not None:
-        return _shift_weight_lipschitz(system, system.space.shift)
-    dx = system.space.dist
+    |q_j(x1) - q_j(x2)| / d(x1, x2), floored at 0.
+
+    From the cylinder blocks on a shift (:func:`_shift_weight_lipschitz`)
+    and from the adjacent slopes on a grid
+    (:func:`_grid_weight_lipschitz`), which falls back to the row blocks
+    of :func:`_block_weight_lipschitz` on rare inputs.  An explicit table
+    always takes the row blocks.
+    """
+    space = system.space
+    if space.shift is not None:
+        return _shift_weight_lipschitz(system, space.shift)
+    if space.grid is not None:
+        best = _grid_weight_lipschitz(system, space.grid.xs)
+        if best is not None:
+            return best
+    return _block_weight_lipschitz(system)
+
+
+def _block_weight_lipschitz(system: MpIfs) -> float:
+    """:func:`_weight_lipschitz` over every pair, one block of rows at a
+    time: O(m * n^2) time, O(n) memory beyond the space."""
     best = 0.0
-    for j in range(system.num_maps):
-        w = system.weights[j]
-        finite = w > BOTTOM
-        if finite.sum() < 2:
+    for w in system.weights:
+        finite = np.flatnonzero(w > BOTTOM)
+        if finite.size < 2:
             continue
         wf = w[finite]
-        sub = dx[np.ix_(finite, finite)]
-        diff = np.abs(wf[:, None] - wf[None, :])
-        mask = sub > 0
-        if mask.any():
-            best = max(best, float(np.max(diff[mask] / sub[mask])))
+        for r in _row_blocks(finite.size):
+            sub = system.space.distances(finite[r], finite)
+            diff = np.abs(wf[r] - wf)
+            mask = sub > 0
+            if mask.any():
+                best = max(best, float(np.max(diff[mask] / sub[mask])))
+    return best
+
+
+def _grid_weight_lipschitz(system: MpIfs, xs: np.ndarray) -> Optional[float]:
+    """:func:`_weight_lipschitz` on a grid from its sorted coordinates
+    ``xs``, bit for bit, or None when the row blocks must decide.
+
+    Number the finite weights of a map in grid order and take the float
+    slopes sigma_t of their adjacent pairs; |sigma_t| is that pair's dense
+    quotient, so their largest M is at most the dense maximum Q*.  If
+    M = 0, all of a map's finite weights are equal and Q* = 0.  Otherwise,
+    with u = 2^-53, 2^-1000 <= M < inf, and g the least and W the whole
+    spacing of ``xs``:
+
+    * a pair p* attaining Q* has, in exact arithmetic, a slope of size
+      q >= Q* * (1 - 3u) >= M * (1 - 3u), and every exact adjacent slope
+      s_t has |s_t| <= M * (1 + 4u) (each quotient is three roundings
+      away from the exact one);
+    * q is the mean of the s_t it spans, weighted by their gaps, each
+      weight at least g / W.  Say q > 0: then each of them has
+      s_t >= M * (1 + 4u) - 7u * M * W / g, so sigma_t >= M * (1 - 8u * W / g),
+      which is at least M * (1 - NEAR_TIE / 2) when 16u * W / g <= NEAR_TIE.
+
+    So p* joins two points of one maximal run of adjacent slopes of one
+    sign with |sigma_t| >= M * (1 - NEAR_TIE), and the maximum over the
+    pairs inside those runs is Q*.  Falls back (None) when W / g is too
+    large, M is outside that range, or the runs hold more than
+    ``PAIR_BUDGET`` * n pairs.
+    """
+    if not 16 * _U * float(xs[-1] - xs[0]) <= NEAR_TIE * float(np.diff(xs).min()):
+        return None
+    slopes = []
+    for w in system.weights:
+        finite = np.flatnonzero(w > BOTTOM)
+        slopes.append((finite, np.diff(w[finite]) / np.diff(xs[finite])))
+    top = max((float(np.abs(s).max()) for _, s in slopes if s.size), default=0.0)
+    if top == 0.0:
+        return 0.0
+    if not _TINY <= top < np.inf:
+        return None
+    best, budget = top, PAIR_BUDGET * xs.size
+    for (finite, s), w in zip(slopes, system.weights):
+        if not s.size:
+            continue
+        a, b = _run_pairs(np.sign(s) * (np.abs(s) >= top * (1.0 - NEAR_TIE)))
+        if a.size > budget:
+            return None
+        budget -= a.size
+        if a.size:
+            pa, pb = finite[a], finite[b]
+            best = max(best, float((np.abs(w[pa] - w[pb]) / np.abs(xs[pa] - xs[pb])).max()))
     return best
 
 

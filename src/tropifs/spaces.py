@@ -1,19 +1,24 @@
 """Finite discretizations of compact metric spaces.
 
-A :class:`FiniteSpace` is a point set with a full distance table and a
-``resolution``: the covering radius the discretization guarantees relative
-to the continuum it stands in for (0 when the space is exact, as for the
-two-point space or any space used as-is).  Interval grids carry float
-coordinates; truncated shift spaces carry words (tuples of symbols) under
-the cylinder metric d(w, v) = (1/2)^(first mismatch position).
+A :class:`FiniteSpace` is a point set with a metric and a ``resolution``:
+the covering radius the discretization guarantees relative to the
+continuum it stands in for (0 when the space is exact, as for the
+two-point space or any space used as-is).  A space given as a distance
+table holds that table.  The builders' spaces instead hold a record the
+metric can be read from, and build their dense ``dist`` only when
+something reads it:
 
-A shift space also carries a :class:`Shift` record of its alphabet size
-and depth.  Its words are listed lexicographically, so the words sharing a
-prefix of length p form contiguous index blocks of side
-symbols^(depth - p), and the metric can be read from the word order alone:
-the routines on a shift (here :func:`hausdorff`, and the contraction,
-Lipschitz and fuzzy level-cut routines) work in O(n * depth) on those
-blocks, and a shift builds its dense ``dist`` only when something reads it.
+* an interval grid holds a :class:`Grid` of its sorted float coordinates,
+  under d(x, y) = |x - y|; the contraction and Lipschitz routines on a
+  grid read the coordinates in about O(m^2 * n log n), while
+  :func:`hausdorff` and the fuzzy level sweep still read ``dist``;
+* a truncated shift space holds a :class:`Shift` of its alphabet size and
+  depth.  Its words (tuples of symbols) are listed lexicographically under
+  the cylinder metric d(w, v) = (1/2)^(first mismatch position), so the
+  words sharing a prefix of length p form contiguous index blocks of side
+  symbols^(depth - p), and every routine on a shift (here
+  :func:`hausdorff`, and the contraction, Lipschitz and fuzzy level-cut
+  routines) works in O(n * depth) on those blocks.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ import numpy as np
 from .errors import ConfigError, EmptySetError
 
 METRIC_TOL = 1e-12
-#: Most points :func:`build_grid` and :func:`build_shift_space` will build.
-#: A grid holds a dense n x n ``dist`` (2 GiB at this limit), so the count
-#: is checked before anything is allocated; a shift builds its table only
-#: when it is read.
+#: Most points :func:`build_grid` and :func:`build_shift_space` will build,
+#: checked before anything is allocated.  Neither space holds a table, but
+#: a grid's :func:`hausdorff` and fuzzy sweep still build its n x n
+#: ``dist`` (2 GiB at this limit) on first read.
 MAX_POINTS = 2**14
 
 
@@ -141,6 +146,26 @@ class Shift(NamedTuple):
         return dist
 
 
+class Grid(NamedTuple):
+    """Sorted, distinct float coordinates under d(x, y) = |x - y|.
+
+    Every distance is ``abs`` of one float subtraction, here and in the
+    dense table alike, so both give the same floats; as fl(x - y) is
+    monotone in x and in y, the farthest pair is the first and the last
+    point.
+    """
+
+    xs: np.ndarray
+
+    def distances(self, i, k) -> np.ndarray:
+        """d(i, k) elementwise over index arrays."""
+        return np.abs(self.xs[i] - self.xs[k])
+
+    def table(self) -> np.ndarray:
+        """The dense n x n table."""
+        return np.abs(self.xs[:, None] - self.xs[None, :])
+
+
 class FiniteSpace:
     """Finite point set standing in for a compact metric space, or the
     metric space of map indices of a system.
@@ -148,12 +173,10 @@ class FiniteSpace:
     ``labels`` is kept as a tuple, so every reader shares one immutable
     object.  ``points`` is an optional payload: grid coordinates (float
     array, read by :func:`snap`) or shift words (tuple of tuples).
-    ``shift`` is set only by :func:`build_shift_space`, and is how code
-    tells a shift: such a space takes no table, and builds ``dist`` on its
-    first read.
-    ``_metric_by_construction`` is set only by the builders whose tables
-    are metrics by construction (|x - y| on distinct grid points), which
-    skip the O(n^3) :func:`check_metric`.
+    ``grid`` and ``shift`` are set only by :func:`build_grid` and
+    :func:`build_shift_space`, and are how code tells those spaces: such a
+    space takes no table, skips the O(n^3) :func:`check_metric` (its
+    metric is one by construction) and builds ``dist`` on its first read.
     """
 
     def __init__(
@@ -163,20 +186,23 @@ class FiniteSpace:
         resolution: float = 0.0,
         points: Optional[object] = None,
         shift: Optional[Shift] = None,
-        _metric_by_construction: bool = False,
+        grid: Optional[Grid] = None,
     ):
         self.labels = tuple(labels)
         self.resolution = resolution
         self.points = points
         self.shift = shift
-        if shift is None:
-            self._dist = _lock(dist)
-            if not _metric_by_construction:
-                check_metric(self._dist)
-            size = self._dist.shape[0]
-        else:
+        self.grid = grid
+        if shift is not None:
             self._dist = None
             size = shift.symbols**shift.depth
+        elif grid is not None:
+            self._dist = None
+            size = len(grid.xs)
+        else:
+            self._dist = _lock(dist)
+            check_metric(self._dist)
+            size = self._dist.shape[0]
         if len(self.labels) != size:
             raise ConfigError("labels and distance table disagree in size")
         if self.resolution < 0:
@@ -185,8 +211,16 @@ class FiniteSpace:
     @property
     def dist(self) -> np.ndarray:
         if self._dist is None:
-            self._dist = _lock(self.shift.table())
+            record = self.shift if self.shift is not None else self.grid
+            self._dist = _lock(record.table())
         return self._dist
+
+    def distances(self, i, k) -> np.ndarray:
+        """d(i, k) elementwise over index arrays, equal to ``dist[i, k]``;
+        a grid reads them from its coordinates."""
+        if self.grid is not None:
+            return self.grid.distances(i, k)
+        return self.dist[i, k]
 
     @property
     def n(self) -> int:
@@ -198,6 +232,8 @@ class FiniteSpace:
             return 0.0
         if self.shift is not None:
             return float(self.shift.levels[0])
+        if self.grid is not None:
+            return float(self.grid.xs[-1] - self.grid.xs[0])
         return float(self.dist.max())
 
 
@@ -209,17 +245,15 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
         raise ConfigError(f"grid of {n} points is larger than the limit of {MAX_POINTS}")
     if not a < b:
         raise ConfigError("grid requires a < b")
-    xs = np.linspace(a, b, n)
+    xs = _lock(np.linspace(a, b, n))
     if not np.all(np.diff(xs) > 0):
         raise ConfigError("grid points must be distinct real numbers")
-    dist = np.abs(xs[:, None] - xs[None, :])
     res = (b - a) / (2 * (n - 1))
     return FiniteSpace(
         labels=[repr(float(x)) for x in xs],
-        dist=dist,
         resolution=res,
-        points=_lock(xs),
-        _metric_by_construction=True,
+        points=xs,
+        grid=Grid(xs),
     )
 
 
@@ -246,11 +280,29 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
     )
 
 
-def snap(space: FiniteSpace, value: float) -> int:
-    """Index of the grid point nearest ``value``; ties break toward the lowest index."""
-    if space.points is None or not isinstance(space.points, np.ndarray):
+def snap(space: FiniteSpace, value):
+    """Index of the grid point nearest ``value``; ties break toward the lowest index.
+
+    ``value`` may be an array, which gives an array of indices.  Nearest
+    means least ``abs(points - value)``, one float subtraction per point.
+    That is monotone in the point, so only the sorted predecessor and
+    successor of a value compete, and both are found by one binary search.
+    A value that ties the predecessor with the point before it (where the
+    subtraction rounds two points to one distance) takes the full scan.
+    """
+    xs = space.points
+    if xs is None or not isinstance(xs, np.ndarray):
         raise ConfigError("space has no coordinate payload to snap a value onto")
-    return int(np.argmin(np.abs(space.points - float(value))))
+    v = np.asarray(value, dtype=np.float64)
+    flat = v.reshape(-1)
+    hi = np.minimum(np.searchsorted(xs, flat), xs.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    near_lo, near_hi = np.abs(xs[lo] - flat), np.abs(xs[hi] - flat)
+    pick = np.where(near_lo <= near_hi, lo, hi)
+    rounded = (pick > 0) & (np.abs(xs[pick - 1] - flat) == np.minimum(near_lo, near_hi))
+    for at in np.flatnonzero(rounded):
+        pick[at] = np.argmin(np.abs(xs - flat[at]))
+    return int(pick[0]) if v.ndim == 0 else pick.reshape(v.shape)
 
 
 def _shift_directed(shift: Shift, ai: np.ndarray, bi: np.ndarray) -> float:

@@ -403,6 +403,73 @@ def naive_weight_lipschitz(dx, weights):
     return best
 
 
+def dense_contraction_constant(system):
+    """The library's dense gamma_hat over a full distance table, as it stood
+    before grids held no table: one n x n block per map pair j1 <= j2."""
+    dx = system.space.dist
+    dj = system.index_space.dist
+    img = system.maps  # (m, n)
+    slack2 = 2.0 * system.snap_slack
+    m, n = img.shape
+    numer = np.empty((n, n))
+    denom = np.empty((n, n))
+    best = 0.0
+    for j1 in range(m):
+        rows = dx[img[j1]]
+        for j2 in range(j1, m):
+            np.take(rows, img[j2], axis=1, out=numer)
+            np.subtract(numer, slack2, out=numer)
+            np.add(dj[j1, j2], dx, out=denom)
+            if dj[j1, j2] > 0:
+                quot = np.divide(numer, denom, out=numer)
+            else:
+                mask = denom > 0
+                quot = numer[mask] / denom[mask]
+            if quot.size:
+                best = max(best, float(quot.max()))
+    return best
+
+
+def dense_weight_lipschitz(system):
+    """The library's dense Lipschitz estimate over a full distance table, as
+    it stood before grids held no table."""
+    dx = system.space.dist
+    best = 0.0
+    for j in range(system.num_maps):
+        w = system.weights[j]
+        finite = w > BOTTOM
+        if finite.sum() < 2:
+            continue
+        wf = w[finite]
+        sub = dx[np.ix_(finite, finite)]
+        diff = np.abs(wf[:, None] - wf[None, :])
+        mask = sub > 0
+        if mask.any():
+            best = max(best, float(np.max(diff[mask] / sub[mask])))
+    return best
+
+
+def naive_snap(xs, value):
+    """Index of the coordinate nearest ``value`` by a full scan; ties go to the lowest index."""
+    return int(np.argmin(np.abs(xs - float(value))))
+
+
+def naive_affine_grid_maps(xs, num_maps, rng, constant_first):
+    """The snapped affine maps of ``examples._affine_grid_maps``, one scan per point."""
+    a, b = float(xs[0]), float(xs[-1])
+    maps = []
+    for j in range(num_maps):
+        if constant_first and j == 0:
+            maps.append([naive_snap(xs, rng.uniform(a, b))] * len(xs))
+            continue
+        slope = rng.uniform(0.2, 0.6) * (1 if rng.random() < 0.5 else -1)
+        span_lo = min(slope * a, slope * b)
+        span_hi = max(slope * a, slope * b)
+        shift = rng.uniform(a - span_lo, b - span_hi)
+        maps.append([naive_snap(xs, shift + slope * float(x)) for x in xs])
+    return maps
+
+
 def naive_cylinder_table(words):
     """d(w, v) = (1/2)^i at the first position i >= 1 where the words differ."""
     n = len(words)

@@ -15,6 +15,7 @@ import tropifs
 from tropifs.cli import main
 from tropifs.examples import build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
+from tropifs.mane import MAX_CLOSURE_POINTS
 from tropifs.spaces import MAX_POINTS
 
 from oracles import system_to_jsonable
@@ -281,6 +282,22 @@ def test_oversized_space_exits_before_allocating(tmp_path, capsys, command, conf
     assert f"{count} points is larger than the limit of {MAX_POINTS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system", [
+    # 3^7 = 2187 points; constant weights may make every point Aubry
+    {"builder": "shift_random", "symbols": 3, "depth": 7, "seed": 1, "constant_weights": True},
+    {"builder": "grid_random", "a": 0, "b": 1, "n": MAX_CLOSURE_POINTS + 1, "num_maps": 2},
+], ids=["shift_random", "grid_random"])
+def test_mane_over_the_closure_limit_exits_before_the_closure(tmp_path, capsys, system):
+    start = time.perf_counter()
+    code, out = run(tmp_path, "mane", {"system": system})
+    assert code == 3
+    assert time.perf_counter() - start < 2.0
+    n = 3**7 if system["builder"] == "shift_random" else MAX_CLOSURE_POINTS + 1
+    assert (f"n = {n} points is larger than the limit of {MAX_CLOSURE_POINTS}"
+            in capsys.readouterr().err)
+    assert not (out / "S.csv").exists()
+
+
 def test_mane_two_point(tmp_path):
     code, out = run(tmp_path, "mane", {"system": {"builder": "two_point"}})
     assert code == 0
@@ -544,8 +561,49 @@ SNAPPED_GRID = {"system": {"inline": {
     "exact_maps": False}}}
 # Identity maps: gamma_hat is 1, so validate writes the error report.
 NON_CONTRACTIVE = {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, 1], [0, 1]]}}}
-# (name, command, config): configs with no random draws, so every output
-# file is fixed by the code alone.
+
+
+def tied_grid(seed, constant=False):
+    """Three snapped affine contractions on the 512-point grid of [0, 1]
+    with dyadic penalty weights, the shape of the benchmark's grid runs.
+
+    The place-dependent system has gamma_hat = 0.5 exactly, attained by
+    8 256 pairs of map 1 alone; the constant one has 66 pairs at 0.45.
+    """
+    n = 512
+    rng = np.random.default_rng([seed, n, int(constant)])
+    xs = np.linspace(0.0, 1.0, n)
+    maps = np.empty((3, n), dtype=np.int64)
+    for j, (slope, offset) in enumerate(((0.5, 0.0), (-0.45, 0.9), (0.4, 0.55))):
+        maps[j] = np.clip(np.rint((slope * xs + offset) * (n - 1)), 0, n - 1)
+
+    def penalties(shape):
+        return -np.round(rng.uniform(1.0, 1.75, size=shape) * 2**26) / 2**26
+
+    if constant:
+        maps[0] = round((n - 1) / 3)
+        w = penalties(3)
+        w[0] = 0.0
+        weights = np.repeat(w[:, None], n, axis=1)
+    else:
+        weights = penalties((3, n))
+        weights[np.arange(n) * 3 // n, np.arange(n)] = 0.0
+    return {"system": {"inline": {
+        "space": {"grid": {"a": 0.0, "b": 1.0, "n": n}},
+        "index_space": {"labels": ["1", "2", "3"], "dist": (2.5 * (1.0 - np.eye(3))).tolist()},
+        "maps": maps.tolist(),
+        "weights": weights.tolist(),
+        "exact_maps": False,
+    }}}
+
+
+def grid_random(n, constant, a=0, b=1, seed=5):
+    return {"system": {"builder": "grid_random", "a": a, "b": b, "n": n, "num_maps": 3,
+                       "seed": seed, "constant_weights": constant}}
+
+
+# (name, command, config): configs with no draws but their own seeded
+# ones, so every output file is fixed by the code alone.
 GOLDEN_RUNS = [
     ("demo31", "demo31", {}),
     ("demo31-no-alphas", "demo31", {"demo31": {"alphas": []}}),
@@ -583,6 +641,12 @@ GOLDEN_RUNS = [
     ("snapped-grid-enumerate", "invariant", {
         **SNAPPED_GRID, "invariant": {"mode": "enumerate",
                                       "levels": [0.0, -0.5, "-inf", -0.5, -0.0]}}),
+    ("grid64-validate", "validate", grid_random(64, False)),
+    ("grid64-constant-validate", "validate", grid_random(64, True)),
+    ("grid700-validate", "validate", grid_random(700, False, a=-1, b=2.5, seed=11)),
+    ("grid700-constant-validate", "validate", grid_random(700, True, a=-1, b=2.5, seed=11)),
+    ("tied-grid-validate", "validate", tied_grid(1)),
+    ("tied-grid-constant-validate", "validate", tied_grid(1, constant=True)),
 ]
 #: Golden runs that end in a domain failure and still write their report.
 GOLDEN_EXIT = {"non-contractive-validate": 2}
@@ -642,6 +706,13 @@ GOLDEN_DIGESTS = {
     "demo31-no-alphas/report.json": "b561d49779c14c10db38f0bed89228d62741fa5f7b7eefcdef4dda65105e153b",
     "demo31-depth12/density.json": "b89a0b5d530e85c5db9994c9eaf1e2b27a1a9d2908d4cc5f16927f139e131ba4",
     "demo31-depth12/report.json": "95a26e1980adfd44553d4b868482e4844d60fb44933d48672052e5c8a838975e",
+    # recorded before grids stopped holding a distance table
+    "grid64-validate/validation.json": "4125e617cb6f1dc322a0180c4e9527643d102c871ee50466463c90c38a8bbf26",
+    "grid64-constant-validate/validation.json": "fb2c37177eb8781754124b990e3f516d6b7705e29f2d17ece3a3a9b73dd464f3",
+    "grid700-validate/validation.json": "6829fe75eeffe1ab10ccb5a49374203196d0477ad54aed205ffb16cdadd42201",
+    "grid700-constant-validate/validation.json": "1dffd8022d7ffa7456d85a4867039f334a994e70fe5c5c0c5a43d730f49013d5",
+    "tied-grid-validate/validation.json": "66ea019c76da50e3feaa4ff99db2d658ab2b989481425bf57e3494fe93226586",
+    "tied-grid-constant-validate/validation.json": "6690e61554e0ae1e12ed534dfd317a1d052d2ad3b774826d641f4092c98f8e37",
 }
 
 

@@ -1,0 +1,286 @@
+"""Grids read the metric |x - y| from their sorted coordinates.
+
+The contraction and Lipschitz routines on a grid are checked for exact
+equality (``==`` on floats) against the dense routines as they stood
+before grids held no table (``oracles.dense_*``) and against the loop
+oracles.  The grid side must never build its table.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tropifs.mpifs as mpifs
+import tropifs.spaces as spaces
+from tropifs.config import RunConfig, build_system
+from tropifs.examples import _affine_grid_maps, discrete_index_space, random_system
+from tropifs.invariant import constant_weight_density, enumerate_invariants, verify_invariant
+from tropifs.mane import mane_potential
+from tropifs.maxplus import BOTTOM
+from tropifs.mpifs import MpIfs, _contraction_constant, _pairs_above, _weight_lipschitz, validate
+from tropifs.serialize import space_from_jsonable
+from tropifs.spaces import MAX_POINTS, FiniteSpace, build_grid, snap
+
+from oracles import (
+    dense_contraction_constant,
+    dense_weight_lipschitz,
+    naive_affine_grid_maps,
+    naive_contraction_constant,
+    naive_snap,
+    naive_weight_lipschitz,
+    space_to_jsonable,
+)
+
+
+@st.composite
+def grid_systems(draw, max_points=40):
+    """Unvalidated systems on a grid: arbitrary, sorted, constant, snapped
+    affine or halving index maps; non-dyadic, dyadic, linear, constant or
+    alternating weights with BOTTOM entries; either value of
+    ``exact_maps``; discrete or line index spaces of several spacings.
+
+    Halving maps on an integer grid, linear weights and alternating
+    weights plant exact ties among many pairs.
+    """
+    n = draw(st.integers(2, max_points))
+    a = draw(st.sampled_from([0.0, -1.0, 0.3, 1e3]))
+    b = draw(st.sampled_from([a + 1.0, a + 0.3, a + 2.5, a + n - 1.0]))
+    space = build_grid(a, b, n)
+    xs = space.grid.xs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "sorted", "constant", "affine", "halving"]))
+    if kind == "constant":
+        maps = np.repeat(rng.integers(0, n, size=(m, 1)), n, axis=1)
+    elif kind == "affine":
+        slopes = rng.choice([0.5, -0.5, 0.45, -0.25, 1.0 / 3], size=m)
+        offsets = np.where(slopes > 0, a, b) + rng.uniform(0.0, 0.5, size=m) * (b - a)
+        maps = snap(space, offsets[:, None] + slopes[:, None] * (xs - a))
+    elif kind == "halving":
+        maps = np.arange(n) // 2 + rng.integers(0, n - n // 2 + 1, size=(m, 1))
+        maps = np.minimum(maps, n - 1)
+    else:
+        maps = rng.integers(0, n, size=(m, n))
+        if kind == "sorted":
+            maps.sort(axis=1)
+    weights = draw(st.sampled_from(["random", "dyadic", "linear", "constant", "alternating"]))
+    if weights == "linear":
+        w = -rng.choice([0.125, 0.3], size=(m, 1)) * (xs - a)
+    elif weights == "constant":
+        w = np.repeat(-rng.uniform(0.0, 2.0, size=(m, 1)), n, axis=1)
+    elif weights == "alternating":
+        w = np.repeat(-0.25 * (np.arange(n) % 2)[None, :], m, axis=0)
+    else:
+        w = -rng.uniform(0.0, 2.0, size=(m, n))
+        if weights == "dyadic":
+            w = np.round(w * 2**26) / 2**26
+    w = w.copy()
+    w[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = BOTTOM
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from([0.1, 1.0 / 3, 1.0, 2.5]))
+        isp = discrete_index_space([str(j) for j in range(m)], spacing=spacing)
+    else:
+        ks = draw(st.lists(st.integers(-7, 7), min_size=m, max_size=m, unique=True))
+        pts = np.array([0.3 * k for k in ks])
+        isp = FiniteSpace([str(j) for j in range(m)], np.abs(pts[:, None] - pts[None, :]))
+    return MpIfs(space, isp, maps, w, exact_maps=draw(st.booleans()))
+
+
+def fast_then_dense(system):
+    """The grid routines' values, checked to leave the table unbuilt, and
+    the dense routines' values on the same system."""
+    fast = (_contraction_constant(system), _weight_lipschitz(system))
+    assert system.space._dist is None
+    return fast, (dense_contraction_constant(system), dense_weight_lipschitz(system))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_systems())
+def test_contraction_and_lipschitz_match_the_dense_routines_and_the_loops(system):
+    (gamma, lip), dense = fast_then_dense(system)
+    assert (gamma, lip) == dense
+    dx, dj = system.space.dist, system.index_space.dist
+    assert system.space.diameter == dx.max()
+    assert gamma == naive_contraction_constant(dx, dj, system.maps, system.snap_slack)
+    assert lip == naive_weight_lipschitz(dx, system.weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_systems(max_points=600))
+def test_contraction_and_lipschitz_match_the_dense_routines_on_larger_grids(system):
+    fast, dense = fast_then_dense(system)
+    assert fast == dense
+
+
+def test_pairs_past_the_budget_take_the_row_blocks(monkeypatch):
+    # an exact reflection and linear weights on an integer grid tie every pair
+    n = 200
+    space = build_grid(0.0, n - 1.0, n)
+    system = MpIfs(space, discrete_index_space(["1"]), np.arange(n)[None, ::-1],
+                   -0.125 * np.arange(n)[None, :], exact_maps=True)
+    ran = []
+    for name in ("_block_contraction_constant", "_block_weight_lipschitz"):
+        block = getattr(mpifs, name)
+        monkeypatch.setattr(mpifs, name, lambda s, block=block: ran.append(s) or block(s))
+    fast, dense = fast_then_dense(system)
+    assert len(ran) == 2
+    assert fast == dense == (1.0, 0.125)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_systems(max_points=100))
+def test_a_zero_budget_still_gives_the_dense_values(system):
+    # every listing with a pair in it runs over the budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpifs, "PAIR_BUDGET", 0)
+        fast, dense = fast_then_dense(system)
+    assert fast == dense
+
+
+def uneven_grid(xs):
+    """A grid record on sorted coordinates that no builder makes."""
+    xs = np.array(xs, dtype=float)
+    return FiniteSpace([repr(x) for x in xs], points=xs, grid=spaces.Grid(xs))
+
+
+@pytest.mark.parametrize("space, maps, weights, spacing", [
+    # |x| near the largest float: the verify test's terms overflow
+    (build_grid(0.0, 1.7e308, 9), np.arange(9)[None, ::-1] // 2, np.zeros((1, 9)), 1.0),
+    # two constant maps 1e-305 apart: every quotient is below 2^-1000;
+    # one map has one finite weight
+    (build_grid(0.0, 1e-305, 9), np.array([[0] * 9, [1] * 9]),
+     np.array([[0.0, -5e-324] * 4 + [0.0], [BOTTOM] * 8 + [0.0]]), 1.0),
+    # Lipschitz slopes below 2^-1000
+    (build_grid(0.0, 1e6, 9), np.arange(9)[None, :] // 3, np.array([[0.0, -1e-300] * 4 + [0.0]]),
+     1.0),
+    # spacings 1e-7 and 1 apart: the Lipschitz window would be too wide
+    (uneven_grid([0.0, 1e-7, 1.0, 2.0]), np.array([[1, 0, 3, 2]]),
+     np.array([[0.0, -1e-7, -0.5, -0.25]]), 1.0),
+])
+def test_extreme_scales_take_the_row_blocks(monkeypatch, space, maps, weights, spacing):
+    ran = []
+    for name in ("_block_contraction_constant", "_block_weight_lipschitz"):
+        block = getattr(mpifs, name)
+        monkeypatch.setattr(mpifs, name, lambda s, block=block: ran.append(s) or block(s))
+    isp = discrete_index_space([str(j) for j in range(len(maps))], spacing=spacing)
+    system = MpIfs(space, isp, maps, weights, exact_maps=True)
+    fast, dense = fast_then_dense(system)
+    assert fast == dense and ran
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairs_above_lists_every_pair_over_the_floor(data):
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 20))
+    values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, BOTTOM])  # ties and padding
+    lead = np.array(data.draw(st.lists(values, min_size=rows * n, max_size=rows * n)))
+    tail = np.array(data.draw(st.lists(values, min_size=rows * n, max_size=rows * n)))
+    lead, tail = lead.reshape(rows, n), tail.reshape(rows, n)
+    floor = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.5]),
+                                        min_size=rows, max_size=rows)))
+    strict = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    expected = {(r, i, k) for r in range(rows) for i in range(n) for k in range(i + strict[r], n)
+                if lead[r, i] + tail[r, k] >= floor[r]}
+    found = _pairs_above(lead, tail, floor, strict, rows * n * n)
+    assert sorted(zip(*map(np.ndarray.tolist, found))) == sorted(expected)
+    if expected:
+        assert _pairs_above(lead, tail, floor, strict, len(expected) - 1) is None
+
+
+def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):
+    system = random_system(build_grid(-1.0, 2.5, 57), 3, 4)
+    expected = (system.validation.gamma_hat, system.validation.lip_c_hat)
+
+    def refuse(*args):
+        raise AssertionError("an explicit table took a grid routine")
+
+    monkeypatch.setattr(mpifs, "_grid_contraction_constant", refuse)
+    monkeypatch.setattr(mpifs, "_grid_weight_lipschitz", refuse)
+    inline = space_from_jsonable(space_to_jsonable(system.space))
+    assert inline.grid is None and inline.points is None
+    twin = MpIfs(inline, system.index_space, system.maps, system.weights)
+    report = validate(twin)
+    assert (report.gamma_hat, report.lip_c_hat) == expected
+    with pytest.raises(AssertionError, match="grid routine"):
+        _contraction_constant(system)
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_pipeline_never_builds_the_table(monkeypatch, constant):
+    def refuse(self):
+        raise AssertionError("a grid built its table")
+
+    monkeypatch.setattr(spaces.Grid, "table", refuse)
+    cfg = RunConfig(system={"builder": "grid_random", "a": 0, "b": 1, "n": 4096,
+                            "num_maps": 3, "seed": 2, "constant_weights": constant})
+    system = build_system(cfg)
+    pot = mane_potential(system)
+    if constant:
+        lam = constant_weight_density(system, pot)
+    else:
+        lam = enumerate_invariants(system, pot, [0.0, -0.5]).density
+    assert verify_invariant(system, lam, 1e-9).passed
+    assert system.space._dist is None
+    with pytest.raises(AssertionError, match="built its table"):
+        system.space.dist
+
+
+def test_validate_on_the_largest_grid_stays_far_below_one_table(monkeypatch):
+    # one 2^14 x 2^14 table would take 2 GiB
+    def refuse(*args):
+        raise AssertionError("the row blocks ran")
+
+    monkeypatch.setattr(mpifs, "_block_contraction_constant", refuse)
+    monkeypatch.setattr(mpifs, "_block_weight_lipschitz", refuse)
+    space = build_grid(0.0, 1.0, MAX_POINTS)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = random_system(space, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert system.validation.gamma_hat < 1 and space._dist is None
+    assert peak < 32 * 2**20
+
+
+@st.composite
+def grids_and_values(draw):
+    """A grid and values near it: its points, exact midpoints of
+    neighbours, its ends and beyond, and affine images of both signs."""
+    n = draw(st.integers(2, 60))
+    # where ulp(1e16) = 2, |x - v| often rounds two points to one distance
+    a, width = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.3), (0.1, n - 1.0), (1e16, 2.0**10)]))
+    b = a + width
+    space = build_grid(a, b, n)
+    xs = space.grid.xs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slope = draw(st.sampled_from([0.5, -0.5, 0.37, -0.6, 1.0, -1.0]))
+    values = np.concatenate([
+        xs, (xs[:-1] + xs[1:]) / 2, [a, b, a - 1.0, b + 1.0, np.inf, -np.inf, 1e300],
+        rng.uniform(a, b, size=n), slope * (xs - a) + (a if slope > 0 else b),
+    ])
+    return space, rng.permutation(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids_and_values())
+@example((build_grid(0.0, 4.0, 5), np.array([0.5, 1.5, 2.5, 3.5, 4.0, -1.0])))
+def test_snap_is_the_per_point_scan(case):
+    space, values = case
+    expected = [naive_snap(space.points, v) for v in values]
+    assert snap(space, values).tolist() == expected
+    assert [snap(space, v) for v in values] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 80), st.sampled_from([(0.0, 1.0), (-1.0, 2.5), (0.0, 63.0)]),
+       st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_affine_grid_maps_are_the_per_point_snaps(n, ends, m, constant_first, seed):
+    space = build_grid(*ends, n)
+    maps = _affine_grid_maps(space, m, np.random.default_rng(seed), constant_first)
+    expected = naive_affine_grid_maps(space.points, m, np.random.default_rng(seed), constant_first)
+    assert maps.tolist() == expected

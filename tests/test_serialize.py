@@ -250,6 +250,16 @@ def test_write_json_deep_nesting_and_repeats(tmp_path):
     assert path.read_bytes() == dumps(obj)
 
 
+def test_write_json_writes_a_look_alike_block_with_json_dumps(tmp_path):
+    # a plain list of {"labels", "values"} documents that density_to_jsonable
+    # did not make carries no texts: only json.dumps may write it
+    docs = [{"labels": ["a", "b"], "values": [0.0, "-inf"]},
+            {"labels": ["a", "b"], "values": [1, [-0.0, None]]}]
+    path = tmp_path / "density.json"
+    write_json(path, docs)
+    assert path.read_bytes() == dumps(docs)
+
+
 def test_write_json_rejects_what_json_rejects(tmp_path):
     for obj in ([object()], {"a": np.int64(1)}, {1: 1, "a": 2}, {(1,): 2}):
         with pytest.raises(TypeError):
