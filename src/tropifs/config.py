@@ -34,6 +34,7 @@ anything.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -66,8 +67,8 @@ class RunConfig:
                 raise ConfigError(f"config block {name!r} must be an object")
         for block in (self.mane, self.invariant, self.fuzzy):
             for key, val in block.items():
-                if key.startswith("tol") and not scalar(val, float, key) > 0:
-                    raise ConfigError(f"tolerance {key} must be > 0")
+                if key.startswith("tol") and not 0 < scalar(val, float, key) < math.inf:
+                    raise ConfigError(f"tolerance {key} must be finite and > 0, got {val!r}")
 
 
 def load_config(path) -> RunConfig:

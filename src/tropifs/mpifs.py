@@ -32,11 +32,11 @@ from .spaces import FiniteSpace, Shift
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12
-#: Relative width of the window of near-ties that the grid routines
-#: evaluate exactly (see :func:`_grid_contraction_constant`).
+#: Relative width of the window of near-ties that the grid search
+#: evaluates exactly (see :func:`_grid_quotient_max`).
 NEAR_TIE = 1e-9
-#: Pairs per point the grid routines may evaluate before they fall back
-#: to the row blocks.
+#: Pairs per point the grid search may evaluate before it falls back to
+#: the row blocks.
 PAIR_BUDGET = 64
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1000  # well inside the normal floats
@@ -121,8 +121,9 @@ def _contraction_constant(system: MpIfs) -> float:
     On a shift the maximum is read from the cylinder blocks in
     O(m^2 * n * depth) (:func:`_shift_contraction_constant`), and on a grid
     located and verified from the coordinates in about O(m^2 * n log n)
-    (:func:`_grid_contraction_constant`), which falls back to the row
-    blocks of :func:`_block_contraction_constant` on rare inputs.  An
+    (:func:`_grid_quotient_max`, the search that also gives lip_c_hat),
+    which falls back to the row blocks of
+    :func:`_block_contraction_constant` on rare inputs.  An
     explicit table always takes the row blocks.
     """
     space = system.space
@@ -180,68 +181,85 @@ def _grid_contraction_constant(system: MpIfs, xs: np.ndarray) -> Optional[float]
     """:func:`_contraction_constant` on a grid from its sorted coordinates
     ``xs``, bit for bit, or None when the row blocks must decide.
 
-    The quadruples are split into cases, one per map pair (ja, jb) taken in
-    both orders and per sign s = +-1, each over the index pairs i <= k
-    (i < k when dJ = 0, whose i = k has no quotient):
+    The quadruples are one :func:`_grid_quotient_max` over the coordinates
+    ys = xs[maps] of the images, with a case per map pair (ja, jb) taken in
+    both orders, the index distance dJ of the pair and the snap slack.
+    """
+    j1, j2 = np.triu_indices(system.num_maps)
+    off = j1 < j2
+    ja, jb = np.concatenate([j1, j2[off]]), np.concatenate([j2, j1[off]])
+    return _grid_quotient_max(xs, xs[system.maps], ja, jb, system.index_space.dist[ja, jb],
+                              2.0 * system.snap_slack)
 
-        (s * (y_ja(i) - y_jb(k)) - 2*slack) / (dJ + x_k - x_i),
 
-    y_j being the coordinates of the images of map j.  The dense quotient
-    of a pair uses |y_ja(i) - y_jb(k)|, the largest of its two signs.
+def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.ndarray,
+                       dj: np.ndarray, slack2: float) -> Optional[float]:
+    """The largest of 0 and the float quotients
+
+        (|ys[ja, i] - ys[jb, k]| - slack2) / (dj + |xs[i] - xs[k]|)
+
+    of every case (ja, jb, dj) over the index pairs i <= k (i < k when
+    dj = 0, whose i = k has no quotient), or None when the row blocks must
+    decide.  ``xs`` is sorted and distinct, and ``ys`` has finite rows.
+
+    Each case is split by the sign s = +-1 of
+
+        (s * (ys[ja, i] - ys[jb, k]) - slack2) / (dj + x_k - x_i),
+
+    and |ys[ja, i] - ys[jb, k]| is the larger of the two signs.
 
     * **Locate.** Dinkelbach's method (Management Sci. 13, 1967) raises a
       shared bound: for the bound L it finds, in every case at once, the
       pair maximizing numerator - L * denominator from prefix maxima of
-      s * y_ja(i) + L * x_i, and L becomes the largest dense float quotient
-      of those pairs, until it stops growing.  L is the quotient of a pair,
+      s * ys[ja, i] + L * x_i, and L becomes the largest float quotient of
+      those pairs, until it stops growing.  L is the quotient of a pair,
       so it is at most the maximum.  The first round (L = 0) finds the
       largest float numerator of every case exactly (float addition is
-      monotone), so if its pairs have no positive quotient, none has.
-    * **Verify.** Every pair whose dense float quotient is >= L is listed,
-      with a few near-ties more, and the maximum is read off them.  With
+      monotone), so if none of its pairs has a positive numerator, no pair
+      has a positive quotient.  A positive numerator whose quotient
+      underflowed to 0 leaves the row blocks to decide.
+    * **Verify.** Every pair whose float quotient is >= L is listed, with
+      a few near-ties more, and the maximum is read off them.  With
       u = 2^-53 and L >= 2^-1000 (so the quotients that count are normal
-      floats), such a pair has (a - 2*slack) / (dJ + e) >= L * (1 - 3u)
-      >= C = L * (1 - NEAR_TIE), where a and e are the float distances.
-      They differ from the exact |y_ja(i) - y_jb(k)| and |x_k - x_i| by at
-      most 2u * X, X bounding |xs|, so in exact arithmetic the pair has,
-      in the case of its sign,
+      floats), such a pair has (a - slack2) / (dj + e) >= L * (1 - 3u)
+      >= C = L * (1 - NEAR_TIE), where a and e are the float differences.
+      Float subtraction has relative error u even below the normal range,
+      so a and e differ from the exact |ys[ja, i] - ys[jb, k]| and
+      |x_k - x_i| by at most 2u * Y and 2u * X, Y bounding |ys| and X
+      bounding |xs|.  In exact arithmetic the pair then has, in the case
+      of its sign,
 
-          A_i + B_k >= 2*slack + C * dJ - 2u * X * (1 + C),
-          A_i = s * y_ja(i) + C * x_i,   B_k = -s * y_jb(k) - C * x_k.
+          A_i + B_k >= slack2 + C * dj - 2u * (Y + C * X),
+          A_i = s * ys[ja, i] + C * x_i,   B_k = -s * ys[jb, k] - C * x_k.
 
-      Each term is at most R = 2 * X * (1 + C) + 2*slack + C * dJ in size,
-      so computing both sides in floats errs by less than 8u * R, and the
-      test is run with a margin of 64u * R.  It is separable, so
+      Each term is at most R = 2 * (Y + C * X) + slack2 + C * dj in size,
+      so computing both sides in floats errs by less than 8u * R, plus a
+      few products' absolute underflow below 2^-1074, and the test is run
+      with a margin of 64u * R >= 2^-1000.  It is separable, so
       :func:`_pairs_above` lists its pairs in O(n + hits * log n) per case.
 
-    Falls back (None) when L is outside the normal range, when R
-    overflows, or when the cases list more than ``PAIR_BUDGET`` * n pairs.
+    Falls back (None) when L is outside the normal range, when 64u * R is
+    below 2^-1000 or R overflows, or when the cases list more than
+    ``PAIR_BUDGET`` * n pairs.
     """
-    img = system.maps
-    m, n = img.shape
-    slack2 = 2.0 * system.snap_slack
-    j1, j2 = np.triu_indices(m)
-    off = j1 < j2
-    ja = np.tile(np.concatenate([j1, j2[off]]), 2)
-    jb = np.tile(np.concatenate([j2, j1[off]]), 2)
+    n = xs.size
+    ja, jb, dj = np.tile(ja, 2), np.tile(jb, 2), np.tile(dj, 2)
     sign = np.repeat([1.0, -1.0], ja.size // 2)
-    dj = system.index_space.dist[ja, jb]
-    ys = xs[img]
     step = max(1, CHUNK_VALUES // n)
     groups = [np.arange(first, min(first + step, ja.size)) for first in range(0, ja.size, step)]
 
     def sums(c, bound):
-        """The separable halves s * y_ja(i) + bound * x_i and
-        -s * y_jb(k) - bound * x_k of the cases ``c``, one row each."""
+        """The separable halves s * ys[ja, i] + bound * x_i and
+        -s * ys[jb, k] - bound * x_k of the cases ``c``, one row each."""
         lead = sign[c, None] * ys[ja[c]] + bound * xs
         return lead, -sign[c, None] * ys[jb[c]] - bound * xs
 
     def quotients(c, i, k):
-        """The dense float quotients of the pairs (i, k) of the cases ``c``."""
+        """The float numerators and quotients of the pairs (i, k) of the cases ``c``."""
         numer = np.abs(ys[ja[c], i] - ys[jb[c], k]) - slack2
-        return numer / (dj[c] + np.abs(xs[i] - xs[k]))
+        return numer, numer / (dj[c] + np.abs(xs[i] - xs[k]))
 
-    low = 0.0
+    low = top = 0.0
     for _ in range(16):
         found = low
         for c in groups:
@@ -253,30 +271,33 @@ def _grid_contraction_constant(system: MpIfs, xs: np.ndarray) -> Optional[float]
             k = np.argmax(best_before + tail, axis=1)
             allowed = np.arange(n) < (k + ~strict)[:, None]
             i = np.argmax(np.where(allowed, lead, -np.inf), axis=1)
-            found = max(found, float(quotients(c, i, k).max()))
+            numer, quot = quotients(c, i, k)
+            top = max(top, float(numer.max()))
+            found = max(found, float(quot.max()))
+        if found == np.inf:
+            return None
         if not found > low:
             break
         low = found
     if low == 0.0:  # the first round's pairs have the largest numerators
-        return 0.0
-    if not _TINY <= low < np.inf:
+        return 0.0 if top <= 0.0 else None
+    if low < _TINY:
         return None
     bound = low * (1.0 - NEAR_TIE)
-    scale = max(abs(float(xs[0])), abs(float(xs[-1])))
+    ybound, xbound = float(np.abs(ys).max()), max(abs(float(xs[0])), abs(float(xs[-1])))
+    margin = 64 * _U * (2.0 * (ybound + bound * xbound) + slack2 + bound * dj)
+    if not ((_TINY <= margin) & (margin < np.inf)).all():
+        return None
     best, budget = low, PAIR_BUDGET * n
     for c in groups:
-        reach = 2.0 * scale * (1.0 + bound) + slack2 + bound * dj[c]
-        if not np.isfinite(reach).all():
-            return None
         lead, tail = sums(c, bound)
-        hits = _pairs_above(lead, tail, slack2 + bound * dj[c] - 64 * _U * reach,
-                            dj[c] == 0, budget)
+        hits = _pairs_above(lead, tail, slack2 + bound * dj[c] - margin[c], dj[c] == 0, budget)
         if hits is None:
             return None
         rows, i, k = hits
         budget -= rows.size
         if rows.size:
-            best = max(best, float(quotients(c[rows], i, k).max()))
+            best = max(best, float(quotients(c[rows], i, k)[1].max()))
     return best
 
 
@@ -322,24 +343,6 @@ def _pairs_above(lead: np.ndarray, tail: np.ndarray, floor: np.ndarray, strict: 
         if i.size > budget:
             return None
     return i >> top, i & (size - 1), k & (size - 1)
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray):
-    """The integers lo[r] <= v < hi[r] of every r, in order, and their r."""
-    count = hi - lo
-    r = np.repeat(np.arange(lo.size), count)
-    return r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count) + lo[r]
-
-
-def _run_pairs(side: np.ndarray):
-    """The pairs a < b of points inside one maximal run of the adjacent
-    slopes t (joining points t and t + 1) that share one nonzero ``side``."""
-    changes = np.concatenate([[True], side[1:] != side[:-1], [True]])
-    first = np.flatnonzero(changes[:-1] & (side != 0))
-    stop = np.flatnonzero(changes[1:] & (side != 0)) + 2  # past the run's last point
-    run, a = _ranges(first, stop - 1)
-    at, b = _ranges(a + 1, stop[run])
-    return a[at], b
 
 
 def _by_block(shift: Shift, ufunc, rows: np.ndarray):
@@ -390,7 +393,7 @@ def _weight_lipschitz(system: MpIfs) -> float:
     |q_j(x1) - q_j(x2)| / d(x1, x2), floored at 0.
 
     From the cylinder blocks on a shift (:func:`_shift_weight_lipschitz`)
-    and from the adjacent slopes on a grid
+    and on a grid by the search that gives gamma_hat, one map at a time
     (:func:`_grid_weight_lipschitz`), which falls back to the row blocks
     of :func:`_block_weight_lipschitz` on rare inputs.  An explicit table
     always takes the row blocks.
@@ -427,50 +430,19 @@ def _grid_weight_lipschitz(system: MpIfs, xs: np.ndarray) -> Optional[float]:
     """:func:`_weight_lipschitz` on a grid from its sorted coordinates
     ``xs``, bit for bit, or None when the row blocks must decide.
 
-    Number the finite weights of a map in grid order and take the float
-    slopes sigma_t of their adjacent pairs; |sigma_t| is that pair's dense
-    quotient, so their largest M is at most the dense maximum Q*.  If
-    M = 0, all of a map's finite weights are equal and Q* = 0.  Otherwise,
-    with u = 2^-53, 2^-1000 <= M < inf, and g the least and W the whole
-    spacing of ``xs``:
-
-    * a pair p* attaining Q* has, in exact arithmetic, a slope of size
-      q >= Q* * (1 - 3u) >= M * (1 - 3u), and every exact adjacent slope
-      s_t has |s_t| <= M * (1 + 4u) (each quotient is three roundings
-      away from the exact one);
-    * q is the mean of the s_t it spans, weighted by their gaps, each
-      weight at least g / W.  Say q > 0: then each of them has
-      s_t >= M * (1 + 4u) - 7u * M * W / g, so sigma_t >= M * (1 - 8u * W / g),
-      which is at least M * (1 - NEAR_TIE / 2) when 16u * W / g <= NEAR_TIE.
-
-    So p* joins two points of one maximal run of adjacent slopes of one
-    sign with |sigma_t| >= M * (1 - NEAR_TIE), and the maximum over the
-    pairs inside those runs is Q*.  Falls back (None) when W / g is too
-    large, M is outside that range, or the runs hold more than
-    ``PAIR_BUDGET`` * n pairs.
+    Each map is one :func:`_grid_quotient_max` over its finite weights, as
+    a single case with ys = the weights, dJ = 0 and no slack.  Its
+    quotients are the dense ones, since fl(a - 0) = a and fl(0 + d) = d.
     """
-    if not 16 * _U * float(xs[-1] - xs[0]) <= NEAR_TIE * float(np.diff(xs).min()):
-        return None
-    slopes = []
+    best, case = 0.0, np.zeros(1, dtype=np.intp)
     for w in system.weights:
         finite = np.flatnonzero(w > BOTTOM)
-        slopes.append((finite, np.diff(w[finite]) / np.diff(xs[finite])))
-    top = max((float(np.abs(s).max()) for _, s in slopes if s.size), default=0.0)
-    if top == 0.0:
-        return 0.0
-    if not _TINY <= top < np.inf:
-        return None
-    best, budget = top, PAIR_BUDGET * xs.size
-    for (finite, s), w in zip(slopes, system.weights):
-        if not s.size:
+        if finite.size < 2:
             continue
-        a, b = _run_pairs(np.sign(s) * (np.abs(s) >= top * (1.0 - NEAR_TIE)))
-        if a.size > budget:
+        found = _grid_quotient_max(xs[finite], w[finite][None], case, case, np.zeros(1), 0.0)
+        if found is None:
             return None
-        budget -= a.size
-        if a.size:
-            pa, pb = finite[a], finite[b]
-            best = max(best, float((np.abs(w[pa] - w[pb]) / np.abs(xs[pa] - xs[pb])).max()))
+        best = max(best, found)
     return best
 
 
@@ -494,7 +466,8 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
     re-normalizes the weights (subtracting the per-point max) when the
     drift is within ``normalization_tol``; larger drift raises
     :class:`NormalizationError`, and an estimated contraction constant
-    >= 1 raises :class:`NotContractiveError`.
+    >= 1 raises :class:`NotContractiveError`.  A Lipschitz estimate past
+    the float range is a :class:`ConfigError`: it could not be written.
     """
     messages = []
     col_max = system.weights.max(axis=0)
@@ -513,10 +486,14 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
     if (system.weights > 0).any():
         raise NormalizationError("weights must be <= 0 after normalization")
 
-    gamma = _contraction_constant(system)
-    if gamma >= 1.0:
-        raise NotContractiveError(f"contraction estimate gamma_hat = {gamma} >= 1")
-    lip = _weight_lipschitz(system)
+    with np.errstate(over="ignore"):  # an estimate that overflows is refused below
+        gamma = _contraction_constant(system)
+        if gamma >= 1.0:
+            raise NotContractiveError(f"contraction estimate gamma_hat = {gamma} >= 1")
+        lip = _weight_lipschitz(system)
+    if lip == np.inf:
+        raise ConfigError("weight Lipschitz estimate lip_c_hat overflows: some weight "
+                          "difference over its distance exceeds the float range")
 
     system.weights.flags.writeable = False
     system.validation = ValidationReport(

@@ -205,8 +205,8 @@ class FiniteSpace:
             size = self._dist.shape[0]
         if len(self.labels) != size:
             raise ConfigError("labels and distance table disagree in size")
-        if self.resolution < 0:
-            raise ConfigError("resolution must be >= 0")
+        if not 0 <= self.resolution < np.inf:  # NaN would switch the contraction check off
+            raise ConfigError(f"resolution must be a finite number >= 0, got {self.resolution!r}")
 
     @property
     def dist(self) -> np.ndarray:

@@ -268,6 +268,92 @@ def test_inline_weights_take_ints_and_the_bottom_token(tmp_path):
     assert json.loads((out / "validation.json").read_text())["valid"]
 
 
+def _three_point_table(resolution):
+    """An explicit three-point line with one snapped map that doubles the
+    distance of the first two points: gamma_hat is 2 at resolution 0."""
+    return {"system": {"inline": {
+        "space": {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                  "resolution": resolution},
+        "index_space": {"labels": ["1"], "dist": [[0]]},
+        "maps": [[0, 2, 0]],
+        "weights": [[0.0, 0.0, 0.0]],
+    }}}
+
+
+def test_resolution_zero_keeps_the_contraction_check(tmp_path):
+    code, out = run(tmp_path, "validate", _three_point_table(0.0))
+    assert code == 2
+    assert "gamma_hat = 2.0 >= 1" in json.loads((out / "validation.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_resolution_is_a_config_error(tmp_path, capsys, resolution):
+    # a NaN slack made every quotient NaN, and gamma_hat 0
+    code, out = run(tmp_path, "validate", _three_point_table(resolution))
+    assert code == 3
+    assert (capsys.readouterr().err
+            == f"tropifs: config error: resolution must be a finite number >= 0, got {resolution!r}\n")
+    assert not (out / "validation.json").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("mane", "tol_aubry"), ("invariant", "tol"), ("invariant", "tol_aubry"), ("fuzzy", "tol"),
+])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
+def test_tolerances_must_be_finite_and_positive(tmp_path, capsys, command, key, value):
+    # Infinity was written into verify.json and aubry.json, and made both
+    # two-point states Aubry
+    code, out = run(tmp_path, command, {"system": TWO_POINT, command: {key: value}})
+    assert code == 3
+    assert (capsys.readouterr().err
+            == f"tropifs: config error: tolerance {key} must be finite and > 0, got {value!r}\n")
+    assert not out.exists()
+
+
+def _steep_grid(dj, weights):
+    """Two constant maps on the two-point grid [0, 1e-10], ``dj`` apart."""
+    return {"system": {"inline": {
+        "space": {"grid": {"a": 0, "b": 1e-10, "n": 2}},
+        "index_space": {"labels": ["1", "2"], "dist": [[0, dj], [dj, 0]]},
+        "maps": [[0, 0], [1, 1]],
+        "weights": weights,
+        "exact_maps": True,
+    }}}
+
+
+def _validate_in_a_process(tmp_path, config):
+    """``tropifs validate`` in a fresh interpreter, so numpy's warnings reach its stderr."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return subprocess.run(
+        [sys.executable, "-m", "tropifs", "validate", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env={"PYTHONPATH": str(Path(tropifs.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_an_overflowing_lipschitz_estimate_is_a_config_error(tmp_path):
+    # 1e300 over 1e-10 is past the float range: lip_c_hat was written as
+    # Infinity, which is not JSON, after two numpy warnings
+    done = _validate_in_a_process(tmp_path, _steep_grid(1, [[0, -1e300], [-1e300, 0]]))
+    assert done.returncode == 3
+    assert done.stderr.startswith("tropifs: config error: weight Lipschitz estimate lip_c_hat")
+    assert done.stderr.count("\n") == 1
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
+def test_an_overflowing_contraction_estimate_warns_nothing(tmp_path):
+    # 1e-10 over 5e-324 is past the float range
+    done = _validate_in_a_process(tmp_path, _steep_grid(5e-324, [[0, 0], [0, 0]]))
+    assert done.returncode == 2
+    assert done.stderr == ""
+    report = json.loads((tmp_path / "out" / "validation.json").read_text())
+    assert report == {"valid": False, "error": "contraction estimate gamma_hat = inf >= 1"}
+
+
 @pytest.mark.parametrize("command, config, count", [
     ("validate", {"system": {"builder": "shift_random", "symbols": 2, "depth": 30}}, "2^30"),
     ("validate", {"system": {"builder": "nonunique_shift", "depth": 30}}, "2^30"),

@@ -20,7 +20,14 @@ from tropifs.examples import _affine_grid_maps, discrete_index_space, random_sys
 from tropifs.invariant import constant_weight_density, enumerate_invariants, verify_invariant
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.mpifs import MpIfs, _contraction_constant, _pairs_above, _weight_lipschitz, validate
+from tropifs.mpifs import (
+    MpIfs,
+    _contraction_constant,
+    _grid_quotient_max,
+    _pairs_above,
+    _weight_lipschitz,
+    validate,
+)
 from tropifs.serialize import space_from_jsonable
 from tropifs.spaces import MAX_POINTS, FiniteSpace, build_grid, snap
 
@@ -39,15 +46,19 @@ from oracles import (
 def grid_systems(draw, max_points=40):
     """Unvalidated systems on a grid: arbitrary, sorted, constant, snapped
     affine or halving index maps; non-dyadic, dyadic, linear, constant or
-    alternating weights with BOTTOM entries; either value of
-    ``exact_maps``; discrete or line index spaces of several spacings.
+    alternating weights with BOTTOM entries, at unit, subnormal or huge
+    scale; either value of ``exact_maps``; discrete or line index spaces
+    of several spacings.
 
     Halving maps on an integer grid, linear weights and alternating
-    weights plant exact ties among many pairs.
+    weights plant exact ties among many pairs.  Subnormal weights and
+    grids of width 1e-305 or 1e6 put quotients below the normal range,
+    and weights of 1e300 put them past the float range.
     """
     n = draw(st.integers(2, max_points))
-    a = draw(st.sampled_from([0.0, -1.0, 0.3, 1e3]))
-    b = draw(st.sampled_from([a + 1.0, a + 0.3, a + 2.5, a + n - 1.0]))
+    width = draw(st.sampled_from([1.0, 0.3, 2.5, n - 1.0, 1e6, 1e-305]))
+    a = 0.0 if width < 1e-300 else draw(st.sampled_from([0.0, -1.0, 0.3, 1e3]))
+    b = a + width
     space = build_grid(a, b, n)
     xs = space.grid.xs
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -77,7 +88,7 @@ def grid_systems(draw, max_points=40):
         w = -rng.uniform(0.0, 2.0, size=(m, n))
         if weights == "dyadic":
             w = np.round(w * 2**26) / 2**26
-    w = w.copy()
+    w = w * draw(st.sampled_from([1.0, 1e-320, 5e-324, 1e300]))
     w[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = BOTTOM
     if draw(st.booleans()):
         spacing = draw(st.sampled_from([0.1, 1.0 / 3, 1.0, 2.5]))
@@ -91,14 +102,28 @@ def grid_systems(draw, max_points=40):
 
 def fast_then_dense(system):
     """The grid routines' values, checked to leave the table unbuilt, and
-    the dense routines' values on the same system."""
-    fast = (_contraction_constant(system), _weight_lipschitz(system))
-    assert system.space._dist is None
-    return fast, (dense_contraction_constant(system), dense_weight_lipschitz(system))
+    the dense routines' values on the same system.  Weights of 1e300 may
+    overflow to inf, on both sides alike."""
+    with np.errstate(over="ignore"):
+        fast = (_contraction_constant(system), _weight_lipschitz(system))
+        assert system.space._dist is None
+        return fast, (dense_contraction_constant(system), dense_weight_lipschitz(system))
+
+
+def first_pairs_underflow():
+    """Weights in multiples of -1e-320 on [0, 1e6]: the pair of largest
+    numerator, the two ends, has a quotient that underflows to 0, while
+    the first two points' quotient is 5e-324."""
+    n = 56
+    w = np.full((1, n), -5e-320)
+    w[0, 0], w[0, -1] = 0.0, -1e-319
+    return MpIfs(build_grid(0.0, 1e6, n), discrete_index_space(["1"]), np.arange(n)[None, :] // 2,
+                 w, exact_maps=True)
 
 
 @settings(max_examples=200, deadline=None)
 @given(grid_systems())
+@example(first_pairs_underflow())
 def test_contraction_and_lipschitz_match_the_dense_routines_and_the_loops(system):
     (gamma, lip), dense = fast_then_dense(system)
     assert (gamma, lip) == dense
@@ -156,9 +181,6 @@ def uneven_grid(xs):
     # Lipschitz slopes below 2^-1000
     (build_grid(0.0, 1e6, 9), np.arange(9)[None, :] // 3, np.array([[0.0, -1e-300] * 4 + [0.0]]),
      1.0),
-    # spacings 1e-7 and 1 apart: the Lipschitz window would be too wide
-    (uneven_grid([0.0, 1e-7, 1.0, 2.0]), np.array([[1, 0, 3, 2]]),
-     np.array([[0.0, -1e-7, -0.5, -0.25]]), 1.0),
 ])
 def test_extreme_scales_take_the_row_blocks(monkeypatch, space, maps, weights, spacing):
     ran = []
@@ -169,6 +191,20 @@ def test_extreme_scales_take_the_row_blocks(monkeypatch, space, maps, weights, s
     system = MpIfs(space, isp, maps, weights, exact_maps=True)
     fast, dense = fast_then_dense(system)
     assert fast == dense and ran
+
+
+def test_uneven_spacings_take_the_grid_search(monkeypatch):
+    # spacings 1e-7 and 1 apart
+    def refuse(*args):
+        raise AssertionError("the row blocks ran")
+
+    monkeypatch.setattr(mpifs, "_block_contraction_constant", refuse)
+    monkeypatch.setattr(mpifs, "_block_weight_lipschitz", refuse)
+    system = MpIfs(uneven_grid([0.0, 1e-7, 1.0, 2.0]), discrete_index_space(["1"]),
+                   np.array([[1, 0, 3, 2]]), np.array([[0.0, -1e-7, -0.5, -0.25]]),
+                   exact_maps=True)
+    fast, dense = fast_then_dense(system)
+    assert fast == dense
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,6 +226,47 @@ def test_pairs_above_lists_every_pair_over_the_floor(data):
         assert _pairs_above(lead, tail, floor, strict, len(expected) - 1) is None
 
 
+@st.composite
+def quotient_cases(draw):
+    """Inputs of the grid search: sorted distinct coordinates, rows of
+    values, cases (ja, jb, dj) and a slack, all integers times one unit:
+    the least subnormal, where each product rounds to that lattice, or 1."""
+    unit = draw(st.sampled_from([5e-324, 1.0]))
+    ints = st.integers(-10**8, 10**8)
+    xs = np.sort(draw(st.lists(ints, min_size=2, max_size=10, unique=True))) * unit
+    m = draw(st.integers(1, 3))
+    rows = st.lists(ints, min_size=xs.size, max_size=xs.size)
+    ys = np.array(draw(st.lists(rows, min_size=m, max_size=m))) * unit
+    maps = st.integers(0, m - 1)
+    cases = draw(st.lists(st.tuples(maps, maps, st.integers(0, 10**6)), min_size=1, max_size=4))
+    ja, jb, dj = map(np.array, zip(*cases))
+    return xs, ys, ja, jb, dj * unit, draw(st.integers(0, 10)) * unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_cases())
+# The pair (2, 3) has the largest quotient, just above that of the pair
+# (0, 1) the locate step finds.  Here every term of the verify test is
+# subnormal and its margin 64u * R rounds to 0: without the floor 2^-1000
+# on that margin, the products' roundings drop the pair (2, 3) ...
+@example((np.array([0, 4596391, 75680555, 79058014]) * 5e-324,
+          np.array([[2268674, 0, 1723681, 0]] * 2) * 5e-324,
+          np.array([0]), np.array([1]), np.array([477728 * 5e-324]), 0.0))
+# ... and here the terms are near 2^40 and the test's two sides differ by
+# less than their rounding: without the margin, the pair is dropped
+@example((np.array([1099511627776, 1099512912951, 1099542124985, 1099542162654]) * 1.0,
+          np.array([[421794, 0, 24343, 0]] * 2) * 1.0,
+          np.array([0]), np.array([1]), np.array([38738.0]), 0.0))
+def test_grid_search_gives_the_largest_quotient_or_none(case):
+    xs, ys, ja, jb, dj, slack2 = case
+    best = 0.0
+    for a, b, d in zip(ja, jb, dj):
+        i, k = np.triu_indices(xs.size, 0 if d > 0 else 1)
+        numer = np.abs(ys[a, i] - ys[b, k]) - slack2
+        best = max(best, float((numer / (d + np.abs(xs[i] - xs[k]))).max()))
+    assert _grid_quotient_max(xs, ys, ja, jb, dj, slack2) in (None, best)
+
+
 def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):
     system = random_system(build_grid(-1.0, 2.5, 57), 3, 4)
     expected = (system.validation.gamma_hat, system.validation.lip_c_hat)
@@ -198,7 +275,7 @@ def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):
         raise AssertionError("an explicit table took a grid routine")
 
     monkeypatch.setattr(mpifs, "_grid_contraction_constant", refuse)
-    monkeypatch.setattr(mpifs, "_grid_weight_lipschitz", refuse)
+    monkeypatch.setattr(mpifs, "_grid_quotient_max", refuse)
     inline = space_from_jsonable(space_to_jsonable(system.space))
     assert inline.grid is None and inline.points is None
     twin = MpIfs(inline, system.index_space, system.maps, system.weights)
