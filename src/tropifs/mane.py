@@ -21,9 +21,12 @@ max-plus spectral theory, Butkovic, *Max-linear Systems*, 2010):
   is the transfer operator itself.  Weights are <= 0, so a best path is
   simple and the iteration settles within n rounds.
 
-:func:`mane_potential` computes those on the sparse graph in plain numpy;
-the dense n x n closure is built by Floyd-Warshall only when
-:attr:`PotentialMatrix.s` is read (the ``mane`` command, tests).
+:func:`mane_potential` computes those on the sparse graph in plain numpy,
+with the return weights S[z, z] from the last edge of each cycle
+(:func:`maxplus._plus_columns`).  The dense n x n closure is built only
+when :attr:`PotentialMatrix.s` is read (the ``mane`` command, tests), by
+:func:`kleene_plus`: the same value iteration from all n points when
+every path sum is exact (the 2^-26 lattice), Floyd-Warshall otherwise.
 
 Because the maps are stored pre-snapped, "landing within epsilon of x"
 degenerates to exact index equality: the S computed here is the
@@ -37,16 +40,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyAubryError, InternalError
-from .maxplus import BOTTOM, MpMatrix, kleene_plus
+from .errors import ConfigError, EmptyAubryError
+from .maxplus import BOTTOM, MpMatrix, _plus_columns, kleene_plus
 from .mpifs import MpIfs
 
 AUBRY_TOL = 1e-9
 #: Most points whose dense closure :attr:`PotentialMatrix.s` the ``mane``
-#: command builds.  Floyd-Warshall is n^3: at this limit ``tropifs mane``
-#: took 32-37 s and 240 MiB of max RSS (``grid_random`` and
-#: ``shift_random``, 2 shared vCPUs), and each doubling of n costs 8x the
-#: time and 4x the memory of its n x n tables.
+#: command builds.  At this limit ``tropifs mane`` took 1.5-2.7 s and
+#: 237-269 MiB of max RSS (``grid_random`` and ``shift_random``, seed 7,
+#: both weight kinds, 2 shared vCPUs), and wrote ``S.csv`` as n^2
+#: numbers, 17-81 MB of text.  The bound stays for that file and for the
+#: shape that defeats the value iteration: a chain whose best paths are
+#: about 2n/3 edges long takes that many rounds over all n columns, n^3
+#: work again (44 s for the closure alone at this limit), and each
+#: doubling of n costs up to 8x the time and 4x the memory of its n x n
+#: tables.
 MAX_CLOSURE_POINTS = 2**11
 
 
@@ -110,11 +118,6 @@ def _edges(system: MpIfs):
     return src[keep], tgt[keep], w[keep]
 
 
-def _round_limit(n: int) -> int:
-    """Relaxation rounds allowed: a best path is simple, so n always suffice."""
-    return n
-
-
 def _on_cycle(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Mask of the vertices on a cycle: nontrivial SCCs and self-loops.
 
@@ -169,42 +172,6 @@ def _on_cycle(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return on_cycle
 
 
-def _columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
-    """col[x, k] = best weight of a path sources[k] -> x of length >= 0.
-
-    Value iteration col <- max(col, transfer(col)) on all sources at once:
-    each round relaxes, in place, only the out-edges of the rows that
-    changed in the round before, at most n edges at a time so that no
-    temporary outgrows the (n, k) block.  Each such chunk reads the block
-    before it scatters its sums with one ``np.maximum.at``; any order of
-    these monotone updates reaches the same least fixed point.
-    """
-    order = np.argsort(src, kind="stable")
-    src, tgt, w = src[order], tgt[order], w[order]
-    start = np.searchsorted(src, np.arange(n + 1))
-    k = sources.size
-    cols = np.full((n, k), BOTTOM)
-    cols[sources, np.arange(k)] = 0.0
-    frontier = sources
-    for _ in range(_round_limit(n)):
-        # the out-edge ranges [start[v], start[v + 1]) of the frontier, joined
-        lo, counts = start[frontier], start[frontier + 1] - start[frontier]
-        edges = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        grown = np.zeros(n, dtype=bool)
-        for first in range(0, edges.size, n):
-            part = edges[first:first + n]
-            t = tgt[part]
-            best = cols.take(src[part], axis=0)
-            best += w[part, None]
-            grown[t[(best > cols.take(t, axis=0)).any(axis=1)]] = True
-            np.maximum.at(cols.reshape(-1), (t[:, None] * k + np.arange(k)).ravel(), best.ravel())
-        frontier = np.flatnonzero(grown)
-        if not frontier.size:
-            # 0.0 + folds a -0.0 sum into 0.0
-            return np.add(0.0, cols, out=cols)
-    raise InternalError(f"path weights still changing after {_round_limit(n)} rounds")
-
-
 def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatrix:
     """Exact Aubry set and Aubry columns of the path-supremum potential.
 
@@ -225,16 +192,8 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     near = w >= -tol_aubry
     candidates = np.flatnonzero(_on_cycle(n, src[near], tgt[near]))
 
-    cols = _columns(n, src, tgt, w, candidates)
-    # S[z, z] = max over edges y -> z of (best path z -> y, length >= 0) + q.
-    slot = np.full(n, -1)
-    slot[candidates] = np.arange(candidates.size)
-    into = slot[tgt] >= 0
-    k = slot[tgt[into]]
-    ret = np.full(candidates.size, BOTTOM)
-    np.maximum.at(ret, k, cols[src[into], k] + w[into])
-    cols[candidates, np.arange(candidates.size)] = ret
-
+    cols = _plus_columns(n, src, tgt, w, candidates)
+    ret = cols[candidates, np.arange(candidates.size)]
     keep = ret >= -tol_aubry
     aubry = tuple(int(z) for z in candidates[keep])
     if not aubry:

@@ -17,7 +17,8 @@ from .errors import DimensionError, InternalError, PositiveCycleError
 #: Additive neutral / multiplicative absorber of the semiring.
 BOTTOM = float("-inf")
 
-#: Floyd-Warshall sweeps allowed before the closure counts as unstable.
+#: Floyd-Warshall sweeps allowed before the closure of input that
+#: :func:`_sums_exact` rejects counts as unstable.
 _MAX_SWEEPS = 8
 
 
@@ -54,7 +55,8 @@ class MpMatrix:
 
 
 def _sums_exact(entries: np.ndarray) -> bool:
-    """Whether every sum one Floyd-Warshall sweep of ``entries`` forms is exact.
+    """Whether every best path weight of ``entries``, and every partial sum
+    along one, is a float, so that the closure's sums along them are exact.
 
     True when every finite entry is <= 0 and none is -0.0, and, with
     2^E > 2 * n * max|entry| and Q = 2^(E - 53), every finite entry is an
@@ -70,48 +72,113 @@ def _sums_exact(entries: np.ndarray) -> bool:
     return bool(q > 0 and np.all(finite == np.round(finite / q) * q))
 
 
+def _round_limit(n: int) -> int:
+    """Relaxation rounds allowed: a best path is simple, so n always suffice."""
+    return n
+
+
+def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
+    """col[:, k] = A+[:, sources[k]] for the edges y -> x of weight w <= 0
+    of a graph on n points (one edge per pair; ``sources`` distinct).
+
+    Value iteration col <- max(col, transfer(col)) from the unit columns at
+    all sources at once gives the best weight of a path of length >= 0:
+    each round relaxes, in place, only the out-edges of the rows that
+    changed in the round before, at most n edges at a time so that no
+    temporary outgrows the (n, k) block.  Each such chunk reads the block
+    before it scatters its sums with one ``np.maximum.at``; any order of
+    these monotone updates reaches the same least fixed point.  Weights
+    are <= 0, so off the diagonal that is the closure, and the diagonal
+    entry A+[z, z] is the return weight: the max over edges y -> z of
+    col[y, z] + w.
+    """
+    order = np.argsort(src, kind="stable")
+    src, tgt, w = src[order], tgt[order], w[order]
+    start = np.searchsorted(src, np.arange(n + 1))
+    k = sources.size
+    cols = np.full((n, k), BOTTOM)
+    cols[sources, np.arange(k)] = 0.0
+    frontier = sources
+    for _ in range(_round_limit(n)):
+        if not frontier.size:
+            break
+        # the out-edge ranges [start[v], start[v + 1]) of the frontier, joined
+        lo, counts = start[frontier], start[frontier + 1] - start[frontier]
+        edges = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        grown = np.zeros(n, dtype=bool)
+        for first in range(0, edges.size, n):
+            part = edges[first:first + n]
+            t = tgt[part]
+            best = cols.take(src[part], axis=0)
+            best += w[part, None]
+            grown[t[(best > cols.take(t, axis=0)).any(axis=1)]] = True
+            np.maximum.at(cols.reshape(-1), (t[:, None] * k + np.arange(k)).ravel(), best.ravel())
+        frontier = np.flatnonzero(grown)
+    if frontier.size:
+        raise InternalError(f"path weights still changing after {_round_limit(n)} rounds")
+    slot = np.full(n, -1)
+    slot[sources] = np.arange(k)
+    into = slot[tgt] >= 0
+    into_slot = slot[tgt[into]]
+    ret = np.full(k, BOTTOM)
+    np.maximum.at(ret, into_slot, cols[src[into], into_slot] + w[into])
+    cols[sources, np.arange(k)] = ret
+    # 0.0 + folds a -0.0 sum into 0.0
+    return np.add(0.0, cols, out=cols)
+
+
 def kleene_plus(a: MpMatrix) -> MpMatrix:
-    """Transitive closure A+ = A (+) A^2 (+) ... (+) A^n by Floyd-Warshall.
+    """Transitive closure A+ = A (+) A^2 (+) ... (+) A^n.
 
     Entry (i, j) is the supremum of total weights over all paths j -> i of
     length >= 1 (row index is the path target).  Requires that no cycle has
     strictly positive weight; this holds automatically when all entries are
     <= 0, and is detected otherwise through the diagonal of the result.
 
-    The relaxation runs in place, so memory stays O(n^2).  In general sweeps
-    repeat until one changes no entry (a few may absorb rounding on
-    non-dyadic input).  A sweep without change leaves
+    When :func:`_sums_exact` holds (every finite entry is <= 0, none is
+    -0.0, and all are integer multiples of Q = 2^(E - 53) with
+    2^E > 2 * n * max|entry|: the 2^-26 lattice, for one), the closure is
+    :func:`_plus_columns` from all n points over the finite entries, which
+    costs one round per edge of the longest best path, each over the edges
+    out of the rows that changed: far below n^3 on a transition matrix,
+    whose m maps give at most m * n edges, though above it on a dense
+    table.  It is the real closure, bit for bit:
+
+    * with weights <= 0 a best walk may be taken simple, or one simple
+      cycle, so its weight is a multiple of Q of magnitude
+      <= n * max|entry| < 2^E = 2^53 * Q, hence a float, and so is every
+      partial sum along it;
+    * every stored value is the float of a walk weight, formed by adding
+      one edge at a time, and is never above the best weight: by
+      induction, fl(v + w) <= fl(best(y) + w) <= best(x), since float
+      addition is monotone and best(x) is a float;
+    * along a best simple path every partial sum is exact, so the fixed
+      point reaches each best weight;
+    * no sum is -0.0 (x + y is -0.0 only when both are), so every zero is
+      the +0.0 of the real closure.
+
+    Other input keeps Floyd-Warshall, run in place so that memory stays
+    O(n^2), in sweeps until one changes no entry (a few may absorb
+    rounding on non-dyadic input).  A sweep without change leaves
     P >= P[:, k] + P[k, :] for every k in float, so the triangle property
     of the closure is exact.
-
-    One sweep is enough when :func:`_sums_exact` holds: every finite entry
-    is <= 0, none is -0.0, and all are integer multiples of Q = 2^(E - 53)
-    with 2^E > 2 * n * max|entry| (the 2^-26 lattice, for one).  Proof:
-    with weights <= 0 every operand P[i, k], P[k, j] of the sweep is the
-    weight of a best path, which may be taken simple or one simple cycle,
-    so it is a multiple of Q of magnitude <= n * max|entry|.  Their sum is
-    a multiple of Q below 2^E = 2^53 * Q in magnitude, hence a float, so
-    each sum is exact and the sweep computes the real closure.  A further
-    sweep only forms sums of real path weights, none above the entry it
-    meets, so it changes no value; and with no -0.0 in A no sum is -0.0
-    (x + y is -0.0 only when both are), so it changes no sign of a zero
-    either.  The confirming sweep would change no bit and is skipped.
-    With -0.0 entries it could: ``np.maximum`` ties -0.0 and 0.0.
     """
     if a.rows != a.cols:
         raise DimensionError("kleene_plus requires a square matrix")
-    p = a.entries.copy()
     n = a.rows
-    exact = _sums_exact(p)
+    if _sums_exact(a.entries):
+        tgt, src = np.nonzero(a.entries > BOTTOM)
+        return MpMatrix(_plus_columns(n, src, tgt, a.entries[tgt, src], np.arange(n)))
+    p = a.entries.copy()
     through = np.empty_like(p)
     for _ in range(_MAX_SWEEPS):
-        before = None if exact else p.copy()
+        before = p.copy()
         for k in range(n):
             np.add(p[:, k, None], p[None, k, :], out=through)
             np.maximum(p, through, out=p)
         diag_max = np.max(np.diagonal(p)) if n else BOTTOM
         if diag_max > 0:
             raise PositiveCycleError(f"positive-weight cycle detected (diag max {diag_max})")
-        if exact or np.array_equal(p, before):
+        if np.array_equal(p, before):
             return MpMatrix(p)
     raise InternalError("closure failed to stabilize")

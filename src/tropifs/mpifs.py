@@ -193,7 +193,7 @@ def _grid_contraction_constant(system: MpIfs, xs: np.ndarray) -> Optional[float]
 
 
 def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.ndarray,
-                       dj: np.ndarray, slack2: float) -> Optional[float]:
+                       dj: np.ndarray, slack2: float, low: float = 0.0) -> Optional[float]:
     """The largest of 0 and the float quotients
 
         (|ys[ja, i] - ys[jb, k]| - slack2) / (dj + |xs[i] - xs[k]|)
@@ -212,11 +212,12 @@ def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.nd
       shared bound: for the bound L it finds, in every case at once, the
       pair maximizing numerator - L * denominator from prefix maxima of
       s * ys[ja, i] + L * x_i, and L becomes the largest float quotient of
-      those pairs, until it stops growing.  L is the quotient of a pair,
-      so it is at most the maximum.  The first round (L = 0) finds the
-      largest float numerator of every case exactly (float addition is
-      monotone), so if none of its pairs has a positive numerator, no pair
-      has a positive quotient.  A positive numerator whose quotient
+      those pairs, until it stops growing.  L starts at ``low``, which is
+      0 or the float quotient of a pair, and is always the quotient of a
+      pair, so it is at most the maximum.  A first round at L = 0 finds
+      the largest float numerator of every case exactly (float addition
+      is monotone), so if none of its pairs has a positive numerator, no
+      pair has a positive quotient.  A positive numerator whose quotient
       underflowed to 0 leaves the row blocks to decide.
     * **Verify.** Every pair whose float quotient is >= L is listed, with
       a few near-ties more, and the maximum is read off them.  With
@@ -259,7 +260,7 @@ def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.nd
         numer = np.abs(ys[ja[c], i] - ys[jb[c], k]) - slack2
         return numer, numer / (dj[c] + np.abs(xs[i] - xs[k]))
 
-    low = top = 0.0
+    top = 0.0
     for _ in range(16):
         found = low
         for c in groups:
@@ -433,13 +434,20 @@ def _grid_weight_lipschitz(system: MpIfs, xs: np.ndarray) -> Optional[float]:
     Each map is one :func:`_grid_quotient_max` over its finite weights, as
     a single case with ys = the weights, dJ = 0 and no slack.  Its
     quotients are the dense ones, since fl(a - 0) = a and fl(0 + d) = d.
+    The search starts at the steepest slope between neighbouring finite
+    points, the quotient of a pair and, for a Lipschitz bound, usually
+    the answer.
     """
     best, case = 0.0, np.zeros(1, dtype=np.intp)
     for w in system.weights:
         finite = np.flatnonzero(w > BOTTOM)
         if finite.size < 2:
             continue
-        found = _grid_quotient_max(xs[finite], w[finite][None], case, case, np.zeros(1), 0.0)
+        x, y = xs[finite], w[finite]
+        slope = float((np.abs(np.diff(y)) / np.diff(x)).max())
+        if slope == np.inf:  # a quotient overflowed, and so does the maximum
+            return slope
+        found = _grid_quotient_max(x, y[None], case, case, np.zeros(1), 0.0, slope)
         if found is None:
             return None
         best = max(best, found)

@@ -243,6 +243,17 @@ def quotient_cases(draw):
     return xs, ys, ja, jb, dj * unit, draw(st.integers(0, 10)) * unit
 
 
+def case_quotients(case):
+    """The float quotients of every pair of every case, side by side."""
+    xs, ys, ja, jb, dj, slack2 = case
+    found = []
+    for a, b, d in zip(ja, jb, dj):
+        i, k = np.triu_indices(xs.size, 0 if d > 0 else 1)
+        numer = np.abs(ys[a, i] - ys[b, k]) - slack2
+        found.append(numer / (d + np.abs(xs[i] - xs[k])))
+    return np.concatenate(found)
+
+
 @settings(max_examples=300, deadline=None)
 @given(quotient_cases())
 # The pair (2, 3) has the largest quotient, just above that of the pair
@@ -259,12 +270,18 @@ def quotient_cases(draw):
           np.array([0]), np.array([1]), np.array([38738.0]), 0.0))
 def test_grid_search_gives_the_largest_quotient_or_none(case):
     xs, ys, ja, jb, dj, slack2 = case
-    best = 0.0
-    for a, b, d in zip(ja, jb, dj):
-        i, k = np.triu_indices(xs.size, 0 if d > 0 else 1)
-        numer = np.abs(ys[a, i] - ys[b, k]) - slack2
-        best = max(best, float((numer / (d + np.abs(xs[i] - xs[k]))).max()))
+    best = max(0.0, float(case_quotients(case).max()))
     assert _grid_quotient_max(xs, ys, ja, jb, dj, slack2) in (None, best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_cases(), st.data())
+def test_grid_search_started_at_a_pair_quotient_gives_the_same(case, data):
+    # the warm start of the Lipschitz search: any pair's quotient is a valid start
+    quotients = case_quotients(case)
+    best = max(0.0, float(quotients.max()))
+    low = max(0.0, float(data.draw(st.sampled_from(quotients.tolist()))))
+    assert _grid_quotient_max(*case, low) in (None, best)
 
 
 def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropifs import mane, maxplus
+from tropifs.config import RunConfig, build_system
 from tropifs.errors import EmptyAubryError, InternalError
 from tropifs.examples import (
     build_nonunique_shift_system,
@@ -20,6 +21,7 @@ from oracles import (
     build_point_space,
     check_sum_lipschitz,
     check_triangle,
+    closure_to_fixed_point,
     edge_table,
     on_cycle,
     paths_closure,
@@ -299,16 +301,48 @@ def test_triangle_exact_on_non_dyadic_chain():
     assert check_triangle(pot.s.entries)
 
 
-def test_one_sweep_only_where_every_sum_is_exact(monkeypatch):
-    # with one sweep allowed, a closure that must confirm its fixed point
-    # cannot: the dyadic closure stops after its first sweep, the chain not
+def test_no_sweep_where_every_sum_is_exact(monkeypatch):
+    # with no sweep allowed, only the value iteration can close a matrix:
+    # the dyadic one takes it, the chain needs the sweeps
     dyadic = transition_matrix(build_nonunique_shift_system(4))
     chain = transition_matrix(non_dyadic_chain())
-    expected = kleene_plus(dyadic).entries
-    monkeypatch.setattr(maxplus, "_MAX_SWEEPS", 1)
+    expected = closure_to_fixed_point(dyadic.entries)
+    monkeypatch.setattr(maxplus, "_MAX_SWEEPS", 0)
     assert kleene_plus(dyadic).entries.tobytes() == expected.tobytes()
     with pytest.raises(InternalError):
         kleene_plus(chain)
+
+
+def cli_system(**spec):
+    return build_system(RunConfig(system=spec))
+
+
+def signed_zero_system():
+    # the zero cycle 0 <-> 1 has a -0.0 edge, which only the sweeps take
+    return index_system([[1, 0, 0], [2, 2, 2]], [[0.0, -0.0, 0.0], [-1.0, -1.0, BOTTOM]])
+
+
+CLOSURE_SYSTEMS = {
+    **{
+        f"grid-{n}-{kind}": lambda n=n, c=c: cli_system(
+            builder="grid_random", a=0, b=1, n=n, num_maps=3, seed=5, constant_weights=c
+        )
+        for n in (64, 257)
+        for kind, c in (("place", False), ("constant", True))
+    },
+    "shift": lambda: cli_system(builder="shift_random", symbols=3, depth=5, seed=7),
+    "nonunique": lambda: cli_system(builder="nonunique_shift", depth=6),
+    "long-chain": lambda: long_chain_system(96),
+    "signed-zero": signed_zero_system,
+    "non-dyadic-chain": non_dyadic_chain,
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_SYSTEMS)
+def test_dense_closure_equals_sweeps_to_fixed_point(name):
+    system = CLOSURE_SYSTEMS[name]()
+    expected = closure_to_fixed_point(transition_matrix(system).entries)
+    assert mane_potential(system).s.entries.tobytes() == expected.tobytes()
 
 
 def test_dense_closure_is_built_only_on_demand(monkeypatch):
@@ -391,14 +425,14 @@ def test_long_chain_columns_and_round_count(monkeypatch):
         expected[z] = 0.0
         assert pot.column(z).tobytes() == expected.tobytes()
     # 683 rounds that change a column, then one that changes nothing
-    monkeypatch.setattr(mane, "_round_limit", lambda n: 684)
+    monkeypatch.setattr(maxplus, "_round_limit", lambda n: 684)
     assert mane_potential(system).aubry == pot.aubry
-    monkeypatch.setattr(mane, "_round_limit", lambda n: 683)
+    monkeypatch.setattr(maxplus, "_round_limit", lambda n: 683)
     with pytest.raises(InternalError):
         mane_potential(system)
 
 
 def test_round_cap_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(mane, "_round_limit", lambda n: 1)
+    monkeypatch.setattr(maxplus, "_round_limit", lambda n: 1)
     with pytest.raises(InternalError):
         mane_potential(build_nonunique_shift_system(4))
