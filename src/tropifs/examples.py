@@ -90,10 +90,6 @@ def build_nonunique_shift_system(depth: int) -> MpIfs:
     return system
 
 
-def _word_changes(w: tuple) -> int:
-    return sum(1 for a, b in zip(w, w[1:]) if a != b)
-
-
 def lambda_alpha(depth: int, alpha: float) -> Density:
     """The invariant density of the binary-shift example at parameter alpha.
 
@@ -102,14 +98,16 @@ def lambda_alpha(depth: int, alpha: float) -> Density:
     by alpha when the tail symbol is 2.  The maximum 0 sits at the all-1
     word.  Words that would need infinitely many alternations (value
     bottom in the untruncated model) have no representative here, so the
-    truncated density is finite everywhere.
+    truncated density is finite everywhere.  Word i spells the base-2
+    digits of i plus 1, so its changes are its unequal adjacent digits.
     """
     if not 0 <= alpha < 1:
         raise ConfigError("alpha must lie in [0, 1)")
     space = build_shift_space(2, depth)
-    vals = np.empty(space.n)
-    for i, w in enumerate(space.points):
-        vals[i] = -_word_changes(w) - (alpha if w[-1] == 2 else 0.0)
+    i = np.arange(space.n)
+    changes = sum((((i >> p) ^ (i >> (p + 1))) & 1 for p in range(depth - 1)), np.zeros_like(i))
+    # negated as integers: a float -0.0 - 0.0 would give -0.0, not 0.0
+    vals = (-changes).astype(np.float64) - np.where(i & 1, alpha, 0.0)
     return Density(space, vals)
 
 
@@ -166,9 +164,7 @@ def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> DemoReport:
     """
     system = build_nonunique_shift_system(spec.depth)
     pot = mane_potential(system)
-    words = system.space.points
-    one_idx = words.index((1,) * spec.depth)
-    two_idx = words.index((2,) * spec.depth)
+    one_idx, two_idx = 0, system.space.n - 1  # the all-1 and the all-2 word
 
     densities = [lambda_alpha(spec.depth, a) for a in spec.alphas]
     fixed = []

@@ -14,12 +14,10 @@ finitely many attained membership values, so it is computed exactly.
 The supremum comes from one sweep down the levels rather than one
 Hausdorff distance per level: the cuts only grow as the level falls, so
 each point needs its distance to the other set's cut only at the level
-where the point itself joins its cut.  Sorting the points by membership
-turns every cut into a prefix.  On a shift space the distance from a point
-to a cut is read off the cylinder blocks from the join times (the
-positions in that order) in O(n * depth) per call; on other spaces a
-running minimum over the sorted rows of the distance table gives all those
-distances in O(n^2) per call.
+where the point itself joins its cut.  Every cut {v >= c} is the set
+{-v < k} for k the float after -c, and the space gives the distance from
+each point to such a set (:meth:`FiniteSpace.distances_to`): O(n * depth)
+per call on a shift space, O(n^2) on other spaces.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .errors import ConfigError, InternalError, NonConvergenceError
 from .maxplus import BOTTOM
 from .measures import Density
 from .mpifs import MpIfs
-from .spaces import FiniteSpace, Shift, hausdorff
+from .spaces import FiniteSpace, hausdorff
 
 
 def _check_membership(values) -> np.ndarray:
@@ -85,52 +83,6 @@ def _cut_distance(space: FiniteSpace, a: set, b: set) -> float:
     return hausdorff(space, a, b)
 
 
-def _join_sizes(a: np.ndarray, b: np.ndarray):
-    """The points x of {a > -inf}, the points sorted by ``b`` from the top
-    down, and the size of the cut {b >= a(x)} of each x.
-
-    Every cut of ``b`` is then a prefix of the order.
-    """
-    xs = np.flatnonzero(a > BOTTOM)
-    order = np.argsort(-b, kind="stable")
-    # sizes[i] = #{p : b(p) >= a(xs[i])}: -b[order] ascends, negation is exact
-    sizes = np.searchsorted(-b[order], -a[xs], side="right")
-    return xs, order, sizes
-
-
-def _directed_sweep(space: FiniteSpace, a: np.ndarray, b: np.ndarray):
-    """Distance from each point x of {a > -inf} to the cut {b >= a(x)}.
-
-    Row k of the running minimum of the rows of ``dist`` taken in the
-    order of ``b`` holds the distances to the cut made of the first k + 1
-    points.  Returns the points and their distances (+inf where the cut is
-    empty).  O(n^2).
-    """
-    xs, order, sizes = _join_sizes(a, b)
-    near = np.full(xs.size, np.inf)
-    top = int(sizes.max()) if xs.size else 0
-    if top:
-        prefix = space.dist[order[:top]]
-        for k in range(1, top):
-            np.minimum(prefix[k - 1], prefix[k], out=prefix[k])
-        hit = sizes > 0
-        near[hit] = prefix[sizes[hit] - 1, xs[hit]]
-    return xs, near
-
-
-def _shift_sweep(shift: Shift, a: np.ndarray, b: np.ndarray):
-    """:func:`_directed_sweep` on a shift, from join times in O(n * depth).
-
-    A point joins the cuts of ``b`` at its position ``t`` in the order, so
-    the cut of size k is {t < k}, whose distance from each point the
-    cylinder blocks give (:meth:`Shift.distances_to`).
-    """
-    xs, order, sizes = _join_sizes(a, b)
-    t = np.empty(order.size, dtype=np.intp)
-    t[order] = np.arange(order.size)
-    return xs, shift.distances_to(t, xs, sizes)
-
-
 def _sup_cut_distance(space: FiniteSpace, a: np.ndarray, b: np.ndarray):
     """sup over levels t of the cut distance between {a >= t} and {b >= t}.
 
@@ -148,10 +100,9 @@ def _sup_cut_distance(space: FiniteSpace, a: np.ndarray, b: np.ndarray):
     """
     best, level = 0.0, None
     for src, dst in ((a, b), (b, a)):
-        if space.shift is not None:
-            xs, near = _shift_sweep(space.shift, src, dst)
-        else:
-            xs, near = _directed_sweep(space, src, dst)
+        xs = np.flatnonzero(src > BOTTOM)
+        # the cut {dst >= src(x)} is {-dst < the float after -src(x)}: negation is exact
+        near = space.distances_to(-dst, xs, np.nextafter(-src[xs], np.inf))
         if xs.size:
             i = int(np.argmax(near))
             d = space.diameter if near[i] == np.inf else float(near[i])
@@ -222,13 +173,19 @@ def fhb_attractor(
     tol: float = 1e-12,
     max_iters: Optional[int] = None,
 ) -> FhbResult:
-    """Iterate the FHB operator to its fixed point.
+    """Iterate the FHB operator until a step moves at most ``tol`` in d_infty.
 
-    For constant weights the operator is a Banach contraction in d_infty
-    and convergence is guaranteed; for place-dependent weights no such
-    guarantee exists and exhausting the budget raises
-    :class:`NonConvergenceError` carrying the trace so far.  An input that
-    is already fixed returns with zero iterations and an empty trace.
+    Exhausting the budget raises :class:`NonConvergenceError` carrying the
+    trace so far and the last iterate; an input that is already fixed
+    returns with zero iterations and an empty trace.
+
+    Nothing guarantees convergence.  Constant weights make the operator a
+    Banach contraction in d_infty only when the maps contract, and maps
+    snapped to a grid do so only down to the snap slack, below which the
+    points off the zero-cost cycles decay by e^q per step until they
+    underflow: ``grid_random`` with n = 148, seed 8 and constant weights
+    ends its 1,480 steps with d_infty stuck at 0.0136.  ROADMAP.md item 3
+    reads the attractor off the Aubry set instead.
     """
     if not u0.is_normal:
         raise ConfigError("starting fuzzy set must be normal")

@@ -27,9 +27,10 @@ from .errors import (
     NotConstantWeightError,
 )
 from .maxplus import BOTTOM
-from .measures import CHUNK_VALUES, Density, normalize
+from .measures import Density, normalize
 from .mpifs import MpIfs, d_rho, transfer_density
 from .mane import PotentialMatrix
+from .spaces import CHUNK_VALUES
 
 AUBRY_COLUMN_TOL = 1e-9
 SERIES_TOL = 1e-9

@@ -17,11 +17,6 @@ from .maxplus import BOTTOM
 from .spaces import FiniteSpace
 
 
-#: Most values (rows x points) of a block that one step takes at a time:
-#: each temporary stays within 512 KiB, or one row when a row is longer.
-CHUNK_VALUES = 2**16
-
-
 def _as_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if np.isnan(v).any() or (v == np.inf).any():

@@ -27,8 +27,8 @@ from .errors import (
     NotContractiveError,
 )
 from .maxplus import BOTTOM
-from .measures import CHUNK_VALUES, Density
-from .spaces import FiniteSpace, Shift
+from .measures import Density
+from .spaces import CHUNK_VALUES, FiniteSpace, Shift
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12

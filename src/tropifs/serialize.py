@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .maxplus import BOTTOM, MpMatrix
-from .measures import CHUNK_VALUES, Density
+from .measures import Density
 from .mpifs import MpIfs
 from .mane import PotentialMatrix
 from .fuzzy import FuzzySet
-from .spaces import FiniteSpace, build_grid, build_shift_space
+from .spaces import CHUNK_VALUES, FiniteSpace, build_grid, build_shift_space
 
 BOTTOM_TOKEN = "-inf"
 

@@ -10,15 +10,16 @@ something reads it:
 
 * an interval grid holds a :class:`Grid` of its sorted float coordinates,
   under d(x, y) = |x - y|; the contraction and Lipschitz routines on a
-  grid read the coordinates in about O(m^2 * n log n), while
-  :func:`hausdorff` and the fuzzy level sweep still read ``dist``;
+  grid read the coordinates in about O(m^2 * n log n), while the
+  distances to a set (:meth:`FiniteSpace.distances_to`, behind
+  :func:`hausdorff` and the fuzzy level sweep) still read ``dist``;
 * a truncated shift space holds a :class:`Shift` of its alphabet size and
   depth.  Its words (tuples of symbols) are listed lexicographically under
   the cylinder metric d(w, v) = (1/2)^(first mismatch position), so the
   words sharing a prefix of length p form contiguous index blocks of side
-  symbols^(depth - p), and every routine on a shift (here
-  :func:`hausdorff`, and the contraction, Lipschitz and fuzzy level-cut
-  routines) works in O(n * depth) on those blocks.
+  symbols^(depth - p), and every routine on a shift (those distances, and
+  the contraction and Lipschitz routines) works in O(n * depth) on those
+  blocks.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ import numpy as np
 from .errors import ConfigError, EmptySetError
 
 METRIC_TOL = 1e-12
+#: Most values (rows x points) of a block that one step takes at a time:
+#: each temporary stays within 512 KiB, or one row when a row is longer.
+CHUNK_VALUES = 2**16
 #: Most points :func:`build_grid` and :func:`build_shift_space` will build,
 #: checked before anything is allocated.  Neither space holds a table, but
-#: a grid's :func:`hausdorff` and fuzzy sweep still build its n x n
+#: a grid's :meth:`FiniteSpace.distances_to` still builds its n x n
 #: ``dist`` (2 GiB at this limit) on first read.
 MAX_POINTS = 2**14
 
@@ -163,7 +167,8 @@ class Grid(NamedTuple):
 
     def table(self) -> np.ndarray:
         """The dense n x n table."""
-        return np.abs(self.xs[:, None] - self.xs[None, :])
+        dist = np.subtract.outer(self.xs, self.xs)
+        return np.abs(dist, out=dist)
 
 
 class FiniteSpace:
@@ -217,10 +222,44 @@ class FiniteSpace:
 
     def distances(self, i, k) -> np.ndarray:
         """d(i, k) elementwise over index arrays, equal to ``dist[i, k]``;
-        a grid reads them from its coordinates."""
-        if self.grid is not None:
-            return self.grid.distances(i, k)
+        a grid or a shift reads them from its record."""
+        record = self.shift if self.shift is not None else self.grid
+        if record is not None:
+            return record.distances(i, k)
         return self.dist[i, k]
+
+    def distances_to(self, t: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
+        """Distance from each point ``xs[i]`` to the set {v : t[v] < k[i]},
+        +inf where that set is empty.
+
+        A shift reads them from its blocks (:meth:`Shift.distances_to`).
+        Elsewhere each set is a prefix of the points in the order of ``t``:
+        a running minimum of the ``dist`` rows in that order, kept at the
+        prefixes some point reads, gives them all in O(n^2).  Runs of 8 rows
+        or more between two such prefixes are folded in blocks of
+        ``CHUNK_VALUES`` values while n <= 2048, where a block beats as many
+        row minimums; shorter runs, and longer rows, go one row at a time.
+        """
+        if self.shift is not None:
+            return self.shift.distances_to(t, xs, k)
+        order = np.argsort(t, kind="stable")
+        reach = np.searchsorted(t[order], k)  # the set of x is the first reach points
+        read = np.zeros(self.n + 1, dtype=bool)
+        read[0] = read[reach] = True
+        sizes = np.flatnonzero(read).tolist()
+        dist, step = self.dist, max(1, CHUNK_VALUES // self.n)
+        rows = np.empty((len(sizes), self.n))  # rows[j]: distances to the first sizes[j] points
+        rows[0] = np.inf
+        near = rows[0].copy()
+        for row, lo, hi in zip(rows[1:], sizes, sizes[1:]):
+            if hi - lo < 8 or self.n > 2048:
+                for v in order[lo:hi].tolist():
+                    np.minimum(near, dist[v], out=near)
+            else:
+                for c in range(lo, hi, step):
+                    np.minimum(near, dist[order[c:min(c + step, hi)]].min(axis=0), out=near)
+            row[:] = near
+        return rows[np.cumsum(read)[reach] - 1, xs]
 
     @property
     def n(self) -> int:
@@ -305,23 +344,20 @@ def snap(space: FiniteSpace, value):
     return int(pick[0]) if v.ndim == 0 else pick.reshape(v.shape)
 
 
-def _shift_directed(shift: Shift, ai: np.ndarray, bi: np.ndarray) -> float:
-    """max over x in ``ai`` of the distance from x to the set ``bi``."""
-    outside = np.ones(shift.symbols**shift.depth, dtype=np.intp)
-    outside[bi] = 0
-    return float(shift.distances_to(outside, ai, 1).max())
-
-
 def hausdorff(space: FiniteSpace, a, b) -> float:
     """Hausdorff distance between two nonempty index sets.
 
-    O(n * depth) on a shift (no table is read), O(|a| * |b|) otherwise.
+    Each direction is the largest distance from one set to the other,
+    read by :meth:`FiniteSpace.distances_to`: O(n * depth) on a shift (no
+    table is read), O(n^2) otherwise.
     """
     ai = np.fromiter(a, dtype=int) if not isinstance(a, np.ndarray) else a
     bi = np.fromiter(b, dtype=int) if not isinstance(b, np.ndarray) else b
     if ai.size == 0 or bi.size == 0:
         raise EmptySetError("hausdorff requires nonempty sets")
-    if space.shift is not None:
-        return max(_shift_directed(space.shift, ai, bi), _shift_directed(space.shift, bi, ai))
-    sub = space.dist[np.ix_(ai, bi)]
-    return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+    far = 0.0
+    for src, dst in ((ai, bi), (bi, ai)):
+        outside = np.ones(space.n, dtype=np.intp)
+        outside[dst] = 0
+        far = max(far, float(space.distances_to(outside, src, 1).max()))
+    return far

@@ -26,9 +26,9 @@ from tropifs.invariant import (
 )
 from tropifs.maxplus import BOTTOM
 from tropifs.mane import PotentialMatrix, mane_potential
-from tropifs.measures import CHUNK_VALUES, Density
+from tropifs.measures import Density
 from tropifs.mpifs import MpIfs, d_rho, transfer_density, validate
-from tropifs.spaces import build_grid, build_shift_space
+from tropifs.spaces import CHUNK_VALUES, build_grid, build_shift_space
 
 from oracles import (
     build_point_space,

@@ -14,7 +14,7 @@ from tropifs.examples import build_nonunique_shift_system, build_two_point_syste
 from tropifs.fuzzy import FuzzySet, theta_conjugate
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import CHUNK_VALUES, Density, normalize
+from tropifs.measures import Density, normalize
 from tropifs.mpifs import validate
 from tropifs.serialize import (
     aubry_to_jsonable,
@@ -29,7 +29,7 @@ from tropifs.serialize import (
     write_json,
 )
 from tropifs.maxplus import MpMatrix
-from tropifs.spaces import build_grid, build_shift_space
+from tropifs.spaces import CHUNK_VALUES, build_grid, build_shift_space
 
 from oracles import (
     QUANT,
@@ -192,11 +192,11 @@ json_documents = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)
     ),
-    max_leaves=30,
+    max_leaves=15,
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(json_documents)
 @example([1, 1.0, True, 0, False, None])
 @example([0.0, -0.0, 0.0, "-inf", -0.0, 2.5, "", float("nan"), float("inf"), -float("inf")])
@@ -208,7 +208,7 @@ def test_write_json_is_json_dumps(tmp_path_factory, obj):
     assert path.read_bytes() == dumps(obj)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.dictionaries(
     st.one_of(st.integers(), st.floats(), st.booleans()),
     st.lists(st.sampled_from(SPECIAL_FLOATS)),
@@ -219,7 +219,7 @@ def test_write_json_non_str_keys_are_json_dumps(tmp_path_factory, obj):
     assert path.read_bytes() == dumps(obj)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     st.one_of(st.lists(json_scalars, max_size=4), st.lists(json_scalars, max_size=4).map(tuple),
               st.lists(json_documents, max_size=3)),

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tropifs.fuzzy as fuzzy
 import tropifs.mpifs as mpifs
 import tropifs.spaces as spaces
 from tropifs.examples import _prepend_maps, discrete_index_space, random_system
@@ -153,8 +152,7 @@ def test_explicit_table_of_a_shift_takes_the_dense_path(monkeypatch):
 
     for module, name in [(mpifs, "_shift_contraction_constant"),
                          (mpifs, "_shift_weight_lipschitz"),
-                         (fuzzy, "_shift_sweep"),
-                         (spaces, "_shift_directed")]:
+                         (spaces.Shift, "distances_to")]:
         monkeypatch.setattr(module, name, refuse)
     inline = space_from_jsonable(space_to_jsonable(shift))
     assert inline.shift is None

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropifs.spaces as spaces
 from tropifs.errors import ConfigError, EmptySetError
 from tropifs.spaces import (
+    CHUNK_VALUES,
     MAX_POINTS,
     build_grid,
     build_shift_space,
@@ -120,6 +124,60 @@ def test_hausdorff_metric_axioms(seed):
     assert hausdorff(g, a, b) == hausdorff(g, b, a)
     assert (hausdorff(g, a, b) == 0.0) == (a == b)
     assert hausdorff(g, a, c) <= hausdorff(g, a, b) + hausdorff(g, b, c) + 1e-12
+
+
+def line_space(xs):
+    """An explicit table of distinct points on a line."""
+    xs = np.asarray(xs)
+    return build_point_space([str(i) for i in range(xs.size)], np.abs(xs[:, None] - xs[None, :]))
+
+
+CUT_SPACES = st.one_of(
+    st.lists(st.floats(-100, 100), min_size=1, max_size=48, unique=True).map(line_space),
+    st.builds(lambda a, width, n: build_grid(a, a + width, n),
+              st.floats(-10, 10), st.floats(0.01, 10), st.integers(2, 48)),
+    st.sampled_from([(1, 3), (2, 1), (2, 5), (3, 2)]).map(lambda s: build_shift_space(*s)),
+)
+
+
+def naive_distances_to(dist, t, xs, k):
+    """min over {v : t[v] < k[i]} of dist[xs[i], v] by loops, +inf over an empty set."""
+    n = len(t)
+    return [min((float(dist[x, v]) for v in range(n) if t[v] < bound), default=np.inf)
+            for x, bound in zip(xs, k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distances_to_is_the_nearest_member_by_loops(data):
+    space = data.draw(CUT_SPACES)
+    n = space.n
+    # tied levels, distinct ranks, or negated memberships with BOTTOM at +inf
+    t = data.draw(st.one_of(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                            st.permutations(range(n)),
+                            st.lists(st.sampled_from([-0.5, -0.0, 0.0, np.inf]),
+                                     min_size=n, max_size=n)))
+    xs = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # may be empty
+    # 0 (every set empty) up to above every t (every set the whole space)
+    k = data.draw(st.one_of(st.integers(0, n + 1),
+                            st.lists(st.integers(0, n + 1), min_size=len(xs), max_size=len(xs))))
+    # blocks of 1, 3 or 8 rows (several chunks to a run), or whole runs
+    chunk = data.draw(st.sampled_from([1, 3 * n, 8 * n, CHUNK_VALUES]))
+    t, xs = np.array(t), np.array(xs, dtype=np.intp)
+    bounds = k if isinstance(k, list) else [k] * len(xs)
+    expected = naive_distances_to(space.dist, t.tolist(), xs.tolist(), bounds)
+    with mock.patch.object(spaces, "CHUNK_VALUES", chunk):
+        near = space.distances_to(t, xs, np.array(k, dtype=np.intp))
+    assert near.dtype == np.float64 and near.shape == xs.shape
+    assert near.tolist() == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(CUT_SPACES)
+def test_distances_are_the_table_entries(space):
+    # a shift and a grid read them from their record, not from the table
+    i, k = np.divmod(np.arange(space.n**2), space.n)
+    assert space.distances(i, k).tolist() == space.dist[i, k].tolist()
 
 
 def test_snap_grid():
