@@ -188,12 +188,8 @@ def cmd_demo31(cfg: RunConfig, out: Path, seed) -> int:
     )
     report = demonstrate_nonuniqueness(spec)
     serialize.write_json(out / "report.json", report.to_jsonable())
-    lams, docs = report.densities, []
-    if lams:  # one block: the densities share their space's labels
-        docs = serialize.density_to_jsonable(
-            Density(lams[0].space, np.stack([lam.values for lam in lams]))
-        )
-    serialize.write_json(out / "density.json", docs)
+    # the block of densities, one row per alpha, as it was checked ([] for no alphas)
+    serialize.write_json(out / "density.json", serialize.density_to_jsonable(report.densities))
     return EXIT_OK
 
 

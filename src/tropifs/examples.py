@@ -90,8 +90,9 @@ def build_nonunique_shift_system(depth: int) -> MpIfs:
     return system
 
 
-def lambda_alpha(depth: int, alpha: float) -> Density:
-    """The invariant density of the binary-shift example at parameter alpha.
+def lambda_alpha(depth: int, alpha) -> Density:
+    """The invariant density of the binary-shift example at parameter alpha,
+    or for an array of alphas the block of them, one row per alpha.
 
     A depth-n word is read as itself followed by an infinite tail of its
     last symbol; its value is minus the number of symbol changes, lowered
@@ -101,13 +102,14 @@ def lambda_alpha(depth: int, alpha: float) -> Density:
     truncated density is finite everywhere.  Word i spells the base-2
     digits of i plus 1, so its changes are its unequal adjacent digits.
     """
-    if not 0 <= alpha < 1:
+    alphas = np.asarray(alpha, dtype=np.float64)
+    if not ((0 <= alphas) & (alphas < 1)).all():
         raise ConfigError("alpha must lie in [0, 1)")
     space = build_shift_space(2, depth)
     i = np.arange(space.n)
     changes = sum((((i >> p) ^ (i >> (p + 1))) & 1 for p in range(depth - 1)), np.zeros_like(i))
     # negated as integers: a float -0.0 - 0.0 would give -0.0, not 0.0
-    vals = (-changes).astype(np.float64) - np.where(i & 1, alpha, 0.0)
+    vals = (-changes).astype(np.float64) - np.where(i & 1, alphas[..., None], 0.0)
     return Density(space, vals)
 
 
@@ -115,9 +117,10 @@ def lambda_alpha(depth: int, alpha: float) -> Density:
 class ShiftExampleSpec:
     """Depth and parameters of the demonstration.
 
-    Each alpha is snapped to the 2^-26 lattice (and reported snapped): a
-    transfer step computes -1 + (-changes - alpha), which rounds
-    differently from the stored -changes - alpha unless alpha is dyadic.
+    Each alpha must lie in [0, 1) as given, and stay below 1 and distinct
+    once snapped to the 2^-26 lattice (it is reported snapped): a transfer
+    step computes -1 + (-changes - alpha), which rounds differently from
+    the stored -changes - alpha unless alpha is dyadic.
     """
 
     depth: int
@@ -126,12 +129,18 @@ class ShiftExampleSpec:
     def __post_init__(self):
         if self.depth < 2:
             raise ConfigError("depth must be >= 2")
-        self.alphas = [float(_dyadic(a)) for a in self.alphas]
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ConfigError("alphas must be distinct")
+        snapped = {}  # snapped alpha -> the alpha given
         for a in self.alphas:
             if not 0 <= a < 1:
-                raise ConfigError("alphas must lie in [0, 1)")
+                raise ConfigError(f"alphas must lie in [0, 1), got {a!r}")
+            s = float(_dyadic(a))
+            if s == 1.0:
+                raise ConfigError(f"alpha {a!r} snaps to 1.0 on the 2^-26 lattice, not below 1")
+            if s in snapped:
+                raise ConfigError(f"alphas {snapped[s]!r} and {a!r} both snap to {s!r} on the "
+                                  "2^-26 lattice; alphas must be distinct")
+            snapped[s] = a
+        self.alphas = list(snapped)
 
 
 @dataclass
@@ -141,7 +150,7 @@ class DemoReport:
     fixed_point_exact: list
     pairwise_d_theta: list
     boundary_match_exact: list
-    densities: list
+    densities: Density  # one block, a row per alpha
 
     def to_jsonable(self) -> dict:
         return {
@@ -160,27 +169,20 @@ def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> DemoReport:
     Each candidate must be an exact fixed point of the transfer operator,
     pairwise d_theta distances must be positive, and each must coincide
     exactly with the density built from the potential with boundary
-    {all-1 word: 0, all-2 word: -alpha}.
+    {all-1 word: 0, all-2 word: -alpha}.  The candidates are one block,
+    checked by one transfer step and one build.
     """
     system = build_nonunique_shift_system(spec.depth)
     pot = mane_potential(system)
     one_idx, two_idx = 0, system.space.n - 1  # the all-1 and the all-2 word
 
-    densities = [lambda_alpha(spec.depth, a) for a in spec.alphas]
-    fixed = []
-    for lam in densities:
-        out = transfer_density(system, lam)
-        fixed.append(bool(np.array_equal(out.values, lam.values)))
-
-    pairwise = [
-        [d_theta(a, b) if i != k else 0.0 for k, b in enumerate(densities)]
-        for i, a in enumerate(densities)
-    ]
-    matches = []
-    for a, lam in zip(spec.alphas, densities):
-        boundary = BoundaryData(values={one_idx: 0.0, two_idx: -a}, anchor=one_idx)
-        built = build_invariant(pot, boundary)
-        matches.append(bool(np.array_equal(built.values, lam.values)))
+    alphas = np.array(spec.alphas, dtype=np.float64)
+    lams = lambda_alpha(spec.depth, alphas)
+    fixed = (transfer_density(system, lams).values == lams.values).all(axis=-1).tolist()
+    rows = [Density(lams.space, row) for row in lams.values]
+    pairwise = [[d_theta(a, b) if a is not b else 0.0 for b in rows] for a in rows]
+    boundary = BoundaryData({one_idx: np.zeros(len(alphas)), two_idx: -alphas}, one_idx)
+    matches = (build_invariant(pot, boundary).values == lams.values).all(axis=-1).tolist()
 
     report = DemoReport(
         depth=spec.depth,
@@ -188,14 +190,14 @@ def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> DemoReport:
         fixed_point_exact=fixed,
         pairwise_d_theta=pairwise,
         boundary_match_exact=matches,
-        densities=densities,
+        densities=lams,
     )
     problems = []
     if not all(fixed):
         problems.append(f"fixed-point check failed for alphas "
                         f"{[a for a, ok in zip(spec.alphas, fixed) if not ok]}")
-    for i in range(len(densities)):
-        for k in range(i + 1, len(densities)):
+    for i in range(len(rows)):
+        for k in range(i + 1, len(rows)):
             if pairwise[i][k] <= 0:
                 problems.append(f"densities for alphas {spec.alphas[i]} and "
                                 f"{spec.alphas[k]} are not distinct")

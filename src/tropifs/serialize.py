@@ -10,8 +10,10 @@ file is what ``csv.writer`` writes in the excel dialect (``\r\n`` line
 ends, fields quoted only where needed) with ``repr`` of each float as its
 cell.  CSV files and blocks of densities spell each distinct float once
 per file or chunk, so many values drawn from few cost little more than
-their size; a density block is the one JSON document not written by
-``json.dumps`` itself, but streamed from those texts, one density at a time.
+their size.  A density block is the one JSON document not written by
+``json.dumps`` itself: :func:`density_to_jsonable` turns it into text alone
+(the shared labels array once, then each row's value texts), and
+:func:`write_json` streams that text one density at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,21 +123,22 @@ def values_from_jsonable(items) -> np.ndarray:
 
 
 def density_to_jsonable(lam: Density):
-    """``{"labels", "values"}`` of a density, or a list of them, one per row,
-    for a block.  Each chunk of rows is spelled from one table of its
-    distinct values, and a block keeps those texts for :func:`write_json`."""
-    block = np.atleast_2d(lam.values)
-    step = max(1, CHUNK_VALUES // lam.space.n)
-    docs, texts = [], []
-    for first in range(0, len(block), step):
-        items, spelled = _spelled(block[first:first + step], _jsonable_value, _value_text)
-        docs.extend({"labels": lam.space.labels, "values": row} for row in items.tolist())
-        texts.extend(spelled.tolist())
+    """``{"labels", "values"}`` of one density, BOTTOM spelled "-inf".
+
+    A block gives a :class:`_DensityBlock` instead: no JSON data, only the
+    text :func:`write_json` writes, a list of one such document per row.
+    Each chunk of rows is spelled from one table of its distinct values.
+    """
     if lam.values.ndim == 1:
-        return docs[0]
+        values = [BOTTOM_TOKEN if x == BOTTOM else x for x in lam.values.tolist()]
+        return {"labels": lam.space.labels, "values": values}
+    step = max(1, CHUNK_VALUES // lam.space.n)
+    texts = []
+    for first in range(0, len(lam.values), step):
+        texts.extend(_spelled(lam.values[first:first + step], _value_text).tolist())
     # the labels array as it is indented inside each document of the list
     head = json.dumps(lam.space.labels, indent=2).replace("\n", "\n    ")
-    return _DensityBlock(docs, head, texts)
+    return _DensityBlock(head, texts)
 
 
 def space_from_jsonable(obj) -> FiniteSpace:
@@ -173,58 +177,49 @@ def system_from_jsonable(obj) -> MpIfs:
     )
 
 
-def _jsonable_value(x: float):
-    """A max-plus value as JSON data: BOTTOM is the string "-inf"."""
-    return BOTTOM_TOKEN if x == BOTTOM else x
-
-
 def _value_text(x: float) -> str:
     """The JSON text of a density value (finite or BOTTOM): its ``repr``."""
     return '"-inf"' if x == BOTTOM else repr(x)
 
 
-class _DensityBlock(list):
-    """The ``{"labels", "values"}`` documents of a block of densities, with
-    the JSON texts :func:`write_json` lays them out from: ``head``, the
-    labels array they share, and ``texts``, each row's value texts."""
+class _DensityBlock(NamedTuple):
+    """The JSON text of a block of densities: ``head``, the labels array
+    every row shares, and ``texts``, each row's value texts."""
 
-    def __init__(self, docs, head: str, texts: list):
-        super().__init__(docs)
-        self.head = head
-        self.texts = texts
+    head: str
+    texts: list
 
 
 def write_json(path, obj) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
 
-    A block from :func:`density_to_jsonable` is written from its ready
-    texts to the same bytes, one density at a time, so the document is
-    never held in memory as one string.
+    A block from :func:`density_to_jsonable` is written from its texts to
+    the bytes of the list of its ``{"labels", "values"}`` documents (``[]``
+    for no rows), one density at a time, so the document is never held in
+    memory as one string.
     """
     with open(path, "w") as fh:
-        if isinstance(obj, _DensityBlock) and obj:
+        if isinstance(obj, _DensityBlock):
             head = '{\n    "labels": ' + obj.head + ',\n    "values": [\n      '
             sep = "[\n  "
             for texts in obj.texts:
                 fh.write(sep + head + ",\n      ".join(texts) + "\n    ]\n  }")
                 sep = ",\n  "
-            fh.write("\n]\n")
+            fh.write("\n]\n" if obj.texts else "[]\n")
         else:
             fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _spelled(values, *spells) -> list:
-    """For each of ``spells``, an object array of its value at each float64
-    of ``values``, in their shape.
+def _spelled(values, spell) -> np.ndarray:
+    """An object array of ``spell`` of each float64 of ``values``, in their shape.
 
     Each distinct bit pattern is spelled once (so -0.0 and 0.0 keep their
     own texts) and the spellings are gathered back in place.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    return [np.array(list(map(spell, distinct)), dtype=object).take(inverse).reshape(values.shape)
-            for spell in spells]
+    spelled = np.array(list(map(spell, bits.view(np.float64).tolist())), dtype=object)
+    return spelled.take(inverse).reshape(values.shape)
 
 
 def _csv_fields(fields) -> list:
@@ -256,24 +251,24 @@ def _labelled_csv(path, header, labels, cells) -> None:
 
 
 def matrix_to_csv(path, matrix: MpMatrix, labels) -> None:
-    cells = _spelled(matrix.entries, repr)[0].tolist()
+    cells = _spelled(matrix.entries, repr).tolist()
     _labelled_csv(path, ["", *labels], labels, cells)
 
 
 def density_to_csv(path, lam: Density) -> None:
     if lam.values.ndim != 1:
         raise DimensionError("a density CSV file holds one density")
-    cells = _spelled(lam.values, repr)[0].reshape(-1, 1).tolist()
+    cells = _spelled(lam.values, repr).reshape(-1, 1).tolist()
     _labelled_csv(path, ["label", "value"], lam.space.labels, cells)
 
 
 def fuzzy_to_csv(path, u: FuzzySet) -> None:
-    cells = _spelled(u.values, repr)[0].reshape(-1, 1).tolist()
+    cells = _spelled(u.values, repr).reshape(-1, 1).tolist()
     _labelled_csv(path, ["label", "membership"], u.space.labels, cells)
 
 
 def trace_to_csv(path, trace) -> None:
-    cells = _spelled(trace, repr)[0].reshape(-1, 1).tolist()
+    cells = _spelled(trace, repr).reshape(-1, 1).tolist()
     _labelled_csv(path, ["iteration", "d_infty"], range(1, len(cells) + 1), cells)
 
 

@@ -239,6 +239,10 @@ class FiniteSpace:
         or more between two such prefixes are folded in blocks of
         ``CHUNK_VALUES`` values while n <= 2048, where a block beats as many
         row minimums; shorter runs, and longer rows, go one row at a time.
+        One row at a time throughout made ``tropifs fuzzy`` on ``grid_random``
+        1.16x slower at n = 148 and up to 1.24x at n = 64, with n = 513 and
+        2048 within noise (2 shared vCPUs; the grid ``fuzzy`` workloads of
+        ROADMAP item 1 are to measure both sides of this rule).
         """
         if self.shift is not None:
             return self.shift.distances_to(t, xs, k)

@@ -588,6 +588,20 @@ def test_demo31_snaps_a_non_dyadic_alpha(tmp_path):
     assert report["fixed_point_exact"] == [True]
 
 
+@pytest.mark.parametrize("alphas, message", [
+    # snapped first, -1e-12 became -0.0 and passed
+    ([-1e-12], "alphas must lie in [0, 1), got -1e-12"),
+    # inside [0, 1) as given, but 1.0 on the lattice
+    ([0.9999999999], "alpha 0.9999999999 snaps to 1.0 on the 2^-26 lattice, not below 1"),
+    ([0.1, 0.100000000001], "alphas 0.1 and 0.100000000001 both snap to 0.09999999403953552 "
+                            "on the 2^-26 lattice; alphas must be distinct"),
+], ids=["below-0", "snaps-to-1", "snap-to-one-point"])
+def test_demo31_checks_each_alpha_as_given(tmp_path, capsys, alphas, message):
+    code, _ = run(tmp_path, "demo31", {"demo31": {"depth": 4, "alphas": alphas}})
+    assert code == 3
+    assert capsys.readouterr().err == f"tropifs: config error: {message}\n"
+
+
 def test_demo31_needs_no_system_block(tmp_path):
     code, out = run(tmp_path, "demo31", {"demo31": {"depth": 4, "alphas": [0.0]}})
     assert code == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropifs.errors import ConfigError
 from tropifs.examples import (
@@ -54,6 +56,24 @@ def test_lambda_alpha_is_exact_fixed_point(depth):
         assert np.array_equal(transfer_density(system, lam).values, lam.values)
 
 
+# zeros, dyadic values, values just below 1 and values off the lattice
+ALPHAS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1 - 2**-26, float(np.nextafter(1.0, 0.0))]),
+    st.integers(0, 2**26 - 1).map(lambda k: k * 2.0**-26),
+    st.integers(1, 2**20).map(lambda k: 1 - k * 2.0**-53),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.lists(ALPHAS, max_size=6))
+def test_lambda_alpha_block_rows_are_the_single_densities(depth, alphas):
+    block = lambda_alpha(depth, np.array(alphas, dtype=np.float64))
+    assert block.values.shape == (len(alphas), 2**depth)
+    for row, alpha in zip(block.values, alphas):
+        assert row.tobytes() == lambda_alpha(depth, alpha).values.tobytes()
+
+
 def test_lambda_alpha_rejects_bad_alpha():
     with pytest.raises(ConfigError):
         lambda_alpha(3, 1.0)
@@ -73,7 +93,7 @@ def test_demonstrate_nonuniqueness():
     report = demonstrate_nonuniqueness(ShiftExampleSpec(depth=6, alphas=[0.0, 0.25, 0.5]))
     assert report.fixed_point_exact == [True, True, True]
     assert report.boundary_match_exact == [True, True, True]
-    assert len(report.densities) == 3
+    assert len(report.densities.values) == 3
     for i in range(3):
         for k in range(3):
             assert (report.pairwise_d_theta[i][k] > 0) == (i != k)
@@ -81,7 +101,7 @@ def test_demonstrate_nonuniqueness():
 
 def test_demonstrate_single_alpha():
     report = demonstrate_nonuniqueness(ShiftExampleSpec(depth=3, alphas=[0.0]))
-    assert len(report.densities) == 1 and report.fixed_point_exact == [True]
+    assert len(report.densities.values) == 1 and report.fixed_point_exact == [True]
 
 
 def test_spec_validation():
