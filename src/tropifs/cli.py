@@ -33,8 +33,9 @@ from .errors import (
     TropifsError,
 )
 from .examples import ShiftExampleSpec, demonstrate_nonuniqueness
-from .fuzzy import FuzzySet, fhb_attractor, theta_conjugate
+from .fuzzy import FHB_TOL, FuzzySet, fhb_attractor, theta_conjugate
 from .invariant import (
+    VERIFY_TOL,
     BoundaryData,
     VerifyReport,
     build_invariant,
@@ -42,9 +43,8 @@ from .invariant import (
     enumerate_invariants,
     verify_invariant,
 )
-from .mane import MAX_CLOSURE_POINTS, mane_potential
+from .mane import AUBRY_TOL, MAX_CLOSURE_POINTS, mane_potential
 from .measures import Density
-from .serialize import scalar
 
 DOMAIN_ERRORS = (
     NormalizationError,
@@ -103,7 +103,7 @@ def cmd_mane(cfg: RunConfig, out: Path, seed) -> int:
             f"mane writes the dense n x n closure S, and n = {system.space.n} points "
             f"is larger than the limit of {MAX_CLOSURE_POINTS}"
         )
-    tol = scalar(cfg.mane.get("tol_aubry", 1e-9), float, "tol_aubry")
+    tol = serialize.scalar(cfg.mane.get("tol_aubry", AUBRY_TOL), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol)
     serialize.matrix_to_csv(out / "S.csv", pot.s, labels=system.space.labels)
     serialize.write_json(out / "aubry.json", serialize.aubry_to_jsonable(pot))
@@ -114,8 +114,8 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     params = cfg.invariant
     mode = params.get("mode", "constant")
-    tol = scalar(params.get("tol", 1e-9), float, "tol")
-    tol_aubry = scalar(params.get("tol_aubry", 1e-9), float, "tol_aubry")
+    tol = serialize.scalar(params.get("tol", VERIFY_TOL), float, "tol")
+    tol_aubry = serialize.scalar(params.get("tol_aubry", AUBRY_TOL), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol_aubry)
 
     found = None  # enumerate verifies its densities itself
@@ -144,7 +144,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     serialize.write_json(
         out / "verify.json", [VerifyReport(d <= tol, d, tol).to_jsonable() for d in devs.tolist()]
     )
-    if scalar(cfg.output.get("csv", False), bool, "output.csv"):
+    if serialize.scalar(cfg.output.get("csv", False), bool, "output.csv"):
         for i, values in enumerate(lam.values):
             serialize.density_to_csv(out / f"density_{i:03d}.csv", Density(lam.space, values))
     return EXIT_OK
@@ -153,10 +153,10 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
 def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
     system = build_system(cfg, seed)
     params = cfg.fuzzy
-    tol = scalar(params.get("tol", 1e-12), float, "tol")
+    tol = serialize.scalar(params.get("tol", FHB_TOL), float, "tol")
     max_iters = params.get("max_iters")  # absent or null: the library default
     if max_iters is not None:
-        max_iters = scalar(max_iters, int, "max_iters", minimum=1)
+        max_iters = serialize.scalar(max_iters, int, "max_iters", minimum=1)
     u0_spec = params.get("u0", "uniform")
     if u0_spec == "uniform":
         u0 = FuzzySet(system.space, np.ones(system.space.n))
@@ -164,9 +164,8 @@ def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
         pot = mane_potential(system)
         u0 = theta_conjugate(constant_weight_density(system, pot))
     elif isinstance(u0_spec, list):
-        u0 = FuzzySet(
-            system.space, serialize.floats(u0_spec, lambda x: scalar(x, float, "u0 entry"))
-        )
+        u0 = FuzzySet(system.space, serialize.floats(
+            u0_spec, lambda x: serialize.scalar(x, float, "u0 entry")))
     else:
         raise ConfigError(f"u0 must be 'uniform', 'invariant' or a list, got {u0_spec!r}")
     try:
@@ -183,8 +182,9 @@ def cmd_fuzzy(cfg: RunConfig, out: Path, seed) -> int:
 def cmd_demo31(cfg: RunConfig, out: Path, seed) -> int:
     params = cfg.demo31
     spec = ShiftExampleSpec(
-        depth=scalar(params.get("depth", 6), int, "depth"),
-        alphas=[scalar(a, float, "alpha") for a in _list(params, "alphas", [0.0, 0.25, 0.5])],
+        depth=serialize.scalar(params.get("depth", 6), int, "depth"),
+        alphas=[serialize.scalar(a, float, "alpha")
+                for a in _list(params, "alphas", [0.0, 0.25, 0.5])],
     )
     report = demonstrate_nonuniqueness(spec)
     serialize.write_json(out / "report.json", report.to_jsonable())

@@ -33,6 +33,9 @@ from .measures import Density
 from .mpifs import MpIfs
 from .spaces import FiniteSpace, hausdorff
 
+#: A step of at most this d_infty ends ``fhb_attractor`` at a fixed point.
+FHB_TOL = 1e-12
+
 
 def _check_membership(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
@@ -170,7 +173,7 @@ class FhbResult:
 def fhb_attractor(
     system: MpIfs,
     u0: FuzzySet,
-    tol: float = 1e-12,
+    tol: float = FHB_TOL,
     max_iters: Optional[int] = None,
 ) -> FhbResult:
     """Iterate the FHB operator until a step moves at most ``tol`` in d_infty.

@@ -34,6 +34,8 @@ from .spaces import CHUNK_VALUES
 
 AUBRY_COLUMN_TOL = 1e-9
 SERIES_TOL = 1e-9
+#: Largest exp-scale deviation at which a density passes as a fixed point.
+VERIFY_TOL = 1e-9
 #: Most boundary assignments ``enumerate_invariants`` will build; the count
 #: is levels^(|Aubry| - 1), which the config can make astronomically large.
 MAX_ASSIGNMENTS = 100_000
@@ -92,7 +94,7 @@ class VerifyReport:
         return {"passed": self.passed, "max_deviation": self.max_deviation, "tol": self.tol}
 
 
-def verify_invariant(system: MpIfs, lam: Density, tol: float = 1e-12) -> VerifyReport:
+def verify_invariant(system: MpIfs, lam: Density, tol: float = VERIFY_TOL) -> VerifyReport:
     """Apply the transfer operator once and report the exp-scale deviation(s)."""
     dev = d_rho(transfer_density(system, lam), lam)
     return VerifyReport(passed=dev <= tol, max_deviation=dev, tol=tol)
@@ -114,7 +116,7 @@ def enumerate_invariants(
     system: MpIfs,
     pot: PotentialMatrix,
     levels: Sequence[float],
-    verify_tol: float = 1e-9,
+    verify_tol: float = VERIFY_TOL,
 ) -> Enumeration:
     """Sweep boundary levels over the non-anchor Aubry points.
 

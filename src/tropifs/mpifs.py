@@ -518,19 +518,18 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
 def transfer_density(system: MpIfs, lam: Density) -> Density:
     """(L lam)(x) = max over pairs (j, y) with phi_j(y) = x of q_j(y) + lam(y).
 
-    Points with empty preimage get BOTTOM.  A block is done on its (n, k)
-    transpose with one flat ``np.maximum.at`` per map, so every value meets
-    the pairs in the (j, y) order of one sequential pass, as ties of ±0 need.
+    Points with empty preimage get BOTTOM.  A (k, n) block is folded as given, row i's
+    targets offset by i * n, by one flat ``np.maximum.at`` per map: every value meets the
+    pairs in the (j, y) order of one sequential pass, as ties of ±0 need.
     """
     if lam.space is not system.space and lam.space.n != system.space.n:
         raise DimensionError("density lives on a different space")
-    vals = np.atleast_2d(lam.values).T
+    vals = np.atleast_2d(lam.values)
     out = np.full(vals.shape, BOTTOM)
-    cols = np.arange(vals.shape[1])
+    rows = np.arange(len(vals))[:, None] * vals.shape[1]
     for phi, q in zip(system.maps, system.weights):
-        hit = phi[:, None] * len(cols) + cols
-        np.maximum.at(out.reshape(-1), hit.reshape(-1), (vals + q[:, None]).reshape(-1))
-    return Density(system.space, np.ascontiguousarray(out.T).reshape(lam.values.shape))
+        np.maximum.at(out.reshape(-1), (rows + phi).reshape(-1), (vals + q).reshape(-1))
+    return Density(system.space, out.reshape(lam.values.shape))
 
 
 def d_rho(a: Density, b: Density):

@@ -112,6 +112,25 @@ def test_cli_commands_run_with_scipy_blocked(tmp_path):
     assert json.loads(done.stdout) == [[0] * len(argvs), False, False]
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("tropifs", []),
+    ("tropifs.spaces", ["tropifs.errors", "tropifs.spaces"]),
+])
+def test_an_import_loads_only_the_modules_it_needs(module, loaded):
+    # every name imports from its module, so the package itself pulls in no module
+    probe = ("import importlib, json, sys; importlib.import_module(sys.argv[1]); "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tropifs.'))))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, module],
+        env={"PYTHONPATH": str(Path(tropifs.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(done.stdout) == loaded
+
+
 def test_missing_config_file(tmp_path):
     code = main(["validate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 3
