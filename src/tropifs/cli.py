@@ -23,12 +23,9 @@ from . import serialize
 from .config import RunConfig, build_system, load_config
 from .errors import (
     ConfigError,
-    DemonstrationError,
-    EmptyAubryError,
     GenerationError,
     NonConvergenceError,
     NormalizationError,
-    NotConstantWeightError,
     NotContractiveError,
     TropifsError,
 )
@@ -37,7 +34,6 @@ from .fuzzy import FHB_TOL, FuzzySet, fhb_attractor, theta_conjugate
 from .invariant import (
     VERIFY_TOL,
     BoundaryData,
-    VerifyReport,
     build_invariant,
     constant_weight_density,
     enumerate_invariants,
@@ -46,15 +42,8 @@ from .invariant import (
 from .mane import AUBRY_TOL, MAX_CLOSURE_POINTS, mane_potential
 from .measures import Density
 
-DOMAIN_ERRORS = (
-    NormalizationError,
-    NotContractiveError,
-    EmptyAubryError,
-    NonConvergenceError,
-    NotConstantWeightError,
-    DemonstrationError,
-    GenerationError,
-)
+#: What ``build_system`` raises for a system it cannot build or validate.
+DOMAIN_ERRORS = (NormalizationError, NotContractiveError, GenerationError)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -118,32 +107,32 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     tol_aubry = serialize.scalar(params.get("tol_aubry", AUBRY_TOL), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol_aubry)
 
-    found = None  # enumerate verifies its densities itself
     if mode == "boundary":
         raw = params.get("boundary")
-        if not (isinstance(raw, dict) and "anchor" in raw and isinstance(raw.get("levels"), dict)):
-            raise ConfigError("boundary mode needs {'anchor': ..., 'levels': {...}}")
+        if not (isinstance(raw, dict) and raw.keys() == {"anchor", "levels"}
+                and isinstance(raw["levels"], dict)):
+            raise ConfigError("boundary mode needs exactly {'anchor': ..., 'levels': {...}}")
         levels = {
             _resolve_point(system.space, k): serialize.value_from_jsonable(v)
             for k, v in raw["levels"].items()
         }
         anchor = _resolve_point(system.space, raw["anchor"])
-        lam = build_invariant(pot, BoundaryData(values=levels, anchor=anchor))
+        values = build_invariant(pot, BoundaryData(values=levels, anchor=anchor)).values
     elif mode == "constant":
-        lam = constant_weight_density(system, pot)
+        values = constant_weight_density(system, pot).values
     elif mode == "enumerate":
         levels = [serialize.value_from_jsonable(v) for v in _list(params, "levels", [0.0])]
-        found = enumerate_invariants(system, pot, levels)
-        lam = found.density
+        values = enumerate_invariants(pot, levels)
     else:
         raise ConfigError(f"unknown invariant mode {mode!r}")
 
-    lam = Density(lam.space, np.atleast_2d(lam.values))  # every mode writes a block
-    devs = verify_invariant(system, lam, tol).max_deviation if found is None else found.deviations
+    lam = Density(system.space, np.atleast_2d(values))  # every mode writes a block
+    rep = verify_invariant(system, lam, tol)
     serialize.write_json(out / "density.json", serialize.density_to_jsonable(lam))
-    serialize.write_json(
-        out / "verify.json", [VerifyReport(d <= tol, d, tol).to_jsonable() for d in devs.tolist()]
-    )
+    serialize.write_json(out / "verify.json", [
+        {"passed": passed, "max_deviation": dev, "tol": tol}
+        for passed, dev in zip(rep.passed.tolist(), rep.max_deviation.tolist())
+    ])
     if serialize.scalar(cfg.output.get("csv", False), bool, "output.csv"):
         for i, values in enumerate(lam.values):
             serialize.density_to_csv(out / f"density_{i:03d}.csv", Density(lam.space, values))

@@ -17,7 +17,9 @@ builds its own shift system), names exactly one source:
                 "exact_maps": false}}
 
 Command blocks ("mane", "invariant", "fuzzy", "demo31") hold the knobs of
-the corresponding subcommand; "output" holds format flags.
+the corresponding subcommand; "output" holds format flags.  A key they or
+a builder do not read (:data:`BLOCK_KEYS`, :data:`BUILDER_KEYS`) is a
+:class:`ConfigError`; the keys of an inline system document are not checked.
 
 Every scalar is read through :func:`serialize.scalar`, the ``maps`` and
 ``dist`` tables of an inline system through :func:`serialize.table` and
@@ -45,6 +47,29 @@ from .mpifs import MpIfs, validate
 from .serialize import scalar, system_from_jsonable
 from .spaces import build_grid, build_shift_space
 
+#: The keys each config block may hold: those its command reads.
+BLOCK_KEYS = {
+    "mane": ("tol_aubry",),
+    "invariant": ("mode", "tol", "tol_aubry", "boundary", "levels"),
+    "fuzzy": ("tol", "max_iters", "u0"),
+    "demo31": ("depth", "alphas"),
+    "output": ("csv",),
+}
+
+#: The parameters each system builder reads besides ``builder``.
+BUILDER_KEYS = {
+    "two_point": (),
+    "nonunique_shift": ("depth",),
+    "grid_random": ("a", "b", "n", "num_maps", "seed", "constant_weights"),
+    "shift_random": ("symbols", "depth", "seed", "constant_weights"),
+}
+
+
+def _check_keys(name: str, block: dict, known) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {unknown}")
+
 
 @dataclass
 class RunConfig:
@@ -62,10 +87,11 @@ class RunConfig:
             sources = [k for k in ("builder", "inline") if k in self.system]
             if len(sources) != 1:
                 raise ConfigError("system must name exactly one of 'builder' or 'inline'")
-        for name in ("mane", "invariant", "fuzzy", "demo31", "output"):
-            if not isinstance(getattr(self, name), dict):
+        for name, known in BLOCK_KEYS.items():
+            block = getattr(self, name)
+            if not isinstance(block, dict):
                 raise ConfigError(f"config block {name!r} must be an object")
-        for block in (self.mane, self.invariant, self.fuzzy):
+            _check_keys(f"config block {name!r}", block, known)
             for key, val in block.items():
                 if key.startswith("tol") and not 0 < scalar(val, float, key) < math.inf:
                     raise ConfigError(f"tolerance {key} must be finite and > 0, got {val!r}")
@@ -81,11 +107,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"system", "mane", "invariant", "fuzzy", "demo31", "output"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**{k: doc[k] for k in known if k in doc})
+    _check_keys("config", doc, ("system", *BLOCK_KEYS))
+    return RunConfig(**doc)
 
 
 def build_system(cfg: RunConfig, seed_override: Optional[int] = None) -> MpIfs:
@@ -94,6 +117,7 @@ def build_system(cfg: RunConfig, seed_override: Optional[int] = None) -> MpIfs:
     if spec is None:
         raise ConfigError("config needs a 'system' object")
     if "inline" in spec:
+        _check_keys("system block", spec, ("inline",))
         try:
             system = system_from_jsonable(spec["inline"])
         except (DimensionError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -101,27 +125,27 @@ def build_system(cfg: RunConfig, seed_override: Optional[int] = None) -> MpIfs:
         validate(system)
         return system
     builder = spec["builder"]
-    args = {k: v for k, v in spec.items() if k != "builder"}
+    if not isinstance(builder, str) or builder not in BUILDER_KEYS:
+        raise ConfigError(f"unknown system builder {builder!r}")
+    _check_keys(f"system builder {builder!r}", spec, ("builder", *BUILDER_KEYS[builder]))
     try:
         if builder == "two_point":
             return build_two_point_system()
         if builder == "nonunique_shift":
-            return build_nonunique_shift_system(scalar(args["depth"], int, "depth"))
-        if builder in ("grid_random", "shift_random"):
-            seed = seed_override if seed_override is not None else args.get("seed", 0)
-            seed = scalar(seed, int, "seed", minimum=0)
-            constant = scalar(args.get("constant_weights", False), bool, "constant_weights")
-            if builder == "grid_random":
-                space = build_grid(
-                    scalar(args["a"], float, "a"),
-                    scalar(args["b"], float, "b"),
-                    scalar(args["n"], int, "n"),
-                )
-                num_maps = scalar(args["num_maps"], int, "num_maps")
-            else:
-                num_maps = scalar(args["symbols"], int, "symbols")
-                space = build_shift_space(num_maps, scalar(args["depth"], int, "depth"))
-            return random_system(space, num_maps, seed, constant_weights=constant)
+            return build_nonunique_shift_system(scalar(spec["depth"], int, "depth"))
+        seed = seed_override if seed_override is not None else spec.get("seed", 0)
+        seed = scalar(seed, int, "seed", minimum=0)
+        constant = scalar(spec.get("constant_weights", False), bool, "constant_weights")
+        if builder == "grid_random":
+            space = build_grid(
+                scalar(spec["a"], float, "a"),
+                scalar(spec["b"], float, "b"),
+                scalar(spec["n"], int, "n"),
+            )
+            num_maps = scalar(spec["num_maps"], int, "num_maps")
+        else:
+            num_maps = scalar(spec["symbols"], int, "symbols")
+            space = build_shift_space(num_maps, scalar(spec["depth"], int, "depth"))
+        return random_system(space, num_maps, seed, constant_weights=constant)
     except KeyError as exc:
         raise ConfigError(f"builder {builder!r} missing parameter {exc}") from exc
-    raise ConfigError(f"unknown system builder {builder!r}")

@@ -90,45 +90,35 @@ class VerifyReport:
     max_deviation: float
     tol: float
 
-    def to_jsonable(self) -> dict:
-        return {"passed": self.passed, "max_deviation": self.max_deviation, "tol": self.tol}
-
 
 def verify_invariant(system: MpIfs, lam: Density, tol: float = VERIFY_TOL) -> VerifyReport:
-    """Apply the transfer operator once and report the exp-scale deviation(s)."""
-    dev = d_rho(transfer_density(system, lam), lam)
+    """Apply the transfer operator once and report the exp-scale deviation(s).
+
+    A block is folded ``CHUNK_VALUES`` values (at least one row) at a time,
+    each row on its own, so its deviations do not depend on the chunking.
+    """
+    vals = np.atleast_2d(lam.values)
+    dev = np.empty(len(vals))
+    step = max(1, CHUNK_VALUES // lam.space.n)
+    for first in range(0, len(vals), step):
+        chunk = Density(lam.space, vals[first:first + step])
+        dev[first:first + step] = d_rho(transfer_density(system, chunk), chunk)
+    if lam.values.ndim == 1:
+        dev = float(dev[0])
     return VerifyReport(passed=dev <= tol, max_deviation=dev, tol=tol)
 
 
-@dataclass
-class Enumeration:
-    """Distinct densities, one per row of ``density``, with the deviation
-    each was verified at; its length is the number of densities."""
-
-    density: Density
-    deviations: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.deviations)
-
-
-def enumerate_invariants(
-    system: MpIfs,
-    pot: PotentialMatrix,
-    levels: Sequence[float],
-    verify_tol: float = VERIFY_TOL,
-) -> Enumeration:
+def enumerate_invariants(pot: PotentialMatrix, levels: Sequence[float]) -> np.ndarray:
     """Sweep boundary levels over the non-anchor Aubry points.
 
     The lowest Aubry index is anchored at 0; every assignment of ``levels``
     to the remaining Aubry points is built, in ``itertools.product`` order
-    and in blocks of at most ``CHUNK_VALUES`` values, and each distinct
-    result is verified once as a fixed point (a deviation above
-    ``verify_tol`` is an :class:`InternalError`); they come back in
-    first-seen order.  This generates (not enumerates) the continuum of
-    invariant densities the boundary freedom allows.  More than
-    :data:`MAX_ASSIGNMENTS` assignments, or none, raise
-    :class:`ConfigError` before any is built.
+    and in blocks of at most ``CHUNK_VALUES`` values, and the distinct
+    results come back as the rows of one (k, n) array, in first-seen order
+    (verifying them is :func:`verify_invariant`'s job).  This generates
+    (not enumerates) the continuum of invariant densities the boundary
+    freedom allows.  More than :data:`MAX_ASSIGNMENTS` assignments, or
+    none, raise :class:`ConfigError` before any is built.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if (np.isnan(levels) | (levels > 0)).any():
@@ -146,11 +136,9 @@ def enumerate_invariants(
         raise ConfigError(f"levels is empty, but the {len(pot.aubry)} Aubry points need levels")
 
     # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into
-    # 0.0, so two densities share a key exactly when np.array_equal holds,
-    # and then their deviations (on the exp scale, where -0.0 and 0.0 are
-    # both 1) are equal too, so verifying the first one verifies both.
+    # 0.0, so two densities share a key exactly when np.array_equal holds.
     seen = {}  # key -> number of the first assignment that built it
-    blocks, deviations = [], []
+    blocks = []
     step = max(1, CHUNK_VALUES // pot.space.n)
     for first in range(0, total, step):
         rows = np.arange(first, min(first + step, total))
@@ -159,15 +147,9 @@ def enumerate_invariants(
             vals[z] = levels[rows // len(levels) ** (len(others) - 1 - i) % len(levels)]
         lam = build_invariant(pot, BoundaryData(values=vals, anchor=anchor))
         keys = map(np.ndarray.tobytes, lam.values + 0.0)
-        fresh = [i for i, (key, row) in enumerate(zip(keys, rows.tolist()))
-                 if seen.setdefault(key, row) == row]
-        lam = Density(pot.space, lam.values[fresh])
-        rep = verify_invariant(system, lam, tol=verify_tol)
-        for dev in rep.max_deviation[~rep.passed][:1]:
-            raise InternalError(f"built density failed verification (deviation {dev})")
-        blocks.append(lam.values)
-        deviations.append(rep.max_deviation)
-    return Enumeration(Density(pot.space, np.concatenate(blocks)), np.concatenate(deviations))
+        blocks.append(lam.values[[i for i, (key, row) in enumerate(zip(keys, rows.tolist()))
+                                  if seen.setdefault(key, row) == row]])
+    return np.concatenate(blocks)
 
 
 MAX_CODING_DEPTH = 64
@@ -211,10 +193,11 @@ def constant_weight_density(system: MpIfs, pot: PotentialMatrix) -> Density:
     """The unique invariant density of a constant-weight system.
 
     Returns the S column at an Aubry point after asserting all Aubry
-    columns coincide.  For exact maps they must, by the structure of
-    constant weights, so a disagreement is a bug; snapped maps can split
-    the zero-cost dynamics into several closed classes, each with its own
-    invariant density, which is :class:`NonUniqueDensityError`.  The
+    columns coincide.  With exact maps and every Aubry return weight S[z, z]
+    at 0 they must, by the structure of constant weights, so a disagreement
+    is a bug; a ``tol_aubry`` that admits lower return weights, or snapped
+    maps splitting the zero-cost dynamics into several closed classes (each
+    with its own density), make it a :class:`NonUniqueDensityError`.  The
     result is cross-checked against the coding series, the best
     accumulated weight over words starting at the Aubry anchor: one
     transfer step stays below the density (so the series does at every
@@ -231,11 +214,15 @@ def constant_weight_density(system: MpIfs, pot: PotentialMatrix) -> Density:
         if ((a > BOTTOM) != (b > BOTTOM)).any() or (
             both.any() and np.max(np.abs(a[both] - b[both])) > AUBRY_COLUMN_TOL
         ):
-            if system.exact_maps:
+            low = min(pot.column(y)[y] for y in pot.aubry)
+            if low < 0.0:
+                why = f"tol_aubry {pot.tol_aubry} admits Aubry return weights S[z, z] down to {low}"
+            elif not system.exact_maps:
+                why = "the snapped maps split the zero-cost dynamics into several closed classes"
+            else:
                 raise InternalError("Aubry columns of S disagree for constant weights")
             raise NonUniqueDensityError(
-                f"the snapped maps split the zero-cost dynamics into several closed "
-                f"classes: Aubry points {pot.aubry[0]} and {z} have different columns "
+                f"{why}: Aubry points {pot.aubry[0]} and {z} have different columns "
                 f"of S, so there is no unique invariant density; use the invariant "
                 f"command with mode 'enumerate' or 'boundary'"
             )

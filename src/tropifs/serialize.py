@@ -122,16 +122,15 @@ def values_from_jsonable(items) -> np.ndarray:
     return values
 
 
-def density_to_jsonable(lam: Density):
-    """``{"labels", "values"}`` of one density, BOTTOM spelled "-inf".
+def density_to_jsonable(lam: Density) -> _DensityBlock:
+    """The text of a block of densities as :func:`write_json` writes it.
 
-    A block gives a :class:`_DensityBlock` instead: no JSON data, only the
-    text :func:`write_json` writes, a list of one such document per row.
-    Each chunk of rows is spelled from one table of its distinct values.
+    No JSON data, only the text of a list of one ``{"labels", "values"}``
+    document per row, BOTTOM spelled "-inf"; each chunk of rows is spelled
+    from one table of its distinct values.  One density is a one-row block.
     """
-    if lam.values.ndim == 1:
-        values = [BOTTOM_TOKEN if x == BOTTOM else x for x in lam.values.tolist()]
-        return {"labels": lam.space.labels, "values": values}
+    if lam.values.ndim != 2:
+        raise DimensionError("density_to_jsonable takes a block, one density per row")
     step = max(1, CHUNK_VALUES // lam.space.n)
     texts = []
     for first in range(0, len(lam.values), step):

@@ -493,14 +493,15 @@ def labelled_csv(header, labels, rows):
     return buf.getvalue()
 
 
-def enumerate_by_assignment(system, pot, levels, verify_tol=1e-9):
+def enumerate_by_assignment(system, pot, levels):
     """The loop ``enumerate_invariants`` ran before it built its densities as a block.
 
     One density per assignment of ``levels`` to the non-anchor Aubry
     points, in ``itertools.product`` order, each distinct one verified
-    once.  Returns ``(density, max_deviation)`` pairs in first-seen order.
+    once, one density at a time.  Returns ``(density, max_deviation)``
+    pairs in first-seen order, whether or not a deviation passes.
     """
-    from tropifs.errors import ConfigError, InternalError
+    from tropifs.errors import ConfigError
     from tropifs.invariant import MAX_ASSIGNMENTS, BoundaryData, build_invariant, verify_invariant
 
     for lv in levels:
@@ -525,14 +526,8 @@ def enumerate_by_assignment(system, pot, levels, verify_tol=1e-9):
         vals.update(dict(zip(others, assignment)))
         lam = build_invariant(pot, BoundaryData(values=vals, anchor=anchor))
         key = (lam.values + 0.0).tobytes()
-        if key in distinct:
-            continue
-        rep = verify_invariant(system, lam, tol=verify_tol)
-        if not rep.passed:
-            raise InternalError(
-                f"built density failed verification (deviation {rep.max_deviation})"
-            )
-        distinct[key] = (lam, rep.max_deviation)
+        if key not in distinct:
+            distinct[key] = (lam, verify_invariant(system, lam).max_deviation)
     return list(distinct.values())
 
 

@@ -525,6 +525,82 @@ def test_invariant_boundary_mode_with_labels(tmp_path):
     assert np.array_equal(np.array(densities[0]["values"]), lambda_alpha(3, 0.25).values)
 
 
+GRID11 = {"builder": "grid_random", "a": 0, "b": 1, "n": 11, "num_maps": 3, "seed": 0}
+
+
+def test_invariant_modes_report_a_failed_check_alike(tmp_path, capsys):
+    # tol_aubry 0.5 admits Aubry points off the zero-weight cycles, so the
+    # density of one assignment is no fixed point: every mode writes it with
+    # "passed": false and exits 0, enumerate included
+    config = {"system": GRID11, "invariant": {"mode": "enumerate", "levels": [0], "tol_aubry": 0.5}}
+    code, enum = run(tmp_path, "invariant", config, out="enumerate")
+    assert code == 0, capsys.readouterr().err
+    code, mane = run(tmp_path, "mane", {"system": GRID11, "mane": {"tol_aubry": 0.5}}, out="mane")
+    aubry = json.loads((mane / "aubry.json").read_text())["indices"]
+    assert code == 0 and aubry == [1, 2, 4, 5, 6, 7, 8]
+    code, bound = run(tmp_path, "invariant", {"system": GRID11, "invariant": {
+        "mode": "boundary", "tol_aubry": 0.5,
+        "boundary": {"anchor": 1, "levels": {str(z): 0 for z in aubry}}}}, out="boundary")
+    assert code == 0
+    for name in ("density.json", "verify.json"):
+        assert (enum / name).read_bytes() == (bound / name).read_bytes()
+    assert json.loads((enum / "verify.json").read_text()) == [
+        {"max_deviation": 0.19523879162313096, "passed": False, "tol": 1e-09}]
+
+
+@pytest.mark.parametrize("system, low", [
+    # exact maps: 23 Aubry points, which a bug used to be blamed for
+    ({"builder": "shift_random", "symbols": 3, "depth": 3, "seed": 1}, -0.3418092429637909),
+    # snapped maps: 5 Aubry points, which the snapped maps used to be blamed for
+    ({**GRID8, "n": 64, "num_maps": 3, "seed": 1}, -0.34768733382225037),
+], ids=["exact", "snapped"])
+def test_invariant_constant_mode_with_a_loose_tol_aubry(tmp_path, capsys, system, low):
+    # at tol_aubry 0.5 the Aubry set includes return weights S[z, z] below
+    # 0, whose columns of S may differ; at the default there is one point
+    config = {"system": {**system, "constant_weights": True}, "invariant": {"mode": "constant"}}
+    code, out = run(tmp_path, "invariant", config)
+    assert code == 0, capsys.readouterr().err
+    config["invariant"]["tol_aubry"] = 0.5
+    code, out = run(tmp_path, "invariant", config, out="loose")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"tol_aubry 0.5 admits Aubry return weights S[z, z] down to {low!r}:" in err
+    assert not (out / "density.json").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # read as the default levels [0]: 1 density instead of 3
+    ("invariant", {**SHIFT4, "invariant": {"mode": "enumerate", "level": [0, -0.25, -0.5]}},
+     "unknown keys in config block 'invariant': ['level']"),
+    ("validate", {"system": {**GRID8, "constant_weight": True}},
+     "unknown keys in system builder 'grid_random': ['constant_weight']"),
+    ("fuzzy", {"system": TWO_POINT, "fuzzy": {"max_iter": 1}},
+     "unknown keys in config block 'fuzzy': ['max_iter']"),
+    ("mane", {"system": TWO_POINT, "mane": {"tol": 0.5}},
+     "unknown keys in config block 'mane': ['tol']"),
+    ("demo31", {"demo31": {"alpha": [0.5]}}, "unknown keys in config block 'demo31': ['alpha']"),
+    ("invariant", {"system": TWO_POINT, "output": {"CSV": True}},
+     "unknown keys in config block 'output': ['CSV']"),
+    ("validate", {"system": {**TWO_POINT, "depth": 3}},
+     "unknown keys in system builder 'two_point': ['depth']"),
+    ("validate", {"system": {**SHIFT3, "seed": 1}},
+     "unknown keys in system builder 'nonunique_shift': ['seed']"),
+    ("validate", {"system": {"builder": "shift_random", "symbols": 2, "depth": 2, "n": 4}},
+     "unknown keys in system builder 'shift_random': ['n']"),
+    ("validate", {"system": {"inline": TWO_POINT_DOC, "seed": 1}},
+     "unknown keys in system block: ['seed']"),
+    ("invariant", {"system": SHIFT3, "invariant": {"mode": "boundary", "boundary": {
+        "anchor": "111", "levels": {"111": 0}, "level": {"222": -0.5}}}},
+     "boundary mode needs exactly {'anchor': ..., 'levels': {...}}"),
+], ids=["invariant", "builder-grid", "fuzzy", "mane", "demo31", "output", "builder-two-point",
+        "builder-shift", "builder-shift-random", "inline", "boundary"])
+def test_an_unknown_key_is_a_config_error(tmp_path, capsys, command, config, message):
+    code, out = run(tmp_path, command, config)
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_fuzzy_two_point(tmp_path):
     code, out = run(tmp_path, "fuzzy", {"system": {"builder": "two_point"}})
     assert code == 0

@@ -20,6 +20,7 @@ from tropifs.examples import _affine_grid_maps, discrete_index_space, random_sys
 from tropifs.invariant import constant_weight_density, enumerate_invariants, verify_invariant
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
+from tropifs.measures import Density
 from tropifs.mpifs import (
     MpIfs,
     _contraction_constant,
@@ -315,8 +316,8 @@ def test_pipeline_never_builds_the_table(monkeypatch, constant):
     if constant:
         lam = constant_weight_density(system, pot)
     else:
-        lam = enumerate_invariants(system, pot, [0.0, -0.5]).density
-    assert verify_invariant(system, lam, 1e-9).passed
+        lam = Density(system.space, enumerate_invariants(pot, [0.0, -0.5]))
+    assert np.all(verify_invariant(system, lam, 1e-9).passed)
     assert system.space._dist is None
     with pytest.raises(AssertionError, match="built its table"):
         system.space.dist

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from tropifs.errors import EmptySupportError
+from tropifs.errors import DimensionError, EmptySupportError
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, normalize
-from tropifs.serialize import density_to_jsonable, values_from_jsonable
+from tropifs.serialize import density_to_jsonable, values_from_jsonable, write_json
 from tropifs.spaces import build_grid
 
 from oracles import dyadic_mp
@@ -43,9 +45,14 @@ def test_dirac():
     assert normalize(lam).values.tolist() == [BOTTOM, BOTTOM, 0.0, BOTTOM, BOTTOM, BOTTOM]
 
 
-def test_density_json_round_trip():
+def test_density_json_round_trip(tmp_path):
     lam = rand_density(9)
-    obj = density_to_jsonable(lam)
-    assert "-inf" in obj["values"] or all(v != "-inf" for v in obj["values"])
-    back = values_from_jsonable(obj["values"])
+    block = Density(SPACE, lam.values[None])  # one density is a one-row block
+    write_json(tmp_path / "density.json", density_to_jsonable(block))
+    (doc,) = json.loads((tmp_path / "density.json").read_text())
+    assert doc["labels"] == list(SPACE.labels)
+    assert "-inf" in doc["values"] or all(v != "-inf" for v in doc["values"])
+    back = values_from_jsonable(doc["values"])
     assert np.array_equal(back, lam.values)
+    with pytest.raises(DimensionError):
+        density_to_jsonable(lam)

@@ -153,11 +153,12 @@ def test_potential_jsonable():
     assert np.array_equal(back, pot.s.entries)
 
 
-def test_density_jsonable_round_trip_exact():
+def test_density_jsonable_round_trip_exact(tmp_path):
     space = build_grid(0.0, 1.0, 4)
-    lam = normalize(Density(space, [-0.1, -2.75, BOTTOM, -1e-9]))
-    doc = json.loads(json.dumps(density_to_jsonable(lam)))
-    assert np.array_equal(values_from_jsonable(doc["values"]), lam.values)
+    lam = normalize(Density(space, [[-0.1, -2.75, BOTTOM, -1e-9]]))  # a one-row block
+    write_json(tmp_path / "density.json", density_to_jsonable(lam))
+    (doc,) = json.loads((tmp_path / "density.json").read_text())
+    assert np.array_equal(values_from_jsonable(doc["values"]), lam.values[0])
 
 
 def test_write_json_matches_dumps(tmp_path):
