@@ -279,9 +279,11 @@ def random_system(
         maps = _prepend_maps(symbols, depth)
         index_space = discrete_index_space([str(j) for j in range(1, symbols + 1)])
     else:
-        index_space = discrete_index_space(
-            [str(j) for j in range(num_maps)], spacing=2.5 * space.diameter
-        )
+        spacing = 2.5 * space.diameter
+        if spacing == np.inf:
+            raise ConfigError(f"index spacing 2.5 * diameter overflows the float range "
+                              f"(diameter {space.diameter})")
+        index_space = discrete_index_space([str(j) for j in range(num_maps)], spacing=spacing)
 
     last_error = None
     for attempt in range(100):

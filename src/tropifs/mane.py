@@ -10,7 +10,10 @@ only absorbs float summation error).
 The invariant densities only need the Aubry set and the columns of S at
 Aubry points, and both are graph problems on the at most m*n transition
 edges y -> phi_j(y) of weight q_j(y) <= 0 (the critical-graph view of
-max-plus spectral theory, Butkovic, *Max-linear Systems*, 2010):
+max-plus spectral theory, Butkovic, *Max-linear Systems*, 2010).
+:func:`_edges` lists those edges once, by source, with parallel maps
+merged to their max weight, and A, the candidates and the columns all
+read that list:
 
 * a return cycle of weight >= -tol uses only edges of weight >= -tol, so
   every Aubry point lies on a nontrivial strongly connected component (or
@@ -91,42 +94,38 @@ class PotentialMatrix:
         return self.columns[:, self._slot[z]]
 
 
-def transition_matrix(system: MpIfs) -> MpMatrix:
-    """A[x, y] = max over j with phi_j(y) = x of q_j(y); BOTTOM when no j hits."""
-    n = system.space.n
-    a = np.full((n, n), BOTTOM)
-    src = np.broadcast_to(np.arange(n), system.maps.shape)
-    np.maximum.at(a, (system.maps.reshape(-1), src.reshape(-1)), system.weights.reshape(-1))
-    return MpMatrix(a)
-
-
 def _edges(system: MpIfs):
-    """Transition edges (source, target, weight): finite, one per pair, max weight.
-
-    Parallel edges are merged to their max, so every pair is relaxed once.
+    """Transition edges y -> phi_j(y) as (source, target, weight) arrays:
+    finite, parallel maps merged to their max weight (the later map's on a
+    +0.0 / -0.0 tie, as ``np.maximum.at``), listed by source, then target.
     """
     n = system.space.n
-    src = np.broadcast_to(np.arange(n), system.maps.shape).reshape(-1)
-    tgt = system.maps.reshape(-1)
-    w = system.weights.reshape(-1)
-    finite = w > BOTTOM
-    src, tgt, w = src[finite], tgt[finite], w[finite]
+    finite = system.weights > BOTTOM
+    src = np.broadcast_to(np.arange(n), system.maps.shape)[finite]
+    tgt, w = system.maps[finite], system.weights[finite]
     key = src * n + tgt
     order = np.lexsort((w, key))
-    last = np.append(key[order][1:] != key[order][:-1], True)
-    keep = order[last]
+    keep = order[np.diff(key[order], append=n * n) != 0]  # the last of each pair
     return src[keep], tgt[keep], w[keep]
+
+
+def transition_matrix(system: MpIfs) -> MpMatrix:
+    """A[x, y] = max over j with phi_j(y) = x of q_j(y); BOTTOM when no j hits."""
+    src, tgt, w = _edges(system)
+    a = np.full((system.space.n, system.space.n), BOTTOM)
+    a[tgt, src] = w
+    return MpMatrix(a)
 
 
 def _on_cycle(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Mask of the vertices on a cycle: nontrivial SCCs and self-loops.
 
-    Tarjan's algorithm over CSR arrays, with an explicit stack instead of
-    recursion so that a path of any length fits.
+    Tarjan's algorithm over the edges src -> tgt listed by source, as
+    :func:`_edges` lists them, with an explicit stack so that a path of
+    any length fits.
     """
-    order = np.argsort(src, kind="stable")
-    heads = tgt[order].tolist()
-    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    heads = tgt.tolist()
+    start = np.searchsorted(src, np.arange(n + 1)).tolist()
     nxt = start[:-1]  # nxt[v]: the next out-edge of v to try
     index = [-1] * n
     low = [0] * n

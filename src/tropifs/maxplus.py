@@ -79,7 +79,8 @@ def _round_limit(n: int) -> int:
 
 def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     """col[:, k] = A+[:, sources[k]] for the edges y -> x of weight w <= 0
-    of a graph on n points (one edge per pair; ``sources`` distinct).
+    of a graph on n points (one edge per pair, listed by source: ``src``
+    sorted; ``sources`` distinct).
 
     Value iteration col <- max(col, transfer(col)) from the unit columns at
     all sources at once gives the best weight of a path of length >= 0:
@@ -92,8 +93,6 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     entry A+[z, z] is the return weight: the max over edges y -> z of
     col[y, z] + w.
     """
-    order = np.argsort(src, kind="stable")
-    src, tgt, w = src[order], tgt[order], w[order]
     start = np.searchsorted(src, np.arange(n + 1))
     k = sources.size
     cols = np.full((n, k), BOTTOM)
@@ -167,7 +166,7 @@ def kleene_plus(a: MpMatrix) -> MpMatrix:
         raise DimensionError("kleene_plus requires a square matrix")
     n = a.rows
     if _sums_exact(a.entries):
-        tgt, src = np.nonzero(a.entries > BOTTOM)
+        src, tgt = np.nonzero(a.entries.T > BOTTOM)
         return MpMatrix(_plus_columns(n, src, tgt, a.entries[tgt, src], np.arange(n)))
     p = a.entries.copy()
     through = np.empty_like(p)

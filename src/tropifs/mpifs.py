@@ -81,8 +81,8 @@ class MpIfs:
     def snap_slack(self) -> float:
         return 0.0 if self.exact_maps else self.space.resolution
 
-    def is_constant_weight(self, tol: float = CONSTANT_WEIGHT_TOL) -> bool:
-        """True when each q_j varies across X by at most ``tol`` (finite case)."""
+    def is_constant_weight(self) -> bool:
+        """True when each q_j varies across X by at most CONSTANT_WEIGHT_TOL (finite case)."""
         for j in range(self.num_maps):
             w = self.weights[j]
             finite = w > BOTTOM
@@ -90,7 +90,7 @@ class MpIfs:
                 if finite.any():
                     return False
                 continue
-            if w.max() - w.min() > tol:
+            if w.max() - w.min() > CONSTANT_WEIGHT_TOL:
                 return False
         return True
 
@@ -239,7 +239,8 @@ def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.nd
       with a margin of 64u * R >= 2^-1000.  It is separable, so
       :func:`_pairs_above` lists its pairs in O(n + hits * log n) per case.
 
-    Falls back (None) when L is outside the normal range, when 64u * R is
+    Falls back (None) when a locate round's sums could overflow (2 * (Y +
+    L * X) does), when L is outside the normal range, when 64u * R is
     below 2^-1000 or R overflows, or when the cases list more than
     ``PAIR_BUDGET`` * n pairs.
     """
@@ -260,8 +261,11 @@ def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.nd
         numer = np.abs(ys[ja[c], i] - ys[jb[c], k]) - slack2
         return numer, numer / (dj[c] + np.abs(xs[i] - xs[k]))
 
+    ybound, xbound = float(np.abs(ys).max()), max(abs(float(xs[0])), abs(float(xs[-1])))
     top = 0.0
     for _ in range(16):
+        if not 2.0 * (ybound + low * xbound) < np.inf:  # a sum of this round could overflow
+            return None
         found = low
         for c in groups:
             strict = dj[c] == 0
@@ -285,7 +289,6 @@ def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.nd
     if low < _TINY:
         return None
     bound = low * (1.0 - NEAR_TIE)
-    ybound, xbound = float(np.abs(ys).max()), max(abs(float(xs[0])), abs(float(xs[-1])))
     margin = 64 * _U * (2.0 * (ybound + bound * xbound) + slack2 + bound * dj)
     if not ((_TINY <= margin) & (margin < np.inf)).all():
         return None
@@ -467,12 +470,12 @@ def _shift_weight_lipschitz(system: MpIfs, shift: Shift) -> float:
     return max(0.0, float(((hi - lo) / dx).max()))
 
 
-def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> ValidationReport:
+def validate(system: MpIfs) -> ValidationReport:
     """Check normalization, contraction, and weight regularity.
 
     Sets ``validation`` (the returned report) on the system and silently
     re-normalizes the weights (subtracting the per-point max) when the
-    drift is within ``normalization_tol``; larger drift raises
+    drift is within ``NORMALIZATION_TOL``; larger drift raises
     :class:`NormalizationError`, and an estimated contraction constant
     >= 1 raises :class:`NotContractiveError`.  A Lipschitz estimate past
     the float range is a :class:`ConfigError`: it could not be written.
@@ -484,9 +487,9 @@ def validate(system: MpIfs, normalization_tol: float = NORMALIZATION_TOL) -> Val
     drift = float(np.max(np.abs(col_max)))
     renormalized = False
     if drift > 0:
-        if drift > normalization_tol:
+        if drift > NORMALIZATION_TOL:
             raise NormalizationError(
-                f"weight normalization drift {drift} exceeds {normalization_tol}"
+                f"weight normalization drift {drift} exceeds {NORMALIZATION_TOL}"
             )
         system.weights = system.weights - col_max[None, :]
         renormalized = True

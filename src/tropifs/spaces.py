@@ -48,7 +48,7 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
+def check_metric(dist: np.ndarray) -> None:
     """Symmetry, zero diagonal (and only there), triangle inequality."""
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ConfigError("distance table must be square")
@@ -69,7 +69,7 @@ def check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     through = np.full((n, n), np.inf)
     for j in range(n):
         np.minimum(through, dist[:, j, None] + dist[None, j, :], out=through)
-    if np.any(dist > through + tol * max(1.0, top)):
+    if np.any(dist > through + METRIC_TOL * max(1.0, top)):
         raise ConfigError("triangle inequality violated")
 
 
@@ -288,6 +288,8 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
         raise ConfigError(f"grid of {n} points is larger than the limit of {MAX_POINTS}")
     if not a < b:
         raise ConfigError("grid requires a < b")
+    if float(b) - float(a) == np.inf:
+        raise ConfigError(f"grid span b - a overflows the float range (a = {a}, b = {b})")
     xs = _lock(np.linspace(a, b, n))
     if not np.all(np.diff(xs) > 0):
         raise ConfigError("grid points must be distinct real numbers")

@@ -255,6 +255,21 @@ def edge_table(maps, weights, n):
     return a
 
 
+def scatter_transition_matrix(maps, weights):
+    """One-step best edge weights by one ``np.maximum.at`` over the (m, n)
+    tables in map-major order, the scatter form of the transition matrix.
+
+    Unlike :func:`edge_table`, a +0.0 / -0.0 tie keeps the later map's zero.
+    """
+    maps = np.asarray(maps)
+    n = maps.shape[1]
+    a = np.full((n, n), BOTTOM)
+    src = np.broadcast_to(np.arange(n), maps.shape)
+    weights = np.asarray(weights, dtype=float)
+    np.maximum.at(a, (maps.reshape(-1), src.reshape(-1)), weights.reshape(-1))
+    return a
+
+
 def on_cycle(n, edges):
     """Per vertex: does it reach itself by a path of length >= 1?
 

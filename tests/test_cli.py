@@ -373,6 +373,36 @@ def test_an_overflowing_contraction_estimate_warns_nothing(tmp_path):
     assert report == {"valid": False, "error": "contraction estimate gamma_hat = inf >= 1"}
 
 
+@pytest.mark.parametrize("a, message", [
+    # 2.5 * 1e308 overflowed, and the index table was 0 * inf = nan
+    (0, "index spacing 2.5 * diameter overflows the float range (diameter 1e+308)"),
+    # b - a overflowed inside linspace, whose points came out as nan
+    (-1e308, "grid span b - a overflows the float range (a = -1e+308, b = 1e+308)"),
+], ids=["index-spacing", "grid-span"])
+def test_a_huge_grid_span_is_one_config_error(tmp_path, a, message):
+    system = {"builder": "grid_random", "a": a, "b": 1e308, "n": 64, "num_maps": 2, "seed": 1}
+    done = _validate_in_a_process(tmp_path, {"system": system})
+    assert done.returncode == 3
+    assert done.stderr == f"tropifs: config error: {message}\n"
+
+
+def test_a_huge_grid_search_warns_nothing(tmp_path):
+    # the search's bound times 1e308 overflowed to inf - inf = nan; the row
+    # blocks decide, as before
+    done = _validate_in_a_process(tmp_path, {"system": {"inline": {
+        "space": {"grid": {"a": 0, "b": 1e308, "n": 8}},
+        "index_space": {"labels": ["1", "2"], "dist": [[0, 1], [1, 0]]},
+        "maps": [[0, 0, 1, 1, 2, 2, 3, 3], [4, 4, 5, 5, 6, 6, 7, 7]],
+        "weights": [[0.0] * 8, [-1.0] * 8],
+        "exact_maps": True,
+    }}})
+    assert done.returncode == 2
+    assert done.stderr == ""
+    report = json.loads((tmp_path / "out" / "validation.json").read_text())
+    error = "contraction estimate gamma_hat = 5.714285714285714e+307 >= 1"
+    assert report == {"valid": False, "error": error}
+
+
 @pytest.mark.parametrize("command, config, count", [
     ("validate", {"system": {"builder": "shift_random", "symbols": 2, "depth": 30}}, "2^30"),
     ("validate", {"system": {"builder": "nonunique_shift", "depth": 30}}, "2^30"),

@@ -25,6 +25,7 @@ from oracles import (
     edge_table,
     on_cycle,
     paths_closure,
+    scatter_transition_matrix,
     words_closure,
 )
 
@@ -62,6 +63,34 @@ def test_transition_matrix_constant_map():
 def test_transition_entries_never_positive(seed):
     system = random_system(build_grid(0, 1, 8), 2, seed % 500)
     assert np.all(transition_matrix(system).entries <= 0)
+
+
+@st.composite
+def parallel_map_systems(draw):
+    """Unvalidated systems whose maps often share a (source, target) pair,
+    with weights that tie at +0.0 / -0.0 and -inf entries."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    target = st.one_of(st.integers(0, min(n - 1, 2)), st.integers(0, n - 1))
+    cells = st.tuples(target, st.sampled_from([0.0, -0.0, -(2.0**-26), -0.5, -1.0, BOTTOM]))
+    table = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m))
+    maps = np.array([[t for t, _ in row] for row in table], dtype=np.intp)
+    weights = np.array([[w for _, w in row] for row in table])
+    space = discrete_index_space([str(i) for i in range(n)])
+    return MpIfs(space, discrete_index_space([str(j) for j in range(m)]), maps, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parallel_map_systems())
+def test_transition_matrix_equals_the_scatter_form(system):
+    expected = scatter_transition_matrix(system.maps, system.weights)
+    assert transition_matrix(system).entries.tobytes() == expected.tobytes()
+
+
+def test_transition_matrix_without_finite_weights_is_bottom():
+    space = discrete_index_space(["a", "b"])
+    system = MpIfs(space, discrete_index_space(["0"]), [[1, 0]], [[BOTTOM, BOTTOM]])
+    assert np.all(transition_matrix(system).entries == BOTTOM)
 
 
 def test_mane_potential_two_point():
@@ -381,6 +410,7 @@ def digraphs(draw):
 def test_candidates_are_the_vertices_on_a_cycle(graph):
     n, edges = graph
     pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
     got = mane._on_cycle(n, pairs[:, 0], pairs[:, 1])
     assert got.tolist() == on_cycle(n, edges)
 
