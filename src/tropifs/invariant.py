@@ -30,7 +30,7 @@ from .maxplus import BOTTOM
 from .measures import Density, normalize
 from .mpifs import MpIfs, d_rho, transfer_density
 from .mane import PotentialMatrix
-from .spaces import CHUNK_VALUES
+from .spaces import row_chunks
 
 AUBRY_COLUMN_TOL = 1e-9
 SERIES_TOL = 1e-9
@@ -94,15 +94,14 @@ class VerifyReport:
 def verify_invariant(system: MpIfs, lam: Density, tol: float = VERIFY_TOL) -> VerifyReport:
     """Apply the transfer operator once and report the exp-scale deviation(s).
 
-    A block is folded ``CHUNK_VALUES`` values (at least one row) at a time,
+    A block is folded in the chunks of :func:`~tropifs.spaces.row_chunks`,
     each row on its own, so its deviations do not depend on the chunking.
     """
     vals = np.atleast_2d(lam.values)
     dev = np.empty(len(vals))
-    step = max(1, CHUNK_VALUES // lam.space.n)
-    for first in range(0, len(vals), step):
-        chunk = Density(lam.space, vals[first:first + step])
-        dev[first:first + step] = d_rho(transfer_density(system, chunk), chunk)
+    for s in row_chunks(len(vals), lam.space.n):
+        chunk = Density(lam.space, vals[s])
+        dev[s] = d_rho(transfer_density(system, chunk), chunk)
     if lam.values.ndim == 1:
         dev = float(dev[0])
     return VerifyReport(passed=dev <= tol, max_deviation=dev, tol=tol)
@@ -113,7 +112,7 @@ def enumerate_invariants(pot: PotentialMatrix, levels: Sequence[float]) -> np.nd
 
     The lowest Aubry index is anchored at 0; every assignment of ``levels``
     to the remaining Aubry points is built, in ``itertools.product`` order
-    and in blocks of at most ``CHUNK_VALUES`` values, and the distinct
+    and in the chunks of :func:`~tropifs.spaces.row_chunks`, and the distinct
     results come back as the rows of one (k, n) array, in first-seen order
     (verifying them is :func:`verify_invariant`'s job).  This generates
     (not enumerates) the continuum of invariant densities the boundary
@@ -139,9 +138,8 @@ def enumerate_invariants(pot: PotentialMatrix, levels: Sequence[float]) -> np.nd
     # 0.0, so two densities share a key exactly when np.array_equal holds.
     seen = {}  # key -> number of the first assignment that built it
     blocks = []
-    step = max(1, CHUNK_VALUES // pot.space.n)
-    for first in range(0, total, step):
-        rows = np.arange(first, min(first + step, total))
+    for s in row_chunks(total, pot.space.n):
+        rows = np.arange(s.start, s.stop)
         vals = {anchor: np.zeros(len(rows))}
         for i, z in enumerate(others):  # the digits of each row number, most significant first
             vals[z] = levels[rows // len(levels) ** (len(others) - 1 - i) % len(levels)]

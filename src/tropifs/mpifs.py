@@ -15,7 +15,7 @@ densities, and it is the max-plus adjoint of the operator on functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .maxplus import BOTTOM
 from .measures import Density
-from .spaces import CHUNK_VALUES, FiniteSpace, Shift
+from .spaces import FiniteSpace, Shift, row_chunks
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12
@@ -105,14 +105,7 @@ class ValidationReport:
     messages: list
 
     def to_jsonable(self) -> dict:
-        return {
-            "valid": self.valid,
-            "gamma_hat": self.gamma_hat,
-            "lip_c_hat": self.lip_c_hat,
-            "normalization_drift": self.normalization_drift,
-            "renormalized": self.renormalized,
-            "messages": list(self.messages),
-        }
+        return asdict(self)
 
 
 def _contraction_constant(system: MpIfs) -> float:
@@ -136,15 +129,6 @@ def _contraction_constant(system: MpIfs) -> float:
     return _block_contraction_constant(system)
 
 
-def _row_blocks(n: int):
-    """Column vectors of consecutive indices below ``n``, each block of rows
-    of an n-column table holding at most ``CHUNK_VALUES`` values."""
-    step = max(1, CHUNK_VALUES // n)
-    rows = np.arange(n)
-    for first in range(0, n, step):
-        yield rows[first:first + step, None]
-
-
 def _block_contraction_constant(system: MpIfs) -> float:
     """:func:`_contraction_constant` over every quadruple, one block of rows
     of x1 at a time, so memory is O(n) beyond the space itself.
@@ -160,9 +144,10 @@ def _block_contraction_constant(system: MpIfs) -> float:
     dj = system.index_space.dist
     slack2 = 2.0 * system.snap_slack
     m, n = img.shape
-    best = 0.0
-    for r in _row_blocks(n):
-        dx = space.distances(r, np.arange(n))
+    best, points = 0.0, np.arange(n)
+    for s in row_chunks(n, n):
+        r = points[s, None]
+        dx = space.distances(r, points)
         for j1 in range(m):
             for j2 in range(j1, m):
                 numer = space.distances(img[j1][r], img[j2]) - slack2
@@ -247,8 +232,7 @@ def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.nd
     n = xs.size
     ja, jb, dj = np.tile(ja, 2), np.tile(jb, 2), np.tile(dj, 2)
     sign = np.repeat([1.0, -1.0], ja.size // 2)
-    step = max(1, CHUNK_VALUES // n)
-    groups = [np.arange(first, min(first + step, ja.size)) for first in range(0, ja.size, step)]
+    groups = [np.arange(s.start, s.stop) for s in row_chunks(ja.size, n)]
 
     def sums(c, bound):
         """The separable halves s * ys[ja, i] + bound * x_i and
@@ -421,9 +405,9 @@ def _block_weight_lipschitz(system: MpIfs) -> float:
         if finite.size < 2:
             continue
         wf = w[finite]
-        for r in _row_blocks(finite.size):
-            sub = system.space.distances(finite[r], finite)
-            diff = np.abs(wf[r] - wf)
+        for s in row_chunks(finite.size, finite.size):
+            sub = system.space.distances(finite[s, None], finite)
+            diff = np.abs(wf[s, None] - wf)
             mask = sub > 0
             if mask.any():
                 best = max(best, float(np.max(diff[mask] / sub[mask])))

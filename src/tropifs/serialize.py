@@ -31,7 +31,7 @@ from .measures import Density
 from .mpifs import MpIfs
 from .mane import PotentialMatrix
 from .fuzzy import FuzzySet
-from .spaces import CHUNK_VALUES, FiniteSpace, build_grid, build_shift_space
+from .spaces import FiniteSpace, build_grid, build_shift_space, row_chunks
 
 BOTTOM_TOKEN = "-inf"
 
@@ -131,10 +131,9 @@ def density_to_jsonable(lam: Density) -> _DensityBlock:
     """
     if lam.values.ndim != 2:
         raise DimensionError("density_to_jsonable takes a block, one density per row")
-    step = max(1, CHUNK_VALUES // lam.space.n)
     texts = []
-    for first in range(0, len(lam.values), step):
-        texts.extend(_spelled(lam.values[first:first + step], _value_text).tolist())
+    for s in row_chunks(len(lam.values), lam.space.n):
+        texts.extend(_spelled(lam.values[s], _value_text).tolist())
     # the labels array as it is indented inside each document of the list
     head = json.dumps(lam.space.labels, indent=2).replace("\n", "\n    ")
     return _DensityBlock(head, texts)

@@ -42,6 +42,15 @@ CHUNK_VALUES = 2**16
 MAX_POINTS = 2**14
 
 
+def row_chunks(rows: int, width: int):
+    """Slices of the consecutive rows of a ``rows`` x ``width`` block, in
+    order, each holding at most ``CHUNK_VALUES`` values, or one row when a
+    row is longer.  Every blocked loop walks its rows in these slices."""
+    step = max(1, CHUNK_VALUES // width)
+    for first in range(0, rows, step):
+        yield slice(first, min(first + step, rows))
+
+
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     arr.flags.writeable = False
@@ -65,10 +74,12 @@ def check_metric(dist: np.ndarray) -> None:
         raise ConfigError("distinct points must have positive distance")
     # d(i,k) <= d(i,j) + d(j,k) for all triples, within a tolerance relative
     # to the largest distance (float rounding grows with the magnitude); a
-    # running minimum over the middle index j keeps memory at O(n^2).
+    # running minimum over the middle index j keeps memory at O(n^2).  A
+    # sum that overflows is +inf, which bounds nothing.
     through = np.full((n, n), np.inf)
-    for j in range(n):
-        np.minimum(through, dist[:, j, None] + dist[None, j, :], out=through)
+    with np.errstate(over="ignore"):
+        for j in range(n):
+            np.minimum(through, dist[:, j, None] + dist[None, j, :], out=through)
     if np.any(dist > through + METRIC_TOL * max(1.0, top)):
         raise ConfigError("triangle inequality violated")
 
@@ -236,8 +247,8 @@ class FiniteSpace:
         Elsewhere each set is a prefix of the points in the order of ``t``:
         a running minimum of the ``dist`` rows in that order, kept at the
         prefixes some point reads, gives them all in O(n^2).  Runs of 8 rows
-        or more between two such prefixes are folded in blocks of
-        ``CHUNK_VALUES`` values while n <= 2048, where a block beats as many
+        or more between two such prefixes are folded in the blocks of
+        :func:`row_chunks` while n <= 2048, where a block beats as many
         row minimums; shorter runs, and longer rows, go one row at a time.
         One row at a time throughout made ``tropifs fuzzy`` on ``grid_random``
         1.16x slower at n = 148 and up to 1.24x at n = 64, with n = 513 and
@@ -251,17 +262,18 @@ class FiniteSpace:
         read = np.zeros(self.n + 1, dtype=bool)
         read[0] = read[reach] = True
         sizes = np.flatnonzero(read).tolist()
-        dist, step = self.dist, max(1, CHUNK_VALUES // self.n)
+        dist = self.dist
         rows = np.empty((len(sizes), self.n))  # rows[j]: distances to the first sizes[j] points
         rows[0] = np.inf
         near = rows[0].copy()
         for row, lo, hi in zip(rows[1:], sizes, sizes[1:]):
+            run = order[lo:hi]
             if hi - lo < 8 or self.n > 2048:
-                for v in order[lo:hi].tolist():
+                for v in run.tolist():
                     np.minimum(near, dist[v], out=near)
             else:
-                for c in range(lo, hi, step):
-                    np.minimum(near, dist[order[c:min(c + step, hi)]].min(axis=0), out=near)
+                for s in row_chunks(hi - lo, self.n):
+                    np.minimum(near, dist[run[s]].min(axis=0), out=near)
             row[:] = near
         return rows[np.cumsum(read)[reach] - 1, xs]
 

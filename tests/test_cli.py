@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tropifs
 from tropifs.cli import main
-from tropifs.examples import build_two_point_system, lambda_alpha
+from tropifs.examples import MAX_MAPS, build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
 from tropifs.mane import MAX_CLOSURE_POINTS
 from tropifs.spaces import MAX_POINTS
@@ -401,6 +401,34 @@ def test_a_huge_grid_search_warns_nothing(tmp_path):
     report = json.loads((tmp_path / "out" / "validation.json").read_text())
     error = "contraction estimate gamma_hat = 5.714285714285714e+307 >= 1"
     assert report == {"valid": False, "error": error}
+
+
+def test_an_overflowing_triangle_sum_warns_nothing(tmp_path):
+    # 1e308 + 1e308 overflowed in the triangle check of the space's table
+    far = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
+    done = _validate_in_a_process(tmp_path, {"system": {"inline": {
+        "space": {"labels": ["a", "b", "c"], "dist": far},
+        "index_space": {"labels": ["1", "2"], "dist": [[0, 1], [1, 0]]},
+        "maps": [[0, 0, 0], [1, 1, 1]],
+        "weights": [[0, 0, 0], [-1, -1, -1]],
+        "exact_maps": True,
+    }}})
+    assert done.returncode == 2
+    assert done.stderr == ""
+    report = json.loads((tmp_path / "out" / "validation.json").read_text())
+    assert report == {"valid": False, "error": "contraction estimate gamma_hat = 1e+308 >= 1"}
+
+
+@pytest.mark.parametrize("system, count", [
+    # the index table alone was 74.5 GiB
+    ({**GRID8, "num_maps": 100000}, 100000),
+    ({"builder": "shift_random", "symbols": 16384, "depth": 1}, 16384),
+], ids=["grid_random", "shift_random"])
+def test_too_many_maps_is_one_config_error(tmp_path, system, count):
+    done = _validate_in_a_process(tmp_path, {"system": system})
+    assert done.returncode == 3
+    assert done.stderr == f"tropifs: config error: {count} maps is more than the limit of {MAX_MAPS}\n"
+    assert not (tmp_path / "out" / "validation.json").exists()
 
 
 @pytest.mark.parametrize("command, config, count", [

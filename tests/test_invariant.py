@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropifs import invariant
+from tropifs import invariant, spaces
 from tropifs.errors import ConfigError, InternalError, NotConstantWeightError
 from tropifs.examples import (
     build_nonunique_shift_system,
@@ -131,7 +131,7 @@ def test_verify_invariant_folds_a_block_in_chunks(chunk):
         sizes.append(lam.values.size)
         return transfer_density(system, lam)
 
-    with mock.patch.object(invariant, "CHUNK_VALUES", chunk), \
+    with mock.patch.object(spaces, "CHUNK_VALUES", chunk), \
             mock.patch.object(invariant, "transfer_density", spy):
         rep = verify_invariant(system, Density(system.space, block))
     assert max(sizes) <= max(chunk, n) and sum(sizes) == block.size
@@ -208,7 +208,7 @@ def test_enumerate_invariants_matches_assignment_loop(
     if len(levels) ** (len(pot.aubry) - 1) > 256:
         return  # the loop would take long; the limit itself is checked elsewhere
     expected = _outcome(enumerate_by_assignment, system, pot, levels)
-    with mock.patch.object(invariant, "CHUNK_VALUES", chunk):
+    with mock.patch.object(spaces, "CHUNK_VALUES", chunk):
         got = _outcome(enumerate_invariants, pot, levels)
         if not isinstance(got, tuple):  # folded in chunks of the same size
             devs = verify_invariant(system, Density(system.space, got)).max_deviation

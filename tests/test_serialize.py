@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropifs import serialize
+from tropifs import spaces
 from tropifs.errors import ConfigError, DimensionError
 from tropifs.examples import build_nonunique_shift_system, build_two_point_system, random_system
 from tropifs.fuzzy import FuzzySet, theta_conjugate
@@ -300,7 +300,7 @@ def test_density_block_json_is_json_dumps(tmp_path_factory, labels, k, data, chu
     values[(values == BOTTOM).all(axis=1), 0] = -0.0  # a nonempty support
     space = build_point_space(labels, 1.0 - np.eye(n))
     path = tmp_path_factory.mktemp("json") / "density.json"
-    with mock.patch.object(serialize, "CHUNK_VALUES", chunk):  # rows spelled in chunks
+    with mock.patch.object(spaces, "CHUNK_VALUES", chunk):  # rows spelled in chunks
         obj = density_to_jsonable(Density(space, values))
         write_json(path, obj)
     rows = [{"labels": labels, "values": values_to_jsonable(row)} for row in values]

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 import tropifs.spaces as spaces
 from tropifs.errors import ConfigError, EmptySetError
+from tropifs.examples import build_nonunique_shift_system, random_system
+from tropifs.invariant import enumerate_invariants, verify_invariant
+from tropifs.mane import mane_potential
+from tropifs.measures import Density
+from tropifs.mpifs import MpIfs, validate
+from tropifs.serialize import density_to_jsonable, write_json
 from tropifs.spaces import (
     CHUNK_VALUES,
     MAX_POINTS,
@@ -14,6 +20,7 @@ from tropifs.spaces import (
     build_shift_space,
     check_metric,
     hausdorff,
+    row_chunks,
     snap,
 )
 
@@ -170,6 +177,41 @@ def test_distances_to_is_the_nearest_member_by_loops(data):
         near = space.distances_to(t, xs, np.array(k, dtype=np.intp))
     assert near.dtype == np.float64 and near.shape == xs.shape
     assert near.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 2 * CHUNK_VALUES), st.sampled_from([1, 7, CHUNK_VALUES]))
+def test_row_chunks_partition_the_rows_in_order(rows, width, chunk):
+    with mock.patch.object(spaces, "CHUNK_VALUES", chunk):
+        chunks = list(row_chunks(rows, width))
+    assert [i for s in chunks for i in range(s.start, s.stop)] == list(range(rows))
+    assert all(0 < (s.stop - s.start) * width <= max(width, chunk) for s in chunks)
+
+
+def _blocked_outputs(tmp_path):
+    """What every blocked loop gives, as exact text: ``validate`` on a grid
+    (its case groups) and on the grid's explicit table (its row blocks),
+    ``enumerate_invariants`` and ``verify_invariant`` on a block, the
+    ``density.json`` text of that block, and ``distances_to`` on the table."""
+    grid = random_system(build_grid(-1.0, 2.5, 57), 3, 4)
+    table = build_point_space(grid.space.labels, grid.space.dist, grid.space.resolution)
+    explicit = MpIfs(table, grid.index_space, grid.maps, grid.weights)
+    reports = [validate(system).to_jsonable() for system in (grid, explicit)]
+    shift = build_nonunique_shift_system(5)
+    block = enumerate_invariants(mane_potential(shift), [0.0, -0.25, -0.5, -1.0])
+    block = np.concatenate([block, block - np.eye(len(block), shift.space.n)])  # half fail
+    deviations = verify_invariant(shift, Density(shift.space, block)).max_deviation
+    write_json(tmp_path / "density.json", density_to_jsonable(Density(shift.space, block)))
+    t = np.arange(table.n) % 5  # runs of 11 or 12 points between the prefixes read
+    near = table.distances_to(t, np.arange(table.n), np.arange(table.n) % 6)
+    return (repr(reports), block.tobytes(), deviations.tobytes(),
+            (tmp_path / "density.json").read_bytes(), near.tobytes())
+
+
+def test_one_row_chunks_give_the_default_bits(tmp_path):
+    default = _blocked_outputs(tmp_path)
+    with mock.patch.object(spaces, "CHUNK_VALUES", 1):  # every chunk is one row
+        assert _blocked_outputs(tmp_path) == default
 
 
 @settings(max_examples=50, deadline=None)
