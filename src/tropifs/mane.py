@@ -16,9 +16,12 @@ merged to their max weight, and A, the candidates and the columns all
 read that list:
 
 * a return cycle of weight >= -tol uses only edges of weight >= -tol, so
-  every Aubry point lies on a nontrivial strongly connected component (or
-  a self-loop) of that edge subgraph, found by an iterative Tarjan
-  (SIAM J. Comput. 1972);
+  every Aubry point lies on a cycle (or a self-loop) of that edge
+  subgraph.  Kahn's peeling (CACM 1962) keeps a superset, the points
+  some such cycle reaches, and the exact return-weight test decides: a
+  kept point on no such cycle returns only through an edge below -tol,
+  and a float sum of terms <= 0, taken left to right, is never above any
+  term it has added, so its return weight is below -tol as well;
 * the column S[:, z] is the fixed point of col <- max(col, transfer(col))
   started from the unit column at z: a Bellman-Ford relaxation whose step
   is the transfer operator itself.  Weights are <= 0, so a best path is
@@ -117,67 +120,38 @@ def transition_matrix(system: MpIfs) -> MpMatrix:
     return MpMatrix(a)
 
 
-def _on_cycle(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Mask of the vertices on a cycle: nontrivial SCCs and self-loops.
+def _reached_from_cycles(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Mask of the vertices that some cycle (or self-loop) reaches.
 
-    Tarjan's algorithm over the edges src -> tgt listed by source, as
-    :func:`_edges` lists them, with an explicit stack so that a path of
-    any length fits.
+    Kahn's peeling (CACM 1962) over the edges src -> tgt listed by source,
+    as :func:`_edges` lists them: a vertex of in-degree 0 is dropped with
+    its out-edges, until no such vertex is left.  What is never dropped
+    lies on a cycle or downstream of one, a superset of the vertices on a
+    cycle.
     """
     heads = tgt.tolist()
     start = np.searchsorted(src, np.arange(n + 1)).tolist()
-    nxt = start[:-1]  # nxt[v]: the next out-edge of v to try
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[src[src == tgt]] = True
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        path = [root]  # the depth-first path
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while path:
-            v = path[-1]
-            e = nxt[v]
-            if e < start[v + 1]:
-                nxt[v] = e + 1
-                u = heads[e]
-                if index[u] < 0:
-                    path.append(u)
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
-                elif on_stack[u] and index[u] < low[v]:
-                    low[v] = index[u]
-                continue
-            path.pop()
-            if path and low[v] < low[path[-1]]:
-                low[path[-1]] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while not component or component[-1] != v:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    component.append(u)
-                if len(component) >= 2:
-                    on_cycle[component] = True
-    return on_cycle
+    indegree = np.bincount(tgt, minlength=n)
+    dropped = np.flatnonzero(indegree == 0).tolist()
+    indegree = indegree.tolist()
+    for v in dropped:  # the list grows while it is walked
+        for u in heads[start[v]:start[v + 1]]:
+            indegree[u] -= 1
+            if not indegree[u]:
+                dropped.append(u)
+    kept = np.ones(n, dtype=bool)
+    kept[dropped] = False
+    return kept
 
 
 def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatrix:
     """Exact Aubry set and Aubry columns of the path-supremum potential.
 
-    Candidates are the points on a nontrivial strongly connected component
-    or a self-loop of the edges of weight >= -tol_aubry; one value
-    iteration from all candidates at once gives their columns of S, and a
-    candidate is kept when its return weight S[z, z] is >= -tol_aubry.
+    Candidates are the points that Kahn's peeling of the edges of weight
+    >= -tol_aubry leaves; one value iteration from all of them at once
+    gives their columns of S, and a candidate is kept when its return
+    weight S[z, z] is >= -tol_aubry.  One on no such cycle fails that
+    test: a float sum of terms <= 0 is never above a term it has added.
     Nothing n x n is allocated unless the result's ``s`` is read.
 
     Raises :class:`EmptyAubryError` when no point passes the zero test;
@@ -189,7 +163,7 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     n = system.space.n
     src, tgt, w = _edges(system)
     near = w >= -tol_aubry
-    candidates = np.flatnonzero(_on_cycle(n, src[near], tgt[near]))
+    candidates = np.flatnonzero(_reached_from_cycles(n, src[near], tgt[near]))
 
     cols = _plus_columns(n, src, tgt, w, candidates)
     ret = cols[candidates, np.arange(candidates.size)]

@@ -478,8 +478,6 @@ def validate(system: MpIfs) -> ValidationReport:
         system.weights = system.weights - col_max[None, :]
         renormalized = True
         messages.append(f"weights re-normalized (drift {drift})")
-    if (system.weights > 0).any():
-        raise NormalizationError("weights must be <= 0 after normalization")
 
     with np.errstate(over="ignore"):  # an estimate that overflows is refused below
         gamma = _contraction_constant(system)

@@ -291,6 +291,23 @@ def on_cycle(n, edges):
     return out
 
 
+def reached_from_cycles(n, edges):
+    """Per vertex: does a path of length >= 0 lead to it from a vertex on a
+    cycle?  :func:`on_cycle`, then a depth-first search from its vertices.
+    """
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    seen = set()
+    todo = [v for v, cyclic in enumerate(on_cycle(n, edges)) if cyclic]
+    while todo:
+        u = todo.pop()
+        if u not in seen:
+            seen.add(u)
+            todo.extend(succ[u])
+    return [v in seen for v in range(n)]
+
+
 def naive_dual_transfer(maps, weights, f):
     m, n = weights.shape
     out = np.empty(n)

@@ -51,6 +51,24 @@ def test_validate_broken_normalization(tmp_path):
     assert not report["valid"]
 
 
+def test_validate_all_bottom_weights(tmp_path):
+    doc = system_to_jsonable(build_two_point_system())
+    doc["weights"] = [[0.0, "-inf"], [0.0, "-inf"]]
+    code, out = run(tmp_path, "validate", {"system": {"inline": doc}})
+    assert code == 2
+    report = json.loads((out / "validation.json").read_text())
+    assert report == {"error": "some point has all weights at -inf", "valid": False}
+
+
+def test_validate_retries_a_draw_on_a_grid_one_ulp_apart(tmp_path):
+    # the first draw fails the contraction check, the second passes
+    system = {"builder": "grid_random", "a": 1.0, "b": 1.0000000000000033, "n": 16,
+              "num_maps": 2, "seed": 4}
+    code, out = run(tmp_path, "validate", {"system": system})
+    assert code == 0
+    assert json.loads((out / "validation.json").read_text())["gamma_hat"] == 0.5714285714285714
+
+
 def test_validate_reports_renormalization(tmp_path):
     doc = system_to_jsonable(build_two_point_system())
     doc["weights"] = [[-1e-13, -1e-13], [-1.0, -1.0]]
@@ -239,15 +257,42 @@ TWO_POINT_DOC = system_to_jsonable(build_two_point_system())
     ("validate", {"system": {"inline": {**TWO_POINT_DOC, "index_space": {
         **TWO_POINT_DOC["index_space"], "labels": "12"}}}},
      "index_space labels must be a list of strings, got '12'"),
+    ("invariant", {"system": SHIFT3, "invariant": {
+        "mode": "boundary", "boundary": {"anchor": "zz", "levels": {"111": 0}}}},
+     "unknown boundary point 'zz'"),
+    ("invariant", {"system": SHIFT3, "invariant": {"mode": "enumerate", "levels": 0.5}},
+     "levels must be a list, got 0.5"),
+    ("demo31", {"demo31": {"depth": 4, "alphas": 0.5}}, "alphas must be a list, got 0.5"),
+    ("invariant", {"system": SHIFT3, "invariant": {"mode": "bogus"}},
+     "unknown invariant mode 'bogus'"),
+    ("fuzzy", {"system": TWO_POINT, "fuzzy": {"u0": "flat"}},
+     "u0 must be 'uniform', 'invariant' or a list, got 'flat'"),
+    ("fuzzy", {"system": TWO_POINT, "fuzzy": {"u0": [1.0]}},
+     "membership length must match the space size"),
+    ("validate", [1, 2], "config must be a JSON object"),
+    ("validate", {"system": {"builder": "bogus"}}, "unknown system builder 'bogus'"),
+    ("validate", {"system": {"builder": "grid_random", "a": 0, "b": 1, "n": 8}},
+     "builder 'grid_random' missing parameter 'num_maps'"),
+    ("validate", {"system": {**GRID8, "num_maps": 0}}, "need at least one map"),
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "space": {
+        **TWO_POINT_DOC["space"], "dist": [[0.5, 1], [1, 0]]}}}},
+     "diagonal distances must be zero"),
+    ("validate", {"system": {"inline": {**TWO_POINT_DOC, "space": {
+        **TWO_POINT_DOC["space"], "labels": ["a", "b", "c"]}}}},
+     "labels and distance table disagree in size"),
 ], ids=["grid-a", "grid-a-huge", "max_iters-str", "levels", "boundary-level", "demo31-depth", "u0",
         "constant_weights-str", "max_iters-0", "tol_aubry-bool", "inline-exact_maps",
         "inline-grid-n", "block", "inline-maps-float", "inline-maps-bool", "inline-maps-flat",
         "inline-space-dist-str", "inline-index-dist", "inline-space-labels",
-        "inline-index-labels"])
+        "inline-index-labels", "boundary-anchor", "levels-scalar", "demo31-alphas-scalar",
+        "invariant-mode", "u0-str", "u0-length", "config-list", "builder", "builder-param",
+        "num_maps-0", "inline-diagonal", "inline-labels-size"])
 def test_wrongly_typed_config_value_is_a_config_error(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
     assert code == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("tropifs: config error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def _weights(row):

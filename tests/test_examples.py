@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropifs.errors import ConfigError
+from tropifs import examples
+from tropifs.errors import ConfigError, NotContractiveError
 from tropifs.examples import (
     ShiftExampleSpec,
     build_nonunique_shift_system,
@@ -13,7 +14,7 @@ from tropifs.examples import (
     random_system,
 )
 from tropifs.mane import mane_potential
-from tropifs.mpifs import transfer_density
+from tropifs.mpifs import transfer_density, validate
 from tropifs.spaces import build_grid, build_shift_space
 
 from oracles import word_prepend_maps
@@ -132,6 +133,26 @@ def test_random_system_validates_and_flags():
     assert cw.is_constant_weight()
     pd = random_system(build_grid(0.0, 1.0, 10), 3, 1, constant_weights=False)
     assert not pd.is_constant_weight()
+
+
+def test_random_system_retries_a_draw_that_fails_validation(monkeypatch):
+    # 16 points one ulp apart: the snapped maps of the first draw at seed 4
+    # are not contractions, those of the second are
+    outcomes = []
+
+    def recording_validate(system):
+        try:
+            report = validate(system)
+        except NotContractiveError:
+            outcomes.append("not contractive")
+            raise
+        outcomes.append("valid")
+        return report
+
+    monkeypatch.setattr(examples, "validate", recording_validate)
+    system = random_system(build_grid(1.0, 1.0 + 15 * 2**-52, 16), 2, 4)
+    assert outcomes == ["not contractive", "valid"]
+    assert system.validation.gamma_hat == 0.5714285714285714
 
 
 def test_random_shift_system_needs_matching_maps():

@@ -23,8 +23,8 @@ from oracles import (
     check_triangle,
     closure_to_fixed_point,
     edge_table,
-    on_cycle,
     paths_closure,
+    reached_from_cycles,
     scatter_transition_matrix,
     words_closure,
 )
@@ -407,18 +407,31 @@ def digraphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
-def test_candidates_are_the_vertices_on_a_cycle(graph):
+def test_candidates_are_the_vertices_a_cycle_reaches(graph):
     n, edges = graph
     pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    got = mane._on_cycle(n, pairs[:, 0], pairs[:, 1])
-    assert got.tolist() == on_cycle(n, edges)
+    got = mane._reached_from_cycles(n, pairs[:, 0], pairs[:, 1])
+    assert got.tolist() == reached_from_cycles(n, edges)
 
 
-def test_candidates_of_a_long_cycle_need_no_recursion():
+def test_candidates_of_a_long_cycle_or_chain_need_no_recursion():
     n = 2**14
-    got = mane._on_cycle(n, np.arange(n), (np.arange(n) + 1) % n)
-    assert got.all()
+    points = np.arange(n)
+    assert mane._reached_from_cycles(n, points, (points + 1) % n).all()
+    # each point one step down, into the fixed point 0
+    got = mane._reached_from_cycles(n, points, np.maximum(points - 1, 0))
+    assert np.flatnonzero(got).tolist() == [0]
+
+
+def test_a_candidate_between_cycles_fails_the_return_test():
+    # 1 lies on no zero-weight cycle, but the zero loop at 0 reaches it;
+    # its one return cycle, 1 -> 2 -> 1, weighs -1
+    system = index_system([[0, 2, 2], [1, 1, 1]], [[0.0, 0.0, 0.0], [0.0, BOTTOM, -1.0]])
+    src, tgt, w = mane._edges(system)
+    near = w >= -1e-9
+    assert mane._reached_from_cycles(3, src[near], tgt[near]).all()
+    assert assert_matches_dense(system, 1e-9).aubry == (0, 2)
 
 
 def long_chain_system(n):
