@@ -51,11 +51,13 @@ EXIT_USAGE = 3
 
 
 def _resolve_point(space, key):
-    """Boundary keys may be indices or point labels."""
+    """Boundary keys may be indices or point labels; a label must name one point."""
     if isinstance(key, int) and not isinstance(key, bool):
         return key
     if isinstance(key, str):
         if key in space.labels:
+            if space.labels.count(key) > 1:
+                raise ConfigError(f"boundary point {key!r} names more than one point")
             return space.labels.index(key)
         try:
             return int(key)
@@ -175,10 +177,10 @@ def cmd_demo31(cfg: RunConfig, out: Path, seed) -> int:
         alphas=[serialize.scalar(a, float, "alpha")
                 for a in _list(params, "alphas", [0.0, 0.25, 0.5])],
     )
-    report = demonstrate_nonuniqueness(spec)
-    serialize.write_json(out / "report.json", report.to_jsonable())
+    report, block = demonstrate_nonuniqueness(spec)
+    serialize.write_json(out / "report.json", report)
     # the block of densities, one row per alpha, as it was checked ([] for no alphas)
-    serialize.write_json(out / "density.json", serialize.density_to_jsonable(report.densities))
+    serialize.write_json(out / "density.json", serialize.density_to_jsonable(block))
     return EXIT_OK
 
 

@@ -148,34 +148,15 @@ class ShiftExampleSpec:
         self.alphas = list(snapped)
 
 
-@dataclass
-class DemoReport:
-    depth: int
-    alphas: list
-    fixed_point_exact: list
-    pairwise_d_theta: list
-    boundary_match_exact: list
-    densities: Density  # one block, a row per alpha
-
-    def to_jsonable(self) -> dict:
-        return {
-            "depth": self.depth,
-            "alphas": list(self.alphas),
-            "fixed_point_exact": list(self.fixed_point_exact),
-            "pairwise_d_theta": [list(row) for row in self.pairwise_d_theta],
-            "boundary_match_exact": list(self.boundary_match_exact),
-            "num_distinct": len(self.alphas),
-        }
-
-
-def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> DemoReport:
+def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> tuple[dict, Density]:
     """Exhibit one distinct invariant density per alpha, three ways.
 
     Each candidate must be an exact fixed point of the transfer operator,
     pairwise d_theta distances must be positive, and each must coincide
     exactly with the density built from the potential with boundary
     {all-1 word: 0, all-2 word: -alpha}.  The candidates are one block,
-    checked by one transfer step and one build.
+    checked by one transfer step and one build.  Returns the report (the
+    ``report.json`` dict) and the block, one row per alpha.
     """
     system = build_nonunique_shift_system(spec.depth)
     pot = mane_potential(system)
@@ -189,14 +170,6 @@ def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> DemoReport:
     boundary = BoundaryData({one_idx: np.zeros(len(alphas)), two_idx: -alphas}, one_idx)
     matches = (build_invariant(pot, boundary).values == lams.values).all(axis=-1).tolist()
 
-    report = DemoReport(
-        depth=spec.depth,
-        alphas=list(spec.alphas),
-        fixed_point_exact=fixed,
-        pairwise_d_theta=pairwise,
-        boundary_match_exact=matches,
-        densities=lams,
-    )
     problems = []
     if not all(fixed):
         problems.append(f"fixed-point check failed for alphas "
@@ -210,11 +183,18 @@ def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> DemoReport:
         problems.append("potential-based reconstruction mismatch")
     if problems:
         raise DemonstrationError("; ".join(problems))
-    return report
+    return {
+        "depth": spec.depth,
+        "alphas": list(spec.alphas),
+        "fixed_point_exact": fixed,
+        "pairwise_d_theta": pairwise,
+        "boundary_match_exact": matches,
+        "num_distinct": len(spec.alphas),
+    }, lams
 
 
 def _affine_grid_maps(space: FiniteSpace, num_maps: int, rng, constant_first: bool):
-    xs = space.points
+    xs = space.grid.xs
     a, b = float(xs[0]), float(xs[-1])
     maps = np.zeros((num_maps, space.n), dtype=np.intp)
     for j in range(num_maps):
@@ -235,7 +215,7 @@ def _grid_weights(space: FiniteSpace, num_maps: int, rng, constant: bool):
         w = -_dyadic(rng.uniform(2**-4, 2.0, size=num_maps))
         w[0] = 0.0
         return np.repeat(w[:, None], space.n, axis=1)
-    xs = np.asarray(space.points, dtype=np.float64)
+    xs = space.grid.xs
     span = max(float(xs[-1] - xs[0]), 1.0)
     raw = np.empty((num_maps, space.n))
     for j in range(num_maps):

@@ -69,19 +69,19 @@ def theta_conjugate(lam: Density) -> FuzzySet:
     return FuzzySet(lam.space, np.exp(lam.values))
 
 
-def alpha_cut(u: FuzzySet, alpha: float) -> set:
-    """Threshold set {u >= alpha}; at alpha = 0 the support {u > 0}."""
+def alpha_cut(u: FuzzySet, alpha: float) -> np.ndarray:
+    """Increasing indices of {u >= alpha}; at alpha = 0 of the support {u > 0}."""
     if np.isnan(alpha) or alpha < 0 or alpha > 1:
         raise ConfigError("alpha must lie in [0, 1]")
     if alpha == 0:
-        return set(np.flatnonzero(u.values > 0).tolist())
-    return set(np.flatnonzero(u.values >= alpha).tolist())
+        return np.flatnonzero(u.values > 0)
+    return np.flatnonzero(u.values >= alpha)
 
 
-def _cut_distance(space: FiniteSpace, a: set, b: set) -> float:
-    if not a and not b:
+def _cut_distance(space: FiniteSpace, a: np.ndarray, b: np.ndarray) -> float:
+    if not a.size and not b.size:
         return 0.0
-    if not a or not b:
+    if not a.size or not b.size:
         return space.diameter
     return hausdorff(space, a, b)
 

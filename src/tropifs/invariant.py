@@ -88,7 +88,6 @@ def build_invariant(pot: PotentialMatrix, boundary: BoundaryData) -> Density:
 class VerifyReport:
     passed: bool
     max_deviation: float
-    tol: float
 
 
 def verify_invariant(system: MpIfs, lam: Density, tol: float = VERIFY_TOL) -> VerifyReport:
@@ -104,7 +103,7 @@ def verify_invariant(system: MpIfs, lam: Density, tol: float = VERIFY_TOL) -> Ve
         dev[s] = d_rho(transfer_density(system, chunk), chunk)
     if lam.values.ndim == 1:
         dev = float(dev[0])
-    return VerifyReport(passed=dev <= tol, max_deviation=dev, tol=tol)
+    return VerifyReport(passed=dev <= tol, max_deviation=dev)
 
 
 def enumerate_invariants(pot: PotentialMatrix, levels: Sequence[float]) -> np.ndarray:

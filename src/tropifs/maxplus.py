@@ -25,7 +25,7 @@ _MAX_SWEEPS = 8
 def _check_entries(entries: np.ndarray) -> np.ndarray:
     entries = np.asarray(entries, dtype=np.float64)
     if np.isnan(entries).any() or (entries == np.inf).any():
-        raise ValueError("matrix entries must be finite or -inf")
+        raise ValueError("max-plus values must be finite or -inf")
     return entries
 
 
@@ -39,14 +39,6 @@ class MpMatrix:
         self.entries = _check_entries(self.entries)
         if self.entries.ndim != 2:
             raise DimensionError("MpMatrix requires a 2-d entry table")
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MpMatrix) and np.array_equal(
@@ -162,9 +154,9 @@ def kleene_plus(a: MpMatrix) -> MpMatrix:
     P >= P[:, k] + P[k, :] for every k in float, so the triangle property
     of the closure is exact.
     """
-    if a.rows != a.cols:
+    n, cols = a.entries.shape
+    if n != cols:
         raise DimensionError("kleene_plus requires a square matrix")
-    n = a.rows
     if _sums_exact(a.entries):
         src, tgt = np.nonzero(a.entries.T > BOTTOM)
         return MpMatrix(_plus_columns(n, src, tgt, a.entries[tgt, src], np.arange(n)))

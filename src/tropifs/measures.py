@@ -13,15 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptySupportError
-from .maxplus import BOTTOM
+from .maxplus import BOTTOM, _check_entries
 from .spaces import FiniteSpace
-
-
-def _as_values(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if np.isnan(v).any() or (v == np.inf).any():
-        raise ValueError("density values must be finite or -inf")
-    return v
 
 
 @dataclass
@@ -33,7 +26,7 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_values(self.values)
+        self.values = _check_entries(self.values)
         if self.values.shape[-1:] != (self.space.n,) or self.values.ndim > 2:
             raise DimensionError("density length must match the space size")
         if not np.any(self.values > BOTTOM, axis=-1).all():

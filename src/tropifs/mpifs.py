@@ -71,7 +71,7 @@ class MpIfs:
         if self.maps.min(initial=0) < 0 or self.maps.max(initial=0) >= n:
             raise ConfigError("map targets out of range")
         if np.isnan(self.weights).any() or (self.weights == np.inf).any():
-            raise ConfigError("weights must be <= 0 or -inf")
+            raise ConfigError("weights must be finite or -inf")
 
     @property
     def num_maps(self) -> int:

@@ -187,8 +187,8 @@ class FiniteSpace:
     metric space of map indices of a system.
 
     ``labels`` is kept as a tuple, so every reader shares one immutable
-    object.  ``points`` is an optional payload: grid coordinates (float
-    array, read by :func:`snap`) or shift words (tuple of tuples).
+    object.  ``points`` holds the words of a shift space (a tuple of
+    tuples), and is None elsewhere.
     ``grid`` and ``shift`` are set only by :func:`build_grid` and
     :func:`build_shift_space`, and are how code tells those spaces: such a
     space takes no table, skips the O(n^3) :func:`check_metric` (its
@@ -309,7 +309,6 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
     return FiniteSpace(
         labels=[repr(float(x)) for x in xs],
         resolution=res,
-        points=xs,
         grid=Grid(xs),
     )
 
@@ -319,7 +318,9 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
 
     d(w, v) = (1/2)^i where i >= 1 is the first position at which the words
     differ; the covering radius recorded is the cylinder diameter
-    (1/2)^depth.
+    (1/2)^depth.  A word's label spells its symbols, joined by "." when
+    some symbol has two digits (more than 9 symbols), so that no two
+    words share a label.
     """
     if symbols < 1 or depth < 1:
         raise ConfigError("shift space needs symbols >= 1 and depth >= 1")
@@ -329,8 +330,9 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
             f"shift space of {symbols}^{depth} points is larger than the limit of {MAX_POINTS}"
         )
     words = tuple(itertools.product(range(1, symbols + 1), repeat=depth))
+    sep = "." if symbols > 9 else ""
     return FiniteSpace(
-        labels=["".join(map(str, w)) for w in words],
+        labels=[sep.join(map(str, w)) for w in words],
         resolution=0.5**depth,
         points=words,
         shift=Shift(symbols, depth),
@@ -341,15 +343,15 @@ def snap(space: FiniteSpace, value):
     """Index of the grid point nearest ``value``; ties break toward the lowest index.
 
     ``value`` may be an array, which gives an array of indices.  Nearest
-    means least ``abs(points - value)``, one float subtraction per point.
+    means least ``abs(grid.xs - value)``, one float subtraction per point.
     That is monotone in the point, so only the sorted predecessor and
     successor of a value compete, and both are found by one binary search.
     A value that ties the predecessor with the point before it (where the
     subtraction rounds two points to one distance) takes the full scan.
     """
-    xs = space.points
-    if xs is None or not isinstance(xs, np.ndarray):
+    if space.grid is None:
         raise ConfigError("space has no coordinate payload to snap a value onto")
+    xs = space.grid.xs
     v = np.asarray(value, dtype=np.float64)
     flat = v.reshape(-1)
     hi = np.minimum(np.searchsorted(xs, flat), xs.size - 1)

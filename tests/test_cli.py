@@ -628,6 +628,28 @@ def test_invariant_boundary_mode_with_labels(tmp_path):
     assert np.array_equal(np.array(densities[0]["values"]), lambda_alpha(3, 0.25).values)
 
 
+def test_shift_labels_above_nine_symbols_are_distinct(tmp_path):
+    # joined without a separator, the words (1, 11) and (11, 1) both read "111"
+    code, out = run(tmp_path, "mane", {"system": {
+        "builder": "shift_random", "symbols": 11, "depth": 2, "seed": 1}})
+    assert code == 0
+    header = next(csv.reader((out / "S.csv").open()))[1:]
+    assert len(set(header)) == len(header) == 121
+    assert header[:2] == ["1.1", "1.2"] and header[10] == "1.11" and header[110] == "11.1"
+    aubry = json.loads((out / "aubry.json").read_text())
+    assert aubry["labels"] == ["2.8", "4.4", "5.5", "8.11", "11.2"]
+
+
+def test_a_boundary_label_naming_two_points_is_a_config_error(tmp_path, capsys):
+    inline = {**TWO_POINT_DOC, "space": {**TWO_POINT_DOC["space"], "labels": ["p", "p"]}}
+    code, out = run(tmp_path, "invariant", {"system": {"inline": inline}, "invariant": {
+        "mode": "boundary", "boundary": {"anchor": 0, "levels": {"p": 0}}}})
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "tropifs: config error: boundary point 'p' names more than one point\n")
+    assert not (out / "density.json").exists()
+
+
 GRID11 = {"builder": "grid_random", "a": 0, "b": 1, "n": 11, "num_maps": 3, "seed": 0}
 
 

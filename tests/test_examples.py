@@ -91,18 +91,18 @@ def test_aubry_set_is_constant_words():
 
 
 def test_demonstrate_nonuniqueness():
-    report = demonstrate_nonuniqueness(ShiftExampleSpec(depth=6, alphas=[0.0, 0.25, 0.5]))
-    assert report.fixed_point_exact == [True, True, True]
-    assert report.boundary_match_exact == [True, True, True]
-    assert len(report.densities.values) == 3
+    report, block = demonstrate_nonuniqueness(ShiftExampleSpec(depth=6, alphas=[0.0, 0.25, 0.5]))
+    assert report["fixed_point_exact"] == [True, True, True]
+    assert report["boundary_match_exact"] == [True, True, True]
+    assert len(block.values) == 3
     for i in range(3):
         for k in range(3):
-            assert (report.pairwise_d_theta[i][k] > 0) == (i != k)
+            assert (report["pairwise_d_theta"][i][k] > 0) == (i != k)
 
 
 def test_demonstrate_single_alpha():
-    report = demonstrate_nonuniqueness(ShiftExampleSpec(depth=3, alphas=[0.0]))
-    assert len(report.densities.values) == 1 and report.fixed_point_exact == [True]
+    report, block = demonstrate_nonuniqueness(ShiftExampleSpec(depth=3, alphas=[0.0]))
+    assert len(block.values) == 1 and report["fixed_point_exact"] == [True]
 
 
 def test_spec_validation():

@@ -72,11 +72,12 @@ def test_theta_round_trip():
 def test_alpha_cut():
     two = build_grid(0.0, 1.0, 2)
     u = FuzzySet(two, [1.0, np.exp(-1.0)])
-    assert alpha_cut(u, 0.5) == {0}
+    assert alpha_cut(u, 0.5).tolist() == [0]
     three = build_grid(0.0, 1.0, 3)
     v = FuzzySet(three, [1.0, 0.2, 0.0])
-    assert alpha_cut(v, 0.0) == {0, 1}
-    assert alpha_cut(u, 1.0) == {0}
+    cut = alpha_cut(v, 0.0)
+    assert cut.dtype == np.intp and cut.tolist() == [0, 1]
+    assert alpha_cut(u, 1.0).tolist() == [0]
     with pytest.raises(ConfigError):
         alpha_cut(u, 1.5)
 

@@ -169,7 +169,7 @@ def test_a_zero_budget_still_gives_the_dense_values(system):
 def uneven_grid(xs):
     """A grid record on sorted coordinates that no builder makes."""
     xs = np.array(xs, dtype=float)
-    return FiniteSpace([repr(x) for x in xs], points=xs, grid=spaces.Grid(xs))
+    return FiniteSpace([repr(x) for x in xs], grid=spaces.Grid(xs))
 
 
 @pytest.mark.parametrize("space, maps, weights, spacing", [
@@ -366,7 +366,7 @@ def grids_and_values(draw):
 @example((build_grid(0.0, 4.0, 5), np.array([0.5, 1.5, 2.5, 3.5, 4.0, -1.0])))
 def test_snap_is_the_per_point_scan(case):
     space, values = case
-    expected = [naive_snap(space.points, v) for v in values]
+    expected = [naive_snap(space.grid.xs, v) for v in values]
     assert snap(space, values).tolist() == expected
     assert [snap(space, v) for v in values] == expected
 
@@ -377,5 +377,5 @@ def test_snap_is_the_per_point_scan(case):
 def test_affine_grid_maps_are_the_per_point_snaps(n, ends, m, constant_first, seed):
     space = build_grid(*ends, n)
     maps = _affine_grid_maps(space, m, np.random.default_rng(seed), constant_first)
-    expected = naive_affine_grid_maps(space.points, m, np.random.default_rng(seed), constant_first)
+    expected = naive_affine_grid_maps(space.grid.xs, m, np.random.default_rng(seed), constant_first)
     assert maps.tolist() == expected

@@ -378,7 +378,7 @@ def test_dense_closure_is_built_only_on_demand(monkeypatch):
     built = []
 
     def counting_closure(a):
-        built.append(a.rows)
+        built.append(a.entries.shape[0])
         return kleene_plus(a)
 
     monkeypatch.setattr(mane, "kleene_plus", counting_closure)
@@ -444,7 +444,7 @@ def long_chain_system(n):
     """
     space = build_grid(0.0, 1.0, n)
     d = 1.5 / (n - 1)
-    maps = [[snap(space, (1 - d) * x + d) for x in space.points], [0] * n]
+    maps = [[snap(space, (1 - d) * x + d) for x in space.grid.xs], [0] * n]
     weights = [np.zeros(n), np.full(n, -1.0)]
     system = MpIfs(space, discrete_index_space(["0", "1"], spacing=2.5), maps, weights)
     validate(system)

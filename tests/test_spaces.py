@@ -229,12 +229,21 @@ def test_snap_grid():
     assert snap(g, 1.0) == 2
 
 
+@pytest.mark.parametrize("space", [
+    build_shift_space(2, 3),
+    spaces.FiniteSpace(["a", "b"], dist=np.array([[0.0, 1.0], [1.0, 0.0]])),
+], ids=["shift", "explicit"])
+def test_snap_refuses_a_space_without_a_grid(space):
+    with pytest.raises(ConfigError, match="^space has no coordinate payload to snap a value onto$"):
+        snap(space, 0.5)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
 def test_snap_minimizes_distance(x):
     g = build_grid(0.0, 1.0, 7)
     i = snap(g, x)
-    assert all(abs(g.points[i] - x) <= abs(p - x) for p in g.points)
+    assert all(abs(g.grid.xs[i] - x) <= abs(p - x) for p in g.grid.xs)
 
 
 def test_bad_metric_rejected():
