@@ -51,7 +51,9 @@ EXIT_USAGE = 3
 
 
 def _resolve_point(space, key):
-    """Boundary keys may be indices or point labels; a label must name one point."""
+    """Boundary keys may be indices or point labels; a label must name one
+    point, and an index given as a string must be spelled as ``str`` spells
+    it (``"7"``, not ``"07"``, ``" 7"`` or ``"0_7"``)."""
     if isinstance(key, int) and not isinstance(key, bool):
         return key
     if isinstance(key, str):
@@ -60,7 +62,8 @@ def _resolve_point(space, key):
                 raise ConfigError(f"boundary point {key!r} names more than one point")
             return space.labels.index(key)
         try:
-            return int(key)
+            if str(int(key)) == key:
+                return int(key)
         except ValueError:
             pass
     raise ConfigError(f"unknown boundary point {key!r}")
@@ -114,10 +117,13 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
         if not (isinstance(raw, dict) and raw.keys() == {"anchor", "levels"}
                 and isinstance(raw["levels"], dict)):
             raise ConfigError("boundary mode needs exactly {'anchor': ..., 'levels': {...}}")
-        levels = {
-            _resolve_point(system.space, k): serialize.value_from_jsonable(v)
-            for k, v in raw["levels"].items()
-        }
+        levels = {}
+        for key, value in raw["levels"].items():
+            point = _resolve_point(system.space, key)
+            if point in levels:
+                raise ConfigError(f"boundary key {key!r} names point {point}, "
+                                  "which an earlier key names too")
+            levels[point] = serialize.value_from_jsonable(value)
         anchor = _resolve_point(system.space, raw["anchor"])
         values = build_invariant(pot, BoundaryData(values=levels, anchor=anchor)).values
     elif mode == "constant":

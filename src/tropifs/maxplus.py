@@ -64,11 +64,6 @@ def _sums_exact(entries: np.ndarray) -> bool:
     return bool(q > 0 and np.all(finite == np.round(finite / q) * q))
 
 
-def _round_limit(n: int) -> int:
-    """Relaxation rounds allowed: a best path is simple, so n always suffice."""
-    return n
-
-
 def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     """col[:, k] = A+[:, sources[k]] for the edges y -> x of weight w <= 0
     of a graph on n points (one edge per pair, listed by source: ``src``
@@ -90,7 +85,7 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     cols = np.full((n, k), BOTTOM)
     cols[sources, np.arange(k)] = 0.0
     frontier = sources
-    for _ in range(_round_limit(n)):
+    for _ in range(n):  # a best path is simple, so n rounds always suffice
         if not frontier.size:
             break
         # the out-edge ranges [start[v], start[v + 1]) of the frontier, joined
@@ -106,7 +101,7 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
             np.maximum.at(cols.reshape(-1), (t[:, None] * k + np.arange(k)).ravel(), best.ravel())
         frontier = np.flatnonzero(grown)
     if frontier.size:
-        raise InternalError(f"path weights still changing after {_round_limit(n)} rounds")
+        raise InternalError(f"path weights still changing after {n} rounds")
     slot = np.full(n, -1)
     slot[sources] = np.arange(k)
     into = slot[tgt] >= 0

@@ -108,48 +108,59 @@ class ValidationReport:
         return asdict(self)
 
 
-def _contraction_constant(system: MpIfs) -> float:
-    """Max over (j1,x1,j2,x2) of (d(img1, img2) - 2*slack) / (dJ + dX), floored at 0.
+def _estimates(system: MpIfs) -> tuple:
+    """(gamma_hat, lip_c_hat), the two estimates :func:`validate` checks.
 
-    On a shift the maximum is read from the cylinder blocks in
-    O(m^2 * n * depth) (:func:`_shift_contraction_constant`), and on a grid
-    located and verified from the coordinates in about O(m^2 * n log n)
-    (:func:`_grid_quotient_max`, the search that also gives lip_c_hat),
-    which falls back to the row blocks of
-    :func:`_block_contraction_constant` on rare inputs.  An
-    explicit table always takes the row blocks.
+    gamma_hat is the max over (j1,x1,j2,x2) of (d(img1, img2) - 2*slack) /
+    (dJ + dX), and lip_c_hat the max over maps j and points x1 != x2 with
+    finite weights of |q_j(x1) - q_j(x2)| / d(x1, x2), both floored at 0.
+
+    On a shift both are read from the cylinder blocks in O(m^2 * n * depth)
+    (:func:`_shift_estimates`), and on a grid located and verified from the
+    coordinates in about O(m^2 * n log n) by one quotient search
+    (:func:`_grid_estimates`), which leaves an estimate to the row blocks of
+    :func:`_block_estimates` on rare inputs.  The row blocks compute only
+    what the grid left undecided.  An explicit table always takes them.
     """
     space = system.space
     if space.shift is not None:
-        return _shift_contraction_constant(system, space.shift)
+        return _shift_estimates(system, space.shift)
+    gamma = lip = None
     if space.grid is not None:
-        best = _grid_contraction_constant(system, space.grid.xs)
-        if best is not None:
-            return best
-    return _block_contraction_constant(system)
+        gamma, lip = _grid_estimates(system, space.grid.xs)
+    if gamma is None or lip is None:
+        gamma, lip = _block_estimates(system, gamma, lip)
+    return gamma, lip
 
 
-def _block_contraction_constant(system: MpIfs) -> float:
-    """:func:`_contraction_constant` over every quadruple, one block of rows
-    of x1 at a time, so memory is O(n) beyond the space itself.
+def _block_estimates(system: MpIfs, gamma: Optional[float], lip: Optional[float]) -> tuple:
+    """:func:`_estimates` over every quadruple and pair for each estimate
+    given as None, one block of rows of x1 at a time, so memory is O(n)
+    beyond the space itself; an estimate given is returned as it is.
 
-    The distances come from :meth:`FiniteSpace.distances`, which equal the
-    table's.  Only the map pairs j2 >= j1 are taken: the block of (j2, j1)
-    holds the same quotients transposed, because both distance tables are
-    exactly symmetric (``check_metric`` enforces it, and the builders'
-    metrics are symmetric by construction).  Only the diagonal blocks
-    (dJ = 0) contain zero denominators.  O(m^2 * n^2) time.
+    Each block reads its distances dX once, from
+    :meth:`FiniteSpace.distances`, which equal the table's, for both
+    estimates.  For gamma_hat only the map pairs j2 >= j1 are taken: the
+    block of (j2, j1) holds the same quotients transposed, because both
+    distance tables are exactly symmetric (``check_metric`` enforces it,
+    and the builders' metrics are symmetric by construction).  Only the
+    diagonal blocks (dJ = 0) contain zero denominators.  For lip_c_hat
+    each map's quotients are those of the pairs with finite weights and
+    dX > 0.  O(m^2 * n^2) time.
     """
     space, img = system.space, system.maps
     dj = system.index_space.dist
     slack2 = 2.0 * system.snap_slack
+    finite = system.weights > BOTTOM
+    weights = np.where(finite, system.weights, 0.0)  # no -inf - -inf below
     m, n = img.shape
-    best, points = 0.0, np.arange(n)
+    best_gamma = best_lip = 0.0
+    points = np.arange(n)
     for s in row_chunks(n, n):
         r = points[s, None]
         dx = space.distances(r, points)
-        for j1 in range(m):
-            for j2 in range(j1, m):
+        if gamma is None:
+            for j1, j2 in zip(*np.triu_indices(m)):
                 numer = space.distances(img[j1][r], img[j2]) - slack2
                 denom = dj[j1, j2] + dx
                 if dj[j1, j2] > 0:
@@ -158,23 +169,51 @@ def _block_contraction_constant(system: MpIfs) -> float:
                     mask = denom > 0
                     quot = numer[mask] / denom[mask]
                 if quot.size:
-                    best = max(best, float(quot.max()))
-    return best
+                    best_gamma = max(best_gamma, float(quot.max()))
+        if lip is None:
+            apart = dx > 0
+            for fin, w in zip(finite, weights):
+                mask = apart & fin[s, None] & fin
+                if mask.any():
+                    diff = np.abs(w[s, None] - w)
+                    best_lip = max(best_lip, float(np.max(diff[mask] / dx[mask])))
+    return (best_gamma if gamma is None else gamma, best_lip if lip is None else lip)
 
 
-def _grid_contraction_constant(system: MpIfs, xs: np.ndarray) -> Optional[float]:
-    """:func:`_contraction_constant` on a grid from its sorted coordinates
-    ``xs``, bit for bit, or None when the row blocks must decide.
+def _grid_estimates(system: MpIfs, xs: np.ndarray) -> tuple:
+    """:func:`_estimates` on a grid from its sorted coordinates ``xs``, bit
+    for bit, with None for each estimate the row blocks must decide.
 
-    The quadruples are one :func:`_grid_quotient_max` over the coordinates
+    gamma_hat is one :func:`_grid_quotient_max` over the coordinates
     ys = xs[maps] of the images, with a case per map pair (ja, jb) taken in
     both orders, the index distance dJ of the pair and the snap slack.
+
+    lip_c_hat takes one :func:`_grid_quotient_max` per map over its finite
+    weights, as a single case with ys = the weights, dJ = 0 and no slack.
+    Its quotients are the dense ones, since fl(a - 0) = a and fl(0 + d) = d.
+    The search starts at the steepest slope between neighbouring finite
+    points, the quotient of a pair and, for a Lipschitz bound, usually
+    the answer.
     """
     j1, j2 = np.triu_indices(system.num_maps)
     off = j1 < j2
     ja, jb = np.concatenate([j1, j2[off]]), np.concatenate([j2, j1[off]])
-    return _grid_quotient_max(xs, xs[system.maps], ja, jb, system.index_space.dist[ja, jb],
-                              2.0 * system.snap_slack)
+    gamma = _grid_quotient_max(xs, xs[system.maps], ja, jb, system.index_space.dist[ja, jb],
+                               2.0 * system.snap_slack)
+    lip, case = 0.0, np.zeros(1, dtype=np.intp)
+    for w in system.weights:
+        finite = np.flatnonzero(w > BOTTOM)
+        if finite.size < 2:
+            continue
+        x, y = xs[finite], w[finite]
+        slope = float((np.abs(np.diff(y)) / np.diff(x)).max())
+        if slope == np.inf:  # a quotient overflowed, and so does the maximum
+            return gamma, slope
+        found = _grid_quotient_max(x, y[None], case, case, np.zeros(1), 0.0, slope)
+        if found is None:
+            return gamma, None
+        lip = max(lip, found)
+    return gamma, lip
 
 
 def _grid_quotient_max(xs: np.ndarray, ys: np.ndarray, ja: np.ndarray, jb: np.ndarray,
@@ -333,18 +372,10 @@ def _pairs_above(lead: np.ndarray, tail: np.ndarray, floor: np.ndarray, strict: 
     return i >> top, i & (size - 1), k & (size - 1)
 
 
-def _by_block(shift: Shift, ufunc, rows: np.ndarray):
-    """``ufunc`` over every block of every level of each row, side by side,
-    and the distance ``levels[p]`` of the level p of each block."""
-    parts = list(shift.blockwise(ufunc, rows))
-    dx = np.concatenate([np.full(r.shape[-1], shift.levels[p]) for p, r in parts])
-    return np.concatenate([r for _, r in parts], axis=-1), dx
+def _shift_estimates(system: MpIfs, shift: Shift) -> tuple:
+    """:func:`_estimates` from the cylinder blocks of a shift, bit for bit.
 
-
-def _shift_contraction_constant(system: MpIfs, shift: Shift) -> float:
-    """:func:`_contraction_constant` from the cylinder blocks of a shift.
-
-    The quadruples (j1, x1, j2, x2) fall in three kinds:
+    For gamma_hat the quadruples (j1, x1, j2, x2) fall in three kinds:
 
     * j1 = j2, x1 != x2.  A block of level p stands for its pairs, at their
       largest distance levels[p], with the largest d(img, img) over them as
@@ -361,97 +392,29 @@ def _shift_contraction_constant(system: MpIfs, shift: Shift) -> float:
       or d(img1(x2), img2(x2)), whose quotient over dJ is no smaller
       either (both again by monotone rounding).
 
-    The maximum is then the dense one, bit for bit, in O(m^2 * n * depth).
+    For lip_c_hat a block of level p gives (max - min of its finite
+    weights) / levels[p]: never above the quotient of its extreme pair,
+    whose distance is at most levels[p], and never below that of any pair
+    at exactly levels[p].
+
+    Both are then the dense maxima in O(m^2 * n * depth).
     """
-    dj = system.index_space.dist
-    img = system.maps
+    dj, img, w = system.index_space.dist, system.maps, system.weights
     slack2 = 2.0 * system.snap_slack
-    lo, dx = _by_block(shift, np.minimum, img)
-    hi, _ = _by_block(shift, np.maximum, img)
-    best = max(0.0, float(((shift.distances(lo, hi) - slack2) / dx).max()))
-    for j1 in range(img.shape[0]):
-        for j2 in range(j1 + 1, img.shape[0]):
-            same = shift.distances(img[j1], img[j2]) - slack2
-            best = max(best, float((same / dj[j1, j2]).max()))
-    return best
 
+    def blocks(ufunc, rows):
+        return np.concatenate([r for _, r in shift.blockwise(ufunc, rows)], axis=-1)
 
-def _weight_lipschitz(system: MpIfs) -> float:
-    """Max over maps j and points x1 != x2 with finite weights of
-    |q_j(x1) - q_j(x2)| / d(x1, x2), floored at 0.
-
-    From the cylinder blocks on a shift (:func:`_shift_weight_lipschitz`)
-    and on a grid by the search that gives gamma_hat, one map at a time
-    (:func:`_grid_weight_lipschitz`), which falls back to the row blocks
-    of :func:`_block_weight_lipschitz` on rare inputs.  An explicit table
-    always takes the row blocks.
-    """
-    space = system.space
-    if space.shift is not None:
-        return _shift_weight_lipschitz(system, space.shift)
-    if space.grid is not None:
-        best = _grid_weight_lipschitz(system, space.grid.xs)
-        if best is not None:
-            return best
-    return _block_weight_lipschitz(system)
-
-
-def _block_weight_lipschitz(system: MpIfs) -> float:
-    """:func:`_weight_lipschitz` over every pair, one block of rows at a
-    time: O(m * n^2) time, O(n) memory beyond the space."""
-    best = 0.0
-    for w in system.weights:
-        finite = np.flatnonzero(w > BOTTOM)
-        if finite.size < 2:
-            continue
-        wf = w[finite]
-        for s in row_chunks(finite.size, finite.size):
-            sub = system.space.distances(finite[s, None], finite)
-            diff = np.abs(wf[s, None] - wf)
-            mask = sub > 0
-            if mask.any():
-                best = max(best, float(np.max(diff[mask] / sub[mask])))
-    return best
-
-
-def _grid_weight_lipschitz(system: MpIfs, xs: np.ndarray) -> Optional[float]:
-    """:func:`_weight_lipschitz` on a grid from its sorted coordinates
-    ``xs``, bit for bit, or None when the row blocks must decide.
-
-    Each map is one :func:`_grid_quotient_max` over its finite weights, as
-    a single case with ys = the weights, dJ = 0 and no slack.  Its
-    quotients are the dense ones, since fl(a - 0) = a and fl(0 + d) = d.
-    The search starts at the steepest slope between neighbouring finite
-    points, the quotient of a pair and, for a Lipschitz bound, usually
-    the answer.
-    """
-    best, case = 0.0, np.zeros(1, dtype=np.intp)
-    for w in system.weights:
-        finite = np.flatnonzero(w > BOTTOM)
-        if finite.size < 2:
-            continue
-        x, y = xs[finite], w[finite]
-        slope = float((np.abs(np.diff(y)) / np.diff(x)).max())
-        if slope == np.inf:  # a quotient overflowed, and so does the maximum
-            return slope
-        found = _grid_quotient_max(x, y[None], case, case, np.zeros(1), 0.0, slope)
-        if found is None:
-            return None
-        best = max(best, found)
-    return best
-
-
-def _shift_weight_lipschitz(system: MpIfs, shift: Shift) -> float:
-    """:func:`_weight_lipschitz` from the cylinder blocks of a shift.
-
-    A block of level p gives (max - min of its finite weights) / levels[p]:
-    never above the quotient of its extreme pair, whose distance is at most
-    levels[p], and never below that of any pair at exactly levels[p].
-    """
-    w = system.weights
-    hi, dx = _by_block(shift, np.maximum, w)  # BOTTOM is -inf: only finite weights count
-    lo, _ = _by_block(shift, np.minimum, np.where(w > BOTTOM, w, np.inf))
-    return max(0.0, float(((hi - lo) / dx).max()))
+    # blockwise yields the symbols^p blocks of each level p, p = depth - 1 down to 0
+    dx = np.repeat(shift.levels[::-1], shift.symbols ** np.arange(shift.depth)[::-1])
+    spread = shift.distances(blocks(np.minimum, img), blocks(np.maximum, img)) - slack2
+    gamma = max(0.0, float((spread / dx).max()))
+    for j1, j2 in zip(*np.triu_indices(img.shape[0], 1)):
+        same = shift.distances(img[j1], img[j2]) - slack2
+        gamma = max(gamma, float((same / dj[j1, j2]).max()))
+    hi = blocks(np.maximum, w)  # BOTTOM is -inf: only finite weights count
+    lo = blocks(np.minimum, np.where(w > BOTTOM, w, np.inf))
+    return gamma, max(0.0, float(((hi - lo) / dx).max()))
 
 
 def validate(system: MpIfs) -> ValidationReport:
@@ -460,9 +423,10 @@ def validate(system: MpIfs) -> ValidationReport:
     Sets ``validation`` (the returned report) on the system and silently
     re-normalizes the weights (subtracting the per-point max) when the
     drift is within ``NORMALIZATION_TOL``; larger drift raises
-    :class:`NormalizationError`, and an estimated contraction constant
-    >= 1 raises :class:`NotContractiveError`.  A Lipschitz estimate past
-    the float range is a :class:`ConfigError`: it could not be written.
+    :class:`NormalizationError`.  Both estimates come from
+    :func:`_estimates`; then a contraction estimate >= 1 raises
+    :class:`NotContractiveError`, and a Lipschitz estimate past the float
+    range is a :class:`ConfigError`: it could not be written.
     """
     messages = []
     col_max = system.weights.max(axis=0)
@@ -480,10 +444,9 @@ def validate(system: MpIfs) -> ValidationReport:
         messages.append(f"weights re-normalized (drift {drift})")
 
     with np.errstate(over="ignore"):  # an estimate that overflows is refused below
-        gamma = _contraction_constant(system)
-        if gamma >= 1.0:
-            raise NotContractiveError(f"contraction estimate gamma_hat = {gamma} >= 1")
-        lip = _weight_lipschitz(system)
+        gamma, lip = _estimates(system)
+    if gamma >= 1.0:
+        raise NotContractiveError(f"contraction estimate gamma_hat = {gamma} >= 1")
     if lip == np.inf:
         raise ConfigError("weight Lipschitz estimate lip_c_hat overflows: some weight "
                           "difference over its distance exceeds the float range")

@@ -364,19 +364,17 @@ def snap(space: FiniteSpace, value):
     return int(pick[0]) if v.ndim == 0 else pick.reshape(v.shape)
 
 
-def hausdorff(space: FiniteSpace, a, b) -> float:
-    """Hausdorff distance between two nonempty index sets.
+def hausdorff(space: FiniteSpace, a: np.ndarray, b: np.ndarray) -> float:
+    """Hausdorff distance between two nonempty sets, given as index arrays.
 
     Each direction is the largest distance from one set to the other,
     read by :meth:`FiniteSpace.distances_to`: O(n * depth) on a shift (no
     table is read), O(n^2) otherwise.
     """
-    ai = np.fromiter(a, dtype=int) if not isinstance(a, np.ndarray) else a
-    bi = np.fromiter(b, dtype=int) if not isinstance(b, np.ndarray) else b
-    if ai.size == 0 or bi.size == 0:
+    if a.size == 0 or b.size == 0:
         raise EmptySetError("hausdorff requires nonempty sets")
     far = 0.0
-    for src, dst in ((ai, bi), (bi, ai)):
+    for src, dst in ((a, b), (b, a)):
         outside = np.ones(space.n, dtype=np.intp)
         outside[dst] = 0
         far = max(far, float(space.distances_to(outside, src, 1).max()))

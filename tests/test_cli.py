@@ -650,6 +650,30 @@ def test_a_boundary_label_naming_two_points_is_a_config_error(tmp_path, capsys):
     assert not (out / "density.json").exists()
 
 
+@pytest.mark.parametrize("levels, key", [
+    ({"222": -0.25, "7": -0.5, "111": 0}, "7"),  # index 7 is the word 222
+    ({"7": -0.5, "222": -0.25, "111": 0}, "222"),
+])
+def test_two_boundary_keys_naming_one_point_are_a_config_error(tmp_path, capsys, levels, key):
+    code, out = run(tmp_path, "invariant", {"system": SHIFT3, "invariant": {
+        "mode": "boundary", "boundary": {"anchor": "111", "levels": levels}}})
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"tropifs: config error: boundary key {key!r} names point 7, "
+        "which an earlier key names too\n")
+    assert not (out / "density.json").exists()
+
+
+@pytest.mark.parametrize("key", ["1_5", "015", " 15", "15 ", "+15"])
+def test_a_boundary_index_must_be_a_plain_decimal_numeral(tmp_path, capsys, key):
+    code, out = run(tmp_path, "invariant", {
+        "system": {"builder": "nonunique_shift", "depth": 4}, "invariant": {
+            "mode": "boundary", "boundary": {"anchor": "1111", "levels": {"1111": 0, key: -0.5}}}})
+    assert code == 3
+    assert capsys.readouterr().err == f"tropifs: config error: unknown boundary point {key!r}\n"
+    assert not (out / "density.json").exists()
+
+
 GRID11 = {"builder": "grid_random", "a": 0, "b": 1, "n": 11, "num_maps": 3, "seed": 0}
 
 

@@ -21,16 +21,9 @@ from tropifs.invariant import constant_weight_density, enumerate_invariants, ver
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density
-from tropifs.mpifs import (
-    MpIfs,
-    _contraction_constant,
-    _grid_quotient_max,
-    _pairs_above,
-    _weight_lipschitz,
-    validate,
-)
+from tropifs.mpifs import MpIfs, _estimates, _grid_quotient_max, _pairs_above, validate
 from tropifs.serialize import space_from_jsonable
-from tropifs.spaces import MAX_POINTS, FiniteSpace, build_grid, snap
+from tropifs.spaces import MAX_POINTS, FiniteSpace, build_grid, row_chunks, snap
 
 from oracles import (
     dense_contraction_constant,
@@ -106,7 +99,7 @@ def fast_then_dense(system):
     the dense routines' values on the same system.  Weights of 1e300 may
     overflow to inf, on both sides alike."""
     with np.errstate(over="ignore"):
-        fast = (_contraction_constant(system), _weight_lipschitz(system))
+        fast = _estimates(system)
         assert system.space._dist is None
         return fast, (dense_contraction_constant(system), dense_weight_lipschitz(system))
 
@@ -141,19 +134,45 @@ def test_contraction_and_lipschitz_match_the_dense_routines_on_larger_grids(syst
     assert fast == dense
 
 
+def spy_row_blocks(monkeypatch):
+    """The estimates each call of the row blocks is given, None where it must decide."""
+    ran, block = [], mpifs._block_estimates
+    monkeypatch.setattr(mpifs, "_block_estimates",
+                        lambda s, gamma, lip: ran.append((gamma, lip)) or block(s, gamma, lip))
+    return ran
+
+
 def test_pairs_past_the_budget_take_the_row_blocks(monkeypatch):
     # an exact reflection and linear weights on an integer grid tie every pair
     n = 200
     space = build_grid(0.0, n - 1.0, n)
     system = MpIfs(space, discrete_index_space(["1"]), np.arange(n)[None, ::-1],
                    -0.125 * np.arange(n)[None, :], exact_maps=True)
-    ran = []
-    for name in ("_block_contraction_constant", "_block_weight_lipschitz"):
-        block = getattr(mpifs, name)
-        monkeypatch.setattr(mpifs, name, lambda s, block=block: ran.append(s) or block(s))
+    ran = spy_row_blocks(monkeypatch)
     fast, dense = fast_then_dense(system)
-    assert len(ran) == 2
+    assert ran == [(None, None)]
     assert fast == dense == (1.0, 0.125)
+
+
+def test_row_blocks_decide_only_what_the_grid_search_left(monkeypatch):
+    # halving maps leave few ties, so the search gives gamma_hat; linear
+    # weights on an integer grid tie every pair, so lip_c_hat falls back
+    n = 300
+    space = build_grid(0.0, n - 1.0, n)
+    system = MpIfs(space, discrete_index_space(["0", "1"]), [np.zeros(n), np.arange(n) // 2],
+                   [np.zeros(n), -0.125 * np.arange(n)])
+    gamma, lip = mpifs._grid_estimates(system, space.grid.xs)
+    assert gamma is not None and lip is None
+    ran, reads = spy_row_blocks(monkeypatch), []
+    distances = spaces.FiniteSpace.distances
+    monkeypatch.setattr(spaces.FiniteSpace, "distances",
+                        lambda self, i, k: reads.append(i) or distances(self, i, k))
+    found = _estimates(system)
+    assert ran == [(gamma, None)]
+    # one read of dX per block of rows, and none of the images of a map pair
+    assert len(reads) == len(list(row_chunks(n, n)))
+    assert found == (gamma, 0.125) == (dense_contraction_constant(system),
+                                       dense_weight_lipschitz(system))
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,10 +203,7 @@ def uneven_grid(xs):
      1.0),
 ])
 def test_extreme_scales_take_the_row_blocks(monkeypatch, space, maps, weights, spacing):
-    ran = []
-    for name in ("_block_contraction_constant", "_block_weight_lipschitz"):
-        block = getattr(mpifs, name)
-        monkeypatch.setattr(mpifs, name, lambda s, block=block: ran.append(s) or block(s))
+    ran = spy_row_blocks(monkeypatch)
     isp = discrete_index_space([str(j) for j in range(len(maps))], spacing=spacing)
     system = MpIfs(space, isp, maps, weights, exact_maps=True)
     fast, dense = fast_then_dense(system)
@@ -199,8 +215,7 @@ def test_uneven_spacings_take_the_grid_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the row blocks ran")
 
-    monkeypatch.setattr(mpifs, "_block_contraction_constant", refuse)
-    monkeypatch.setattr(mpifs, "_block_weight_lipschitz", refuse)
+    monkeypatch.setattr(mpifs, "_block_estimates", refuse)
     system = MpIfs(uneven_grid([0.0, 1e-7, 1.0, 2.0]), discrete_index_space(["1"]),
                    np.array([[1, 0, 3, 2]]), np.array([[0.0, -1e-7, -0.5, -0.25]]),
                    exact_maps=True)
@@ -292,7 +307,7 @@ def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):
     def refuse(*args):
         raise AssertionError("an explicit table took a grid routine")
 
-    monkeypatch.setattr(mpifs, "_grid_contraction_constant", refuse)
+    monkeypatch.setattr(mpifs, "_grid_estimates", refuse)
     monkeypatch.setattr(mpifs, "_grid_quotient_max", refuse)
     inline = space_from_jsonable(space_to_jsonable(system.space))
     assert inline.grid is None and inline.points is None
@@ -300,7 +315,7 @@ def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):
     report = validate(twin)
     assert (report.gamma_hat, report.lip_c_hat) == expected
     with pytest.raises(AssertionError, match="grid routine"):
-        _contraction_constant(system)
+        _estimates(system)
 
 
 @pytest.mark.parametrize("constant", [False, True])
@@ -328,8 +343,7 @@ def test_validate_on_the_largest_grid_stays_far_below_one_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the row blocks ran")
 
-    monkeypatch.setattr(mpifs, "_block_contraction_constant", refuse)
-    monkeypatch.setattr(mpifs, "_block_weight_lipschitz", refuse)
+    monkeypatch.setattr(mpifs, "_block_estimates", refuse)
     space = build_grid(0.0, 1.0, MAX_POINTS)
     tracemalloc.start()
     try:

@@ -451,7 +451,7 @@ def long_chain_system(n):
     return system
 
 
-def test_long_chain_columns_and_round_count(monkeypatch):
+def test_long_chain_columns_and_round_count():
     assert_matches_dense(long_chain_system(96), 1e-9)
     n = 1024
     system = long_chain_system(n)
@@ -467,15 +467,24 @@ def test_long_chain_columns_and_round_count(monkeypatch):
         expected[orbit] = -1.0
         expected[z] = 0.0
         assert pot.column(z).tobytes() == expected.tobytes()
-    # 683 rounds that change a column, then one that changes nothing
-    monkeypatch.setattr(maxplus, "_round_limit", lambda n: 684)
-    assert mane_potential(system).aubry == pot.aubry
-    monkeypatch.setattr(maxplus, "_round_limit", lambda n: 683)
-    with pytest.raises(InternalError):
-        mane_potential(system)
+    # the best paths from the last Aubry point run through all 684 points
+    # of it and the orbit of 0, so on that sub-graph value iteration takes
+    # every one of its n rounds: 683 that change the column, then one that
+    # changes nothing
+    z = pot.aubry[-1]
+    keep = np.union1d([z], orbit)
+    assert keep.size == 684
+    index = np.full(n, -1)
+    index[keep] = np.arange(keep.size)
+    src, tgt, w = mane._edges(system)
+    inside = (index[src] >= 0) & (index[tgt] >= 0)
+    col = maxplus._plus_columns(keep.size, index[src[inside]], index[tgt[inside]], w[inside],
+                                index[[z]])
+    assert col[:, 0].tobytes() == pot.column(z)[keep].tobytes()
 
 
-def test_round_cap_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(maxplus, "_round_limit", lambda n: 1)
-    with pytest.raises(InternalError):
-        mane_potential(build_nonunique_shift_system(4))
+def test_round_cap_raises_internal_error():
+    # a cycle of positive weight never settles (a validated system has none)
+    with pytest.raises(InternalError, match=r"^path weights still changing after 2 rounds$"):
+        maxplus._plus_columns(2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]),
+                              np.array([0]))

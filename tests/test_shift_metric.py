@@ -22,7 +22,7 @@ from tropifs.invariant import BoundaryData, build_invariant
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density
-from tropifs.mpifs import MpIfs, _contraction_constant, _weight_lipschitz, validate
+from tropifs.mpifs import MpIfs, _estimates, validate
 from tropifs.serialize import space_from_jsonable
 from tropifs.spaces import FiniteSpace, build_shift_space, hausdorff
 
@@ -103,9 +103,8 @@ def test_contraction_and_lipschitz_match_the_dense_routines(system):
                   exact_maps=system.exact_maps)
     dx, dj = dense.space.dist, system.index_space.dist
     gamma = naive_contraction_constant(dx, dj, system.maps, system.snap_slack)
-    assert _contraction_constant(system) == _contraction_constant(dense) == gamma
     lip = naive_weight_lipschitz(dx, system.weights)
-    assert _weight_lipschitz(system) == _weight_lipschitz(dense) == lip
+    assert _estimates(system) == _estimates(dense) == (gamma, lip)
     assert system.space._dist is None
 
 
@@ -136,7 +135,8 @@ def test_level_sweeps_and_hausdorff_match_the_dense_routines(data):
     sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     a, b = data.draw(sets), data.draw(sets)
     expected = naive_cut_distance(dense.dist, a, b)
-    assert hausdorff(space, set(a), set(b)) == hausdorff(dense, set(a), set(b)) == expected
+    a, b = np.array(sorted(a)), np.array(sorted(b))
+    assert hausdorff(space, a, b) == hausdorff(dense, a, b) == expected
     assert space._dist is None
 
 
@@ -146,16 +146,14 @@ def test_explicit_table_of_a_shift_takes_the_dense_path(monkeypatch):
     rng = np.random.default_rng(2)
     u, v = rng.random(shift.n), rng.random(shift.n)
     u[4] = v[20] = 1.0
-    a, b = {1, 5, 17, 26}, {0, 9, 13}
+    a, b = np.array([1, 5, 17, 26]), np.array([0, 9, 13])
     expected = (system.validation.gamma_hat, system.validation.lip_c_hat,
                 d_infty(FuzzySet(shift, u), FuzzySet(shift, v)), hausdorff(shift, a, b))
 
     def refuse(*args):
         raise AssertionError("an explicit table took a shift routine")
 
-    for module, name in [(mpifs, "_shift_contraction_constant"),
-                         (mpifs, "_shift_weight_lipschitz"),
-                         (spaces.Shift, "distances_to")]:
+    for module, name in [(mpifs, "_shift_estimates"), (spaces.Shift, "distances_to")]:
         monkeypatch.setattr(module, name, refuse)
     inline = space_from_jsonable(space_to_jsonable(shift))
     assert inline.shift is None
