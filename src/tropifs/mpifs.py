@@ -26,7 +26,7 @@ from .errors import (
     NormalizationError,
     NotContractiveError,
 )
-from .maxplus import BOTTOM
+from .maxplus import BOTTOM, _check_entries
 from .measures import Density
 from .spaces import FiniteSpace, Shift, row_chunks
 
@@ -70,8 +70,7 @@ class MpIfs:
             raise DimensionError("weights must have shape (|J|, |X|)")
         if self.maps.min(initial=0) < 0 or self.maps.max(initial=0) >= n:
             raise ConfigError("map targets out of range")
-        if np.isnan(self.weights).any() or (self.weights == np.inf).any():
-            raise ConfigError("weights must be finite or -inf")
+        _check_entries(self.weights)
 
     @property
     def num_maps(self) -> int:
@@ -121,6 +120,9 @@ def _estimates(system: MpIfs) -> tuple:
     (:func:`_grid_estimates`), which leaves an estimate to the row blocks of
     :func:`_block_estimates` on rare inputs.  The row blocks compute only
     what the grid left undecided.  An explicit table always takes them.
+    lip_c_hat is None where the grid search found gamma_hat >= 1 and only
+    the row blocks, O(m * n^2), could give it: :func:`validate` refuses
+    such a system on gamma_hat alone.
     """
     space = system.space
     if space.shift is not None:
@@ -128,7 +130,7 @@ def _estimates(system: MpIfs) -> tuple:
     gamma = lip = None
     if space.grid is not None:
         gamma, lip = _grid_estimates(system, space.grid.xs)
-    if gamma is None or lip is None:
+    if gamma is None or (lip is None and gamma < 1.0):
         gamma, lip = _block_estimates(system, gamma, lip)
     return gamma, lip
 

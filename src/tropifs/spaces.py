@@ -245,11 +245,19 @@ class FiniteSpace:
 
         A shift reads them from its blocks (:meth:`Shift.distances_to`).
         Elsewhere each set is a prefix of the points in the order of ``t``:
-        a running minimum of the ``dist`` rows in that order, kept at the
-        prefixes some point reads, gives them all in O(n^2).  Runs of 8 rows
-        or more between two such prefixes are folded in the blocks of
+        a running minimum of the ``dist`` rows in that order, copied at the
+        prefixes some point reads, gives them all in O(n^2).  The points,
+        sorted once by the prefix they read, read the copies of one
+        :func:`row_chunks` block of prefixes before the next block is made
+        (a copy per prefix took 128 MiB at n = 4096; reading each point as
+        the sweep reaches its prefix made ``tropifs fuzzy`` 1.3x slower at
+        n = 148).  Runs of 8 rows or more between two prefixes
+        some point reads are folded in the blocks of
         :func:`row_chunks` while n <= 2048, where a block beats as many
         row minimums; shorter runs, and longer rows, go one row at a time.
+        So besides ``dist`` and O(len(xs)) for the points, at most
+        ``2 * CHUNK_VALUES`` values are held: one block of copies and one
+        folded block of rows.
         One row at a time throughout made ``tropifs fuzzy`` on ``grid_random``
         1.16x slower at n = 148 and up to 1.24x at n = 64, with n = 513 and
         2048 within noise (2 shared vCPUs; the grid ``fuzzy`` workloads of
@@ -262,20 +270,29 @@ class FiniteSpace:
         read = np.zeros(self.n + 1, dtype=bool)
         read[0] = read[reach] = True
         sizes = np.flatnonzero(read).tolist()
-        dist = self.dist
-        rows = np.empty((len(sizes), self.n))  # rows[j]: distances to the first sizes[j] points
-        rows[0] = np.inf
-        near = rows[0].copy()
-        for row, lo, hi in zip(rows[1:], sizes, sizes[1:]):
-            run = order[lo:hi]
-            if hi - lo < 8 or self.n > 2048:
-                for v in run.tolist():
-                    np.minimum(near, dist[v], out=near)
-            else:
-                for s in row_chunks(hi - lo, self.n):
-                    np.minimum(near, dist[run[s]].min(axis=0), out=near)
-            row[:] = near
-        return rows[np.cumsum(read)[reach] - 1, xs]
+        # xs[i] reads the distances to the first sizes[level[i]] points
+        level = np.cumsum(read)[reach] - 1
+        chunks = list(row_chunks(len(sizes), self.n))
+        picks = [()]  # the points that read each chunk: here all of them
+        if len(chunks) > 1:
+            level = np.broadcast_to(level, np.shape(xs))
+            by_level = np.argsort(level, kind="stable")
+            picks = np.split(by_level, np.searchsorted(level[by_level], [c.start for c in chunks[1:]]))
+        rows = np.empty((chunks[0].stop, self.n))  # rows[j]: those of sizes[c.start + j]
+        out = np.empty(np.shape(xs))
+        dist, near, lo = self.dist, np.full(self.n, np.inf), 0
+        for c, pick in zip(chunks, picks):
+            for row, hi in zip(rows, sizes[c]):
+                run = order[lo:hi]
+                if hi - lo < 8 or self.n > 2048:
+                    for v in run.tolist():
+                        np.minimum(near, dist[v], out=near)
+                else:
+                    for s in row_chunks(hi - lo, self.n):
+                        np.minimum(near, dist[run[s]].min(axis=0), out=near)
+                row[:], lo = near, hi
+            out[pick] = rows[level[pick] - c.start, xs[pick]]
+        return out
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ from tropifs.fuzzy import theta_conjugate
 from tropifs.mane import MAX_CLOSURE_POINTS
 from tropifs.spaces import MAX_POINTS
 
+from byte_runs import RUNS, TWO_POINT_DOC, inline
 from oracles import system_to_jsonable
 
 
@@ -206,7 +207,6 @@ def test_enumerate_over_the_assignment_limit(tmp_path, capsys):
 TWO_POINT = {"builder": "two_point"}
 SHIFT3 = {"builder": "nonunique_shift", "depth": 3}
 GRID8 = {"builder": "grid_random", "a": 0, "b": 1, "n": 8, "num_maps": 2}
-TWO_POINT_DOC = system_to_jsonable(build_two_point_system())
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -552,18 +552,6 @@ def test_invariant_constant_mode_rejects_place_dependent(tmp_path):
     assert code == 2
 
 
-def _inline(space, maps, weights, exact_maps):
-    m = len(maps)
-    return {"system": {"inline": {
-        "space": space,
-        "index_space": {"labels": [str(j + 1) for j in range(m)],
-                        "dist": [[0.0 if i == j else 2.5 for j in range(m)] for i in range(m)]},
-        "maps": maps,
-        "weights": [[w] * len(row) for w, row in zip(weights, maps)],
-        "exact_maps": exact_maps,
-    }}}
-
-
 def _three_free_maps(constant_point):
     """Constant-mode config: a snapped 129-point grid with three zero-weight maps.
 
@@ -574,7 +562,7 @@ def _three_free_maps(constant_point):
     maps = [[constant_point] * 129] + [
         np.rint((c - 0.625 * x) * 128).astype(int).tolist() for c in (0.875, 1.0)
     ]
-    return {**_inline({"grid": {"a": 0.0, "b": 1.0, "n": 129}}, maps, [0.0] * 3, False),
+    return {**inline({"grid": {"a": 0.0, "b": 1.0, "n": 129}}, maps, [0.0] * 3, False),
             "invariant": {"mode": "constant"}}
 
 
@@ -873,128 +861,6 @@ def test_enumerate_with_empty_levels(tmp_path, capsys):
     assert [d["values"] for d in json.loads((out / "density.json").read_text())] == [[0.0, -1.0]]
 
 
-# Snapped grid whose only zero-weight map is the constant map onto point 5.
-SNAPPED_CONSTANT = _inline(
-    {"grid": {"a": 0.0, "b": 1.0, "n": 17}},
-    [[5] * 17, [8, 8, 9, 10, 10, 10, 11, 12, 12, 12, 13, 14, 14, 14, 15, 16, 16]],
-    [0.0, -0.5], exact_maps=False,
-)
-# Prepend maps on the binary shift of depth 3 with constant weights.
-SHIFT_CONSTANT = _inline(
-    {"shift": {"symbols": 2, "depth": 3}},
-    [[0, 0, 1, 1, 2, 2, 3, 3], [4, 4, 5, 5, 6, 6, 7, 7]],
-    [0.0, -0.75], exact_maps=True,
-)
-# The two-point system on labels that csv must quote and json must escape.
-QUOTED_LABELS = {"system": {"inline": {
-    **TWO_POINT_DOC, "space": {**TWO_POINT_DOC["space"], "labels": ["x,y", 'say "\u00e9"']}}}}
-# The same maps with signed-zero weights: one Floyd-Warshall sweep leaves
-# some zeros of S with the other sign than sweeping to a fixed point does.
-SIGNED_ZEROS = {"system": {"inline": {
-    **SHIFT_CONSTANT["system"]["inline"],
-    "weights": [[-0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0],
-                [-0.75, -0.75, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0]]}}}
-# A snapped 9-point grid with place-dependent weights: the non-injective
-# maps fix three points at zero cost, so enumerate assigns levels to two.
-SNAPPED_GRID = {"system": {"inline": {
-    "space": {"grid": {"a": 0.0, "b": 1.0, "n": 9}},
-    "index_space": {"labels": ["1", "2"], "dist": [[0.0, 2.5], [2.5, 0.0]]},
-    "maps": [[0, 0, 1, 1, 2, 2, 3, 3, 4], [4, 4, 5, 5, 6, 6, 7, 7, 8]],
-    "weights": [[0.0, 0.0, 0.0, 0.0, 0.0, -0.25, -0.5, -0.75, -1.0],
-                [-1.0, -0.75, -0.5, -0.25, 0.0, 0.0, 0.0, 0.0, 0.0]],
-    "exact_maps": False}}}
-# Identity maps: gamma_hat is 1, so validate writes the error report.
-NON_CONTRACTIVE = {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, 1], [0, 1]]}}}
-
-
-def tied_grid(seed, constant=False):
-    """Three snapped affine contractions on the 512-point grid of [0, 1]
-    with dyadic penalty weights, the shape of the benchmark's grid runs.
-
-    The place-dependent system has gamma_hat = 0.5 exactly, attained by
-    8 256 pairs of map 1 alone; the constant one has 66 pairs at 0.45.
-    """
-    n = 512
-    rng = np.random.default_rng([seed, n, int(constant)])
-    xs = np.linspace(0.0, 1.0, n)
-    maps = np.empty((3, n), dtype=np.int64)
-    for j, (slope, offset) in enumerate(((0.5, 0.0), (-0.45, 0.9), (0.4, 0.55))):
-        maps[j] = np.clip(np.rint((slope * xs + offset) * (n - 1)), 0, n - 1)
-
-    def penalties(shape):
-        return -np.round(rng.uniform(1.0, 1.75, size=shape) * 2**26) / 2**26
-
-    if constant:
-        maps[0] = round((n - 1) / 3)
-        w = penalties(3)
-        w[0] = 0.0
-        weights = np.repeat(w[:, None], n, axis=1)
-    else:
-        weights = penalties((3, n))
-        weights[np.arange(n) * 3 // n, np.arange(n)] = 0.0
-    return {"system": {"inline": {
-        "space": {"grid": {"a": 0.0, "b": 1.0, "n": n}},
-        "index_space": {"labels": ["1", "2", "3"], "dist": (2.5 * (1.0 - np.eye(3))).tolist()},
-        "maps": maps.tolist(),
-        "weights": weights.tolist(),
-        "exact_maps": False,
-    }}}
-
-
-def grid_random(n, constant, a=0, b=1, seed=5):
-    return {"system": {"builder": "grid_random", "a": a, "b": b, "n": n, "num_maps": 3,
-                       "seed": seed, "constant_weights": constant}}
-
-
-# (name, command, config): configs with no draws but their own seeded
-# ones, so every output file is fixed by the code alone.
-GOLDEN_RUNS = [
-    ("demo31", "demo31", {}),
-    ("demo31-no-alphas", "demo31", {"demo31": {"alphas": []}}),
-    ("demo31-depth12", "demo31", {"demo31": {"depth": 12, "alphas": [0.0, 0.25, 0.5, 0.75]}}),
-    ("two-point-validate", "validate", {"system": TWO_POINT}),
-    ("two-point-mane", "mane", {"system": TWO_POINT}),
-    ("two-point-constant", "invariant", {"system": TWO_POINT, "invariant": {"mode": "constant"}}),
-    ("two-point-enumerate", "invariant", {
-        "system": TWO_POINT, "invariant": {"mode": "enumerate", "levels": [0.0, -0.5]}}),
-    ("two-point-boundary", "invariant", {
-        "system": TWO_POINT, "invariant": {"mode": "boundary",
-                                           "boundary": {"anchor": 0, "levels": {"0": 0.0}}}}),
-    ("shift4-validate", "validate", SHIFT4),
-    ("shift4-mane", "mane", SHIFT4),
-    ("shift4-enumerate", "invariant", {
-        **SHIFT4, "invariant": {"mode": "enumerate", "levels": [0.0, -0.25, -0.5]}}),
-    ("snapped-validate", "validate", SNAPPED_CONSTANT),
-    ("snapped-mane", "mane", SNAPPED_CONSTANT),
-    ("snapped-constant", "invariant", {**SNAPPED_CONSTANT, "invariant": {"mode": "constant"}}),
-    ("shift-constant-validate", "validate", SHIFT_CONSTANT),
-    ("shift-constant-mane", "mane", SHIFT_CONSTANT),
-    ("shift-constant", "invariant", {**SHIFT_CONSTANT, "invariant": {"mode": "constant"}}),
-    ("shift-constant-fuzzy", "fuzzy", SHIFT_CONSTANT),
-    ("snapped-constant-csv", "invariant", {
-        **SNAPPED_CONSTANT, "invariant": {"mode": "constant"}, "output": {"csv": True}}),
-    ("quoted-labels-mane", "mane", QUOTED_LABELS),
-    ("quoted-labels-enumerate", "invariant", {**QUOTED_LABELS, "invariant": {"mode": "enumerate"}}),
-    ("non-contractive-validate", "validate", NON_CONTRACTIVE),
-    ("signed-zeros-mane", "mane", SIGNED_ZEROS),
-    # repeated, signed-zero and bottom levels give duplicate densities
-    ("shift4-enumerate-csv", "invariant", {
-        **SHIFT4, "invariant": {"mode": "enumerate",
-                                "levels": [0.0, "-inf", -0.25, 0.0, -0.0, "-inf"]},
-        "output": {"csv": True}}),
-    ("snapped-grid-enumerate", "invariant", {
-        **SNAPPED_GRID, "invariant": {"mode": "enumerate",
-                                      "levels": [0.0, -0.5, "-inf", -0.5, -0.0]}}),
-    ("grid64-validate", "validate", grid_random(64, False)),
-    ("grid64-constant-validate", "validate", grid_random(64, True)),
-    ("grid700-validate", "validate", grid_random(700, False, a=-1, b=2.5, seed=11)),
-    ("grid700-constant-validate", "validate", grid_random(700, True, a=-1, b=2.5, seed=11)),
-    ("tied-grid-validate", "validate", tied_grid(1)),
-    ("tied-grid-constant-validate", "validate", tied_grid(1, constant=True)),
-]
-#: Golden runs that end in a domain failure and still write their report.
-GOLDEN_EXIT = {"non-contractive-validate": 2}
-
 # sha256 of every output file, recorded before the coding-table removal.
 GOLDEN_DIGESTS = {
     "demo31/density.json": "a152fc8f1ff06ccc0f8bd205e35516061dcd528e884229cf79ea3d1846439d08",
@@ -1060,13 +926,20 @@ GOLDEN_DIGESTS = {
 }
 
 
+def golden_runs():
+    """The runs of the byte-run manifest whose files have recorded digests."""
+    names = {key.split("/")[0] for key in GOLDEN_DIGESTS}
+    return [entry for entry in RUNS if entry.name in names]
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     digests = {}
-    for name, command, config in GOLDEN_RUNS:
-        code, out = run(tmp_path, command, config, out=name)
-        assert code == GOLDEN_EXIT.get(name, 0), name
+    for entry in golden_runs():
+        code, out = run(tmp_path, entry.command, entry.config, out=entry.name)
+        assert code == entry.exit, entry.name
+        assert sorted(path.name for path in out.iterdir()) == sorted(entry.files), entry.name
         for path in sorted(out.iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            digests[f"{entry.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN_DIGESTS
 
 

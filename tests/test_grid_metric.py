@@ -6,6 +6,8 @@ before grids held no table (``oracles.dense_*``) and against the loop
 oracles.  The grid side must never build its table.
 """
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 import tropifs.mpifs as mpifs
 import tropifs.spaces as spaces
+from tropifs.cli import main
 from tropifs.config import RunConfig, build_system
+from tropifs.errors import NotContractiveError
 from tropifs.examples import _affine_grid_maps, discrete_index_space, random_system
 from tropifs.invariant import constant_weight_density, enumerate_invariants, verify_invariant
 from tropifs.mane import mane_potential
@@ -97,11 +101,14 @@ def grid_systems(draw, max_points=40):
 def fast_then_dense(system):
     """The grid routines' values, checked to leave the table unbuilt, and
     the dense routines' values on the same system.  Weights of 1e300 may
-    overflow to inf, on both sides alike."""
+    overflow to inf, on both sides alike.  Where gamma_hat >= 1 left
+    lip_c_hat unset, the row blocks fill it in after the check."""
     with np.errstate(over="ignore"):
-        fast = _estimates(system)
+        gamma, lip = _estimates(system)
         assert system.space._dist is None
-        return fast, (dense_contraction_constant(system), dense_weight_lipschitz(system))
+        if lip is None:
+            gamma, lip = mpifs._block_estimates(system, gamma, None)
+        return (gamma, lip), (dense_contraction_constant(system), dense_weight_lipschitz(system))
 
 
 def first_pairs_underflow():
@@ -155,14 +162,15 @@ def test_pairs_past_the_budget_take_the_row_blocks(monkeypatch):
 
 
 def test_row_blocks_decide_only_what_the_grid_search_left(monkeypatch):
-    # halving maps leave few ties, so the search gives gamma_hat; linear
-    # weights on an integer grid tie every pair, so lip_c_hat falls back
+    # halving maps leave few ties, so the search gives gamma_hat, below 1 with
+    # the maps 300 apart; linear weights on an integer grid tie every pair, so
+    # lip_c_hat falls back
     n = 300
     space = build_grid(0.0, n - 1.0, n)
-    system = MpIfs(space, discrete_index_space(["0", "1"]), [np.zeros(n), np.arange(n) // 2],
-                   [np.zeros(n), -0.125 * np.arange(n)])
+    system = MpIfs(space, discrete_index_space(["0", "1"], spacing=300.0),
+                   [np.zeros(n), np.arange(n) // 2], [np.zeros(n), -0.125 * np.arange(n)])
     gamma, lip = mpifs._grid_estimates(system, space.grid.xs)
-    assert gamma is not None and lip is None
+    assert gamma < 1 and lip is None
     ran, reads = spy_row_blocks(monkeypatch), []
     distances = spaces.FiniteSpace.distances
     monkeypatch.setattr(spaces.FiniteSpace, "distances",
@@ -173,6 +181,34 @@ def test_row_blocks_decide_only_what_the_grid_search_left(monkeypatch):
     assert len(reads) == len(list(row_chunks(n, n)))
     assert found == (gamma, 0.125) == (dense_contraction_constant(system),
                                        dense_weight_lipschitz(system))
+
+
+def test_a_non_contractive_grid_is_refused_before_the_lipschitz_row_blocks(monkeypatch, tmp_path):
+    # linear weights tie every pair, so lip_c_hat falls back to the row blocks,
+    # while the grid search settles gamma_hat >= 1: the second map stretches 2x
+    n = 513
+    maps = [[0] * n, np.minimum(2 * np.arange(n), n - 1).tolist()]
+    weights = [[0] * n, (-np.arange(n) / 4096).tolist()]
+    system = MpIfs(build_grid(0.0, 1.0, n), discrete_index_space(["1", "2"]), maps, weights)
+    gamma, lip = mpifs._grid_estimates(system, system.space.grid.xs)
+    assert gamma >= 1 and lip is None
+    block = mpifs._block_estimates
+
+    def no_lipschitz(system, gamma, lip):
+        assert lip is not None, "the row blocks were asked for lip_c_hat"
+        return block(system, gamma, lip)
+
+    monkeypatch.setattr(mpifs, "_block_estimates", no_lipschitz)
+    message = f"contraction estimate gamma_hat = {gamma} >= 1"
+    with pytest.raises(NotContractiveError, match=f"^{re.escape(message)}$"):
+        validate(system)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"system": {"inline": {
+        "space": {"grid": {"a": 0, "b": 1, "n": n}}, "maps": maps, "weights": weights,
+        "index_space": {"labels": ["1", "2"], "dist": [[0, 1], [1, 0]]}}}}))
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert report == {"valid": False, "error": message}
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropifs.errors import ConfigError, NormalizationError, NotContractiveError
+from tropifs.errors import NormalizationError, NotContractiveError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
@@ -170,7 +170,7 @@ def test_weights_must_be_finite_or_bottom(bad):
     space = build_grid(0.0, 1.0, 2)
     isp = discrete_index_space(["a", "b"], spacing=3.0)
     maps = np.array([[0, 0], [1, 1]])
-    with pytest.raises(ConfigError, match="^weights must be finite or -inf$"):
+    with pytest.raises(ValueError, match="^max-plus values must be finite or -inf$"):
         MpIfs(space, isp, maps, np.array([[0.0, bad], [-1.0, BOTTOM]]))
     # the constructor admits a positive weight: validate refuses it as drift
     with pytest.raises(NormalizationError):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -177,6 +178,27 @@ def test_distances_to_is_the_nearest_member_by_loops(data):
         near = space.distances_to(t, xs, np.array(k, dtype=np.intp))
     assert near.dtype == np.float64 and near.shape == xs.shape
     assert near.tolist() == expected
+
+
+@pytest.mark.parametrize("run, blocks", [(1, 1), (64, 2)])
+def test_distances_to_holds_one_chunk_of_rows(run, blocks):
+    # every point reads a prefix of its own size, rounded down to a multiple
+    # of ``run``: an n-float row per prefix would take 32 MiB at run = 1, one
+    # chunk of rows takes CHUNK_VALUES floats (512 KiB), and runs of 8 rows
+    # or more are folded in a second block of that size; the index arrays
+    # over the n points take the last 512 KiB
+    n = 2048
+    space = build_grid(0.0, 1.0, n)
+    t = np.random.default_rng(0).permutation(n)
+    space.dist  # the table itself is built on first read
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space.distances_to(t, np.arange(n), t // run * run)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks * CHUNK_VALUES * 8 + 2**19
 
 
 @settings(max_examples=200, deadline=None)
