@@ -32,7 +32,7 @@ from .mpifs import MpIfs, transfer_density, validate
 from .mane import mane_potential
 from .invariant import BoundaryData, build_invariant
 from .fuzzy import d_theta
-from .spaces import FiniteSpace, build_shift_space, snap
+from .spaces import FiniteSpace, Shift, build_shift_space, snap
 
 QUANT = float(2**-26)
 #: Most maps :func:`random_system` will build, checked before any table.
@@ -194,7 +194,7 @@ def demonstrate_nonuniqueness(spec: ShiftExampleSpec) -> tuple[dict, Density]:
 
 
 def _affine_grid_maps(space: FiniteSpace, num_maps: int, rng, constant_first: bool):
-    xs = space.grid.xs
+    xs = space.xs
     a, b = float(xs[0]), float(xs[-1])
     maps = np.zeros((num_maps, space.n), dtype=np.intp)
     for j in range(num_maps):
@@ -215,7 +215,7 @@ def _grid_weights(space: FiniteSpace, num_maps: int, rng, constant: bool):
         w = -_dyadic(rng.uniform(2**-4, 2.0, size=num_maps))
         w[0] = 0.0
         return np.repeat(w[:, None], space.n, axis=1)
-    xs = space.grid.xs
+    xs = space.xs
     span = max(float(xs[-1] - xs[0]), 1.0)
     raw = np.empty((num_maps, space.n))
     for j in range(num_maps):
@@ -233,7 +233,7 @@ def _shift_weights(space: FiniteSpace, symbols: int, rng, constant: bool):
         zeros = rng.choice(symbols, size=int(rng.integers(1, min(symbols, 2) + 1)), replace=False)
         w[zeros] = 0.0
         return np.repeat(w[:, None], space.n, axis=1)
-    first = np.arange(space.n) // space.shift.block(1)  # leading symbol minus 1
+    first = np.arange(space.n) // space.block(1)  # leading symbol minus 1
     table = -_dyadic(rng.uniform(0.0, 2.0, size=(symbols, symbols)))
     raw = table[:, first]
     return raw - raw.max(axis=0, keepdims=True)
@@ -258,13 +258,12 @@ def random_system(
         raise ConfigError("need at least one map")
     if num_maps > MAX_MAPS:
         raise ConfigError(f"{num_maps} maps is more than the limit of {MAX_MAPS}")
-    symbolic = space.shift is not None
+    symbolic = isinstance(space, Shift)
     if symbolic:
-        symbols, depth = space.shift
-        if num_maps != symbols:
+        if num_maps != space.symbols:
             raise ConfigError("shift systems need one prepend map per symbol")
-        maps = _prepend_maps(symbols, depth)
-        index_space = discrete_index_space([str(j) for j in range(1, symbols + 1)])
+        maps = _prepend_maps(space.symbols, space.depth)
+        index_space = discrete_index_space([str(j) for j in range(1, space.symbols + 1)])
     else:
         spacing = 2.5 * space.diameter
         if spacing == np.inf:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .maxplus import BOTTOM, _check_entries
 from .measures import Density
-from .spaces import FiniteSpace, Shift, row_chunks
+from .spaces import FiniteSpace, Grid, Shift, row_chunks
 
 NORMALIZATION_TOL = 1e-12
 CONSTANT_WEIGHT_TOL = 1e-12
@@ -125,11 +125,11 @@ def _estimates(system: MpIfs) -> tuple:
     such a system on gamma_hat alone.
     """
     space = system.space
-    if space.shift is not None:
-        return _shift_estimates(system, space.shift)
+    if isinstance(space, Shift):
+        return _shift_estimates(system, space)
     gamma = lip = None
-    if space.grid is not None:
-        gamma, lip = _grid_estimates(system, space.grid.xs)
+    if isinstance(space, Grid):
+        gamma, lip = _grid_estimates(system, space.xs)
     if gamma is None or (lip is None and gamma < 1.0):
         gamma, lip = _block_estimates(system, gamma, lip)
     return gamma, lip

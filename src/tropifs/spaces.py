@@ -1,31 +1,38 @@
 """Finite discretizations of compact metric spaces.
 
-A :class:`FiniteSpace` is a point set with a metric and a ``resolution``:
-the covering radius the discretization guarantees relative to the
-continuum it stands in for (0 when the space is exact, as for the
-two-point space or any space used as-is).  A space given as a distance
-table holds that table.  The builders' spaces instead hold a record the
-metric can be read from, and build their dense ``dist`` only when
-something reads it:
+A space is a point set with a metric and a ``resolution``: the covering
+radius the discretization guarantees relative to the continuum it stands
+in for (0 when the space is exact, as for the two-point space or any
+space used as-is).  Every caller reads a space through ``n``, ``labels``,
+``dist``, ``diameter``, :meth:`~FiniteSpace.distances` and
+:meth:`~FiniteSpace.distances_to`.  There is one class per kind:
 
-* an interval grid holds a :class:`Grid` of its sorted float coordinates,
-  under d(x, y) = |x - y|; the contraction and Lipschitz routines on a
-  grid read the coordinates in about O(m^2 * n log n), while the
-  distances to a set (:meth:`FiniteSpace.distances_to`, behind
+* a :class:`FiniteSpace` holds an explicit distance table, checked by
+  :func:`check_metric`;
+* a :class:`Grid` (:func:`build_grid`) holds the sorted float coordinates
+  of an interval grid, under d(x, y) = |x - y|; the contraction and
+  Lipschitz routines on a grid read the coordinates in about
+  O(m^2 * n log n), while the distances to a set (behind
   :func:`hausdorff` and the fuzzy level sweep) still read ``dist``;
-* a truncated shift space holds a :class:`Shift` of its alphabet size and
-  depth.  Its words (tuples of symbols) are listed lexicographically under
-  the cylinder metric d(w, v) = (1/2)^(first mismatch position), so the
-  words sharing a prefix of length p form contiguous index blocks of side
-  symbols^(depth - p), and every routine on a shift (those distances, and
-  the contraction and Lipschitz routines) works in O(n * depth) on those
-  blocks.
+* a :class:`Shift` (:func:`build_shift_space`) holds the alphabet size and
+  depth of a truncated shift.  Its words are listed lexicographically
+  under the cylinder metric d(w, v) = (1/2)^(first mismatch position), so
+  the words sharing a prefix of length p form contiguous index blocks of
+  side symbols^(depth - p), and every routine on a shift (those
+  distances, and the contraction and Lipschitz routines) works in
+  O(n * depth) on those blocks.
+
+A grid or a shift holds only its record: it skips the O(n^3)
+:func:`check_metric` (its metric is one by construction), and builds its
+``labels``, its dense ``dist`` and a shift's ``points`` on their first
+read, then keeps them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -84,17 +91,176 @@ def check_metric(dist: np.ndarray) -> None:
         raise ConfigError("triangle inequality violated")
 
 
-class Shift(NamedTuple):
-    """The words of length ``depth`` over {1..symbols}, listed lexicographically.
+class FiniteSpace:
+    """Finite point set standing in for a compact metric space, or the
+    metric space of map indices of a system, given as a distance table.
+
+    ``labels`` is kept as a tuple, so every reader shares one immutable
+    object, and ``dist`` is read-only.  :class:`Grid` and :class:`Shift`
+    derive both from their record instead.
+    """
+
+    def __init__(self, labels: Sequence[str], dist, resolution: float = 0.0):
+        self.labels = tuple(labels)
+        self.dist = _lock(dist)
+        check_metric(self.dist)
+        if len(self.labels) != self.dist.shape[0]:
+            raise ConfigError("labels and distance table disagree in size")
+        if not 0 <= resolution < np.inf:  # NaN would switch the contraction check off
+            raise ConfigError(f"resolution must be a finite number >= 0, got {resolution!r}")
+        self.resolution = resolution
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @property
+    def diameter(self) -> float:
+        return float(self.dist.max()) if self.n > 1 else 0.0
+
+    def distances(self, i, k) -> np.ndarray:
+        """d(i, k) elementwise over index arrays, equal to ``dist[i, k]``."""
+        return self.dist[i, k]
+
+    def distances_to(self, t: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
+        """Distance from each point ``xs[i]`` to the set {v : t[v] < k[i]},
+        +inf where that set is empty.
+
+        Each set is a prefix of the points in the order of ``t``:
+        a running minimum of the ``dist`` rows in that order, copied at the
+        prefixes some point reads, gives them all in O(n^2).  The points,
+        sorted once by the prefix they read, read the copies of one
+        :func:`row_chunks` block of prefixes before the next block is made
+        (a copy per prefix took 128 MiB at n = 4096; reading each point as
+        the sweep reaches its prefix made ``tropifs fuzzy`` 1.3x slower at
+        n = 148).  Runs of 8 rows or more between two prefixes
+        some point reads are folded in the blocks of
+        :func:`row_chunks` while n <= 2048, where a block beats as many
+        row minimums; shorter runs, and longer rows, go one row at a time.
+        So besides ``dist`` and O(len(xs)) for the points, at most
+        ``2 * CHUNK_VALUES`` values are held: one block of copies and one
+        folded block of rows.
+        One row at a time throughout made ``tropifs fuzzy`` on ``grid_random``
+        1.16x slower at n = 148 and up to 1.24x at n = 64, with n = 513 and
+        2048 within noise (2 shared vCPUs; the grid ``fuzzy`` workloads of
+        ROADMAP item 1 are to measure both sides of this rule).
+        """
+        order = np.argsort(t, kind="stable")
+        reach = np.searchsorted(t[order], k)  # the set of x is the first reach points
+        read = np.zeros(self.n + 1, dtype=bool)
+        read[0] = read[reach] = True
+        sizes = np.flatnonzero(read).tolist()
+        # xs[i] reads the distances to the first sizes[level[i]] points
+        level = np.cumsum(read)[reach] - 1
+        chunks = list(row_chunks(len(sizes), self.n))
+        picks = [()]  # the points that read each chunk: here all of them
+        if len(chunks) > 1:
+            level = np.broadcast_to(level, np.shape(xs))
+            by_level = np.argsort(level, kind="stable")
+            picks = np.split(by_level, np.searchsorted(level[by_level], [c.start for c in chunks[1:]]))
+        rows = np.empty((chunks[0].stop, self.n))  # rows[j]: those of sizes[c.start + j]
+        out = np.empty(np.shape(xs))
+        dist, near, lo = self.dist, np.full(self.n, np.inf), 0
+        for c, pick in zip(chunks, picks):
+            for row, hi in zip(rows, sizes[c]):
+                run = order[lo:hi]
+                if hi - lo < 8 or self.n > 2048:
+                    for v in run.tolist():
+                        np.minimum(near, dist[v], out=near)
+                else:
+                    for s in row_chunks(hi - lo, self.n):
+                        np.minimum(near, dist[run[s]].min(axis=0), out=near)
+                row[:], lo = near, hi
+            out[pick] = rows[level[pick] - c.start, xs[pick]]
+        return out
+
+
+class Grid(FiniteSpace):
+    """Sorted, distinct float coordinates ``xs`` under d(x, y) = |x - y|,
+    each labelled by the ``repr`` of its float.
+
+    Every distance is ``abs`` of one float subtraction, here and in the
+    dense table alike, so both give the same floats; as fl(x - y) is
+    monotone in x and in y, the farthest pair is the first and the last
+    point.
+    """
+
+    def __init__(self, xs: np.ndarray, resolution: float):
+        self.xs = _lock(xs)
+        self.resolution = resolution
+
+    @property
+    def n(self) -> int:
+        return self.xs.size
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(map(repr, self.xs.tolist()))
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The dense n x n table."""
+        dist = np.subtract.outer(self.xs, self.xs)
+        return _lock(np.abs(dist, out=dist))
+
+    @property
+    def diameter(self) -> float:
+        return float(self.xs[-1] - self.xs[0])
+
+    def distances(self, i, k) -> np.ndarray:
+        return np.abs(self.xs[i] - self.xs[k])
+
+
+class Shift(FiniteSpace):
+    """The words of length ``depth`` over {1..symbols}, listed lexicographically,
+    under the cylinder metric; the covering radius is the cylinder
+    diameter (1/2)^depth.
 
     The word at index i is the base-``symbols`` numeral of i, so the words
     sharing a prefix of length p are the index blocks of side
     :meth:`block` (p), and in any block the first and last index are
-    farthest apart.
+    farthest apart.  ``points`` holds the words as tuples of symbols.  A
+    word's label spells its symbols, joined by "." when some symbol has
+    two digits (more than 9 symbols), so that no two words share a label.
     """
 
-    symbols: int
-    depth: int
+    def __init__(self, symbols: int, depth: int):
+        self.symbols = symbols
+        self.depth = depth
+
+    @property
+    def n(self) -> int:
+        return self.symbols**self.depth
+
+    @property
+    def resolution(self) -> float:
+        return 0.5**self.depth
+
+    @cached_property
+    def labels(self) -> tuple:
+        digits = [str(s) for s in range(1, self.symbols + 1)]
+        sep = "." if self.symbols > 9 else ""
+        return tuple(map(sep.join, itertools.product(digits, repeat=self.depth)))
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(itertools.product(range(1, self.symbols + 1), repeat=self.depth))
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The dense n x n table, filled block-diagonally one level at a time."""
+        n = self.n
+        dist = np.empty((n, n))
+        for p, level in enumerate(self.levels):
+            b = self.block(p)
+            diagonal = np.arange(n // b)
+            dist.reshape(n // b, b, n // b, b)[diagonal, :, diagonal, :] = level
+        np.fill_diagonal(dist, 0.0)
+        return _lock(dist)
+
+    @property
+    def diameter(self) -> float:
+        return float(self.levels[0]) if self.n > 1 else 0.0
 
     @property
     def levels(self) -> np.ndarray:
@@ -134,7 +300,7 @@ class Shift(NamedTuple):
 
     def distances_to(self, t: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
         """Distance from each word ``xs[i]`` to the set {v : t[v] < k[i]},
-        +inf where that set is empty.
+        +inf where that set is empty, in O(n * depth).
 
         The block of level p around x meets the set when the least ``t`` in
         it is below k.  Blocks nest, so the longest prefix x shares with the
@@ -149,167 +315,8 @@ class Shift(NamedTuple):
         near[t.min() >= k] = np.inf
         return near
 
-    def table(self) -> np.ndarray:
-        """The dense n x n table, filled block-diagonally one level at a time."""
-        n = self.symbols**self.depth
-        dist = np.empty((n, n))
-        for p, level in enumerate(self.levels):
-            b = self.block(p)
-            diagonal = np.arange(n // b)
-            dist.reshape(n // b, b, n // b, b)[diagonal, :, diagonal, :] = level
-        np.fill_diagonal(dist, 0.0)
-        return dist
 
-
-class Grid(NamedTuple):
-    """Sorted, distinct float coordinates under d(x, y) = |x - y|.
-
-    Every distance is ``abs`` of one float subtraction, here and in the
-    dense table alike, so both give the same floats; as fl(x - y) is
-    monotone in x and in y, the farthest pair is the first and the last
-    point.
-    """
-
-    xs: np.ndarray
-
-    def distances(self, i, k) -> np.ndarray:
-        """d(i, k) elementwise over index arrays."""
-        return np.abs(self.xs[i] - self.xs[k])
-
-    def table(self) -> np.ndarray:
-        """The dense n x n table."""
-        dist = np.subtract.outer(self.xs, self.xs)
-        return np.abs(dist, out=dist)
-
-
-class FiniteSpace:
-    """Finite point set standing in for a compact metric space, or the
-    metric space of map indices of a system.
-
-    ``labels`` is kept as a tuple, so every reader shares one immutable
-    object.  ``points`` holds the words of a shift space (a tuple of
-    tuples), and is None elsewhere.
-    ``grid`` and ``shift`` are set only by :func:`build_grid` and
-    :func:`build_shift_space`, and are how code tells those spaces: such a
-    space takes no table, skips the O(n^3) :func:`check_metric` (its
-    metric is one by construction) and builds ``dist`` on its first read.
-    """
-
-    def __init__(
-        self,
-        labels: Sequence[str],
-        dist=None,
-        resolution: float = 0.0,
-        points: Optional[object] = None,
-        shift: Optional[Shift] = None,
-        grid: Optional[Grid] = None,
-    ):
-        self.labels = tuple(labels)
-        self.resolution = resolution
-        self.points = points
-        self.shift = shift
-        self.grid = grid
-        if shift is not None:
-            self._dist = None
-            size = shift.symbols**shift.depth
-        elif grid is not None:
-            self._dist = None
-            size = len(grid.xs)
-        else:
-            self._dist = _lock(dist)
-            check_metric(self._dist)
-            size = self._dist.shape[0]
-        if len(self.labels) != size:
-            raise ConfigError("labels and distance table disagree in size")
-        if not 0 <= self.resolution < np.inf:  # NaN would switch the contraction check off
-            raise ConfigError(f"resolution must be a finite number >= 0, got {self.resolution!r}")
-
-    @property
-    def dist(self) -> np.ndarray:
-        if self._dist is None:
-            record = self.shift if self.shift is not None else self.grid
-            self._dist = _lock(record.table())
-        return self._dist
-
-    def distances(self, i, k) -> np.ndarray:
-        """d(i, k) elementwise over index arrays, equal to ``dist[i, k]``;
-        a grid or a shift reads them from its record."""
-        record = self.shift if self.shift is not None else self.grid
-        if record is not None:
-            return record.distances(i, k)
-        return self.dist[i, k]
-
-    def distances_to(self, t: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
-        """Distance from each point ``xs[i]`` to the set {v : t[v] < k[i]},
-        +inf where that set is empty.
-
-        A shift reads them from its blocks (:meth:`Shift.distances_to`).
-        Elsewhere each set is a prefix of the points in the order of ``t``:
-        a running minimum of the ``dist`` rows in that order, copied at the
-        prefixes some point reads, gives them all in O(n^2).  The points,
-        sorted once by the prefix they read, read the copies of one
-        :func:`row_chunks` block of prefixes before the next block is made
-        (a copy per prefix took 128 MiB at n = 4096; reading each point as
-        the sweep reaches its prefix made ``tropifs fuzzy`` 1.3x slower at
-        n = 148).  Runs of 8 rows or more between two prefixes
-        some point reads are folded in the blocks of
-        :func:`row_chunks` while n <= 2048, where a block beats as many
-        row minimums; shorter runs, and longer rows, go one row at a time.
-        So besides ``dist`` and O(len(xs)) for the points, at most
-        ``2 * CHUNK_VALUES`` values are held: one block of copies and one
-        folded block of rows.
-        One row at a time throughout made ``tropifs fuzzy`` on ``grid_random``
-        1.16x slower at n = 148 and up to 1.24x at n = 64, with n = 513 and
-        2048 within noise (2 shared vCPUs; the grid ``fuzzy`` workloads of
-        ROADMAP item 1 are to measure both sides of this rule).
-        """
-        if self.shift is not None:
-            return self.shift.distances_to(t, xs, k)
-        order = np.argsort(t, kind="stable")
-        reach = np.searchsorted(t[order], k)  # the set of x is the first reach points
-        read = np.zeros(self.n + 1, dtype=bool)
-        read[0] = read[reach] = True
-        sizes = np.flatnonzero(read).tolist()
-        # xs[i] reads the distances to the first sizes[level[i]] points
-        level = np.cumsum(read)[reach] - 1
-        chunks = list(row_chunks(len(sizes), self.n))
-        picks = [()]  # the points that read each chunk: here all of them
-        if len(chunks) > 1:
-            level = np.broadcast_to(level, np.shape(xs))
-            by_level = np.argsort(level, kind="stable")
-            picks = np.split(by_level, np.searchsorted(level[by_level], [c.start for c in chunks[1:]]))
-        rows = np.empty((chunks[0].stop, self.n))  # rows[j]: those of sizes[c.start + j]
-        out = np.empty(np.shape(xs))
-        dist, near, lo = self.dist, np.full(self.n, np.inf), 0
-        for c, pick in zip(chunks, picks):
-            for row, hi in zip(rows, sizes[c]):
-                run = order[lo:hi]
-                if hi - lo < 8 or self.n > 2048:
-                    for v in run.tolist():
-                        np.minimum(near, dist[v], out=near)
-                else:
-                    for s in row_chunks(hi - lo, self.n):
-                        np.minimum(near, dist[run[s]].min(axis=0), out=near)
-                row[:], lo = near, hi
-            out[pick] = rows[level[pick] - c.start, xs[pick]]
-        return out
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def diameter(self) -> float:
-        if self.n < 2:
-            return 0.0
-        if self.shift is not None:
-            return float(self.shift.levels[0])
-        if self.grid is not None:
-            return float(self.grid.xs[-1] - self.grid.xs[0])
-        return float(self.dist.max())
-
-
-def build_grid(a: float, b: float, n: int) -> FiniteSpace:
+def build_grid(a: float, b: float, n: int) -> Grid:
     """Uniform grid of ``n`` points on [a, b]; covering radius is half the spacing."""
     if n < 2:
         raise ConfigError("grid needs at least 2 points")
@@ -319,25 +326,20 @@ def build_grid(a: float, b: float, n: int) -> FiniteSpace:
         raise ConfigError("grid requires a < b")
     if float(b) - float(a) == np.inf:
         raise ConfigError(f"grid span b - a overflows the float range (a = {a}, b = {b})")
-    xs = _lock(np.linspace(a, b, n))
+    xs = np.linspace(a, b, n)
     if not np.all(np.diff(xs) > 0):
         raise ConfigError("grid points must be distinct real numbers")
-    res = (b - a) / (2 * (n - 1))
-    return FiniteSpace(
-        labels=[repr(float(x)) for x in xs],
-        resolution=res,
-        grid=Grid(xs),
-    )
+    return Grid(xs, (b - a) / (2 * (n - 1)))
 
 
-def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
-    """All words of given depth over {1..symbols} under the cylinder metric.
+def build_shift_space(symbols: int, depth: int) -> Shift:
+    """All words of given depth over {1..symbols} under the cylinder metric
+    d(w, v) = (1/2)^i, where i >= 1 is the first position at which the
+    words differ.
 
-    d(w, v) = (1/2)^i where i >= 1 is the first position at which the words
-    differ; the covering radius recorded is the cylinder diameter
-    (1/2)^depth.  A word's label spells its symbols, joined by "." when
-    some symbol has two digits (more than 9 symbols), so that no two
-    words share a label.
+    The depth must leave the least level (1/2)^depth a positive float:
+    past 1074 it underflows to 0, and the contraction and Lipschitz
+    estimates divide by the levels.
     """
     if symbols < 1 or depth < 1:
         raise ConfigError("shift space needs symbols >= 1 and depth >= 1")
@@ -346,29 +348,25 @@ def build_shift_space(symbols: int, depth: int) -> FiniteSpace:
         raise ConfigError(
             f"shift space of {symbols}^{depth} points is larger than the limit of {MAX_POINTS}"
         )
-    words = tuple(itertools.product(range(1, symbols + 1), repeat=depth))
-    sep = "." if symbols > 9 else ""
-    return FiniteSpace(
-        labels=[sep.join(map(str, w)) for w in words],
-        resolution=0.5**depth,
-        points=words,
-        shift=Shift(symbols, depth),
-    )
+    if 0.5**depth == 0:
+        raise ConfigError(f"shift depth {depth} underflows: the cylinder distance "
+                          f"(1/2)^{depth} is 0 as a float")
+    return Shift(symbols, depth)
 
 
 def snap(space: FiniteSpace, value):
     """Index of the grid point nearest ``value``; ties break toward the lowest index.
 
     ``value`` may be an array, which gives an array of indices.  Nearest
-    means least ``abs(grid.xs - value)``, one float subtraction per point.
+    means least ``abs(space.xs - value)``, one float subtraction per point.
     That is monotone in the point, so only the sorted predecessor and
     successor of a value compete, and both are found by one binary search.
     A value that ties the predecessor with the point before it (where the
     subtraction rounds two points to one distance) takes the full scan.
     """
-    if space.grid is None:
+    if not isinstance(space, Grid):
         raise ConfigError("space has no coordinate payload to snap a value onto")
-    xs = space.grid.xs
+    xs = space.xs
     v = np.asarray(value, dtype=np.float64)
     flat = v.reshape(-1)
     hi = np.minimum(np.searchsorted(xs, flat), xs.size - 1)

@@ -464,6 +464,20 @@ def test_an_overflowing_triangle_sum_warns_nothing(tmp_path):
     assert report == {"valid": False, "error": "contraction estimate gamma_hat = 1e+308 >= 1"}
 
 
+@pytest.mark.parametrize("depth, code, stderr", [
+    (1074, 0, ""),
+    # (1/2)^1075 is 0.0: validate divided 0 by 0 twice, with two numpy
+    # warnings, and exited 0 only because max(0.0, nan) is 0.0
+    (1075, 3, "tropifs: config error: shift depth 1075 underflows: "
+              "the cylinder distance (1/2)^1075 is 0 as a float\n"),
+], ids=["smallest-level", "underflow"])
+def test_a_shift_whose_cylinder_distance_underflows_is_one_config_error(tmp_path, depth, code,
+                                                                         stderr):
+    system = {"builder": "shift_random", "symbols": 1, "depth": depth, "seed": 1}
+    done = _validate_in_a_process(tmp_path, {"system": system})
+    assert (done.returncode, done.stderr) == (code, stderr)
+
+
 @pytest.mark.parametrize("system, count", [
     # the index table alone was 74.5 GiB
     ({**GRID8, "num_maps": 100000}, 100000),
@@ -511,7 +525,7 @@ def test_mane_two_point(tmp_path):
     assert code == 0
     aubry = json.loads((out / "aubry.json").read_text())
     assert aubry["labels"] == ["p0"]
-    rows = list(csv.reader((out / "S.csv").open()))
+    rows = list(csv.reader((out / "S.csv").read_text().splitlines()))
     assert rows[0] == ["", "p0", "p1"]
     assert rows[1] == ["p0", "0.0", "0.0"]
     assert rows[2] == ["p1", "-1.0", "-1.0"]
@@ -621,7 +635,7 @@ def test_shift_labels_above_nine_symbols_are_distinct(tmp_path):
     code, out = run(tmp_path, "mane", {"system": {
         "builder": "shift_random", "symbols": 11, "depth": 2, "seed": 1}})
     assert code == 0
-    header = next(csv.reader((out / "S.csv").open()))[1:]
+    header = next(csv.reader((out / "S.csv").read_text().splitlines()))[1:]
     assert len(set(header)) == len(header) == 121
     assert header[:2] == ["1.1", "1.2"] and header[10] == "1.11" and header[110] == "11.1"
     aubry = json.loads((out / "aubry.json").read_text())
@@ -741,10 +755,10 @@ def test_an_unknown_key_is_a_config_error(tmp_path, capsys, command, config, mes
 def test_fuzzy_two_point(tmp_path):
     code, out = run(tmp_path, "fuzzy", {"system": {"builder": "two_point"}})
     assert code == 0
-    rows = list(csv.reader((out / "attractor.csv").open()))
+    rows = list(csv.reader((out / "attractor.csv").read_text().splitlines()))
     assert rows[1][0] == "p0" and float(rows[1][1]) == 1.0
     assert abs(float(rows[2][1]) - np.exp(-1.0)) < 1e-15
-    trace = list(csv.reader((out / "trace.csv").open()))[1:]
+    trace = list(csv.reader((out / "trace.csv").read_text().splitlines()))[1:]
     vals = [float(r[1]) for r in trace]
     ratios = [b / a for a, b in zip(vals, vals[1:]) if a > 0 and b > 0]
     assert all(r <= 0.5 + 1e-12 for r in ratios)
@@ -757,10 +771,10 @@ def test_fuzzy_from_fixed_family_member(tmp_path):
         "fuzzy": {"u0": [float(x) for x in u0.values]},
     })
     assert code == 0
-    rows = list(csv.reader((out / "attractor.csv").open()))[1:]
+    rows = list(csv.reader((out / "attractor.csv").read_text().splitlines()))[1:]
     got = np.array([float(r[1]) for r in rows])
     assert np.max(np.abs(got - u0.values)) <= 1e-15
-    trace = list(csv.reader((out / "trace.csv").open()))[1:]
+    trace = list(csv.reader((out / "trace.csv").read_text().splitlines()))[1:]
     assert len(trace) <= 2
 
 
@@ -780,7 +794,7 @@ def test_fuzzy_attractor_is_exp_of_the_constant_density(tmp_path):
     assert code == 0
     (density,) = json.loads((inv / "density.json").read_text())
     lam = np.array([float(v) for v in density["values"]])
-    rows = list(csv.reader((fuz / "attractor.csv").open()))[1:]
+    rows = list(csv.reader((fuz / "attractor.csv").read_text().splitlines()))[1:]
     assert [r[0] for r in rows] == density["labels"]
     attractor = np.array([float(r[1]) for r in rows])
     assert np.max(np.abs(attractor - np.exp(lam))) <= 1e-9

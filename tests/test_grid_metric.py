@@ -58,7 +58,7 @@ def grid_systems(draw, max_points=40):
     a = 0.0 if width < 1e-300 else draw(st.sampled_from([0.0, -1.0, 0.3, 1e3]))
     b = a + width
     space = build_grid(a, b, n)
-    xs = space.grid.xs
+    xs = space.xs
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["random", "sorted", "constant", "affine", "halving"]))
@@ -105,7 +105,7 @@ def fast_then_dense(system):
     lip_c_hat unset, the row blocks fill it in after the check."""
     with np.errstate(over="ignore"):
         gamma, lip = _estimates(system)
-        assert system.space._dist is None
+        assert "dist" not in vars(system.space)
         if lip is None:
             gamma, lip = mpifs._block_estimates(system, gamma, None)
         return (gamma, lip), (dense_contraction_constant(system), dense_weight_lipschitz(system))
@@ -169,11 +169,11 @@ def test_row_blocks_decide_only_what_the_grid_search_left(monkeypatch):
     space = build_grid(0.0, n - 1.0, n)
     system = MpIfs(space, discrete_index_space(["0", "1"], spacing=300.0),
                    [np.zeros(n), np.arange(n) // 2], [np.zeros(n), -0.125 * np.arange(n)])
-    gamma, lip = mpifs._grid_estimates(system, space.grid.xs)
+    gamma, lip = mpifs._grid_estimates(system, space.xs)
     assert gamma < 1 and lip is None
     ran, reads = spy_row_blocks(monkeypatch), []
-    distances = spaces.FiniteSpace.distances
-    monkeypatch.setattr(spaces.FiniteSpace, "distances",
+    distances = spaces.Grid.distances
+    monkeypatch.setattr(spaces.Grid, "distances",
                         lambda self, i, k: reads.append(i) or distances(self, i, k))
     found = _estimates(system)
     assert ran == [(gamma, None)]
@@ -190,7 +190,7 @@ def test_a_non_contractive_grid_is_refused_before_the_lipschitz_row_blocks(monke
     maps = [[0] * n, np.minimum(2 * np.arange(n), n - 1).tolist()]
     weights = [[0] * n, (-np.arange(n) / 4096).tolist()]
     system = MpIfs(build_grid(0.0, 1.0, n), discrete_index_space(["1", "2"]), maps, weights)
-    gamma, lip = mpifs._grid_estimates(system, system.space.grid.xs)
+    gamma, lip = mpifs._grid_estimates(system, system.space.xs)
     assert gamma >= 1 and lip is None
     block = mpifs._block_estimates
 
@@ -223,8 +223,7 @@ def test_a_zero_budget_still_gives_the_dense_values(system):
 
 def uneven_grid(xs):
     """A grid record on sorted coordinates that no builder makes."""
-    xs = np.array(xs, dtype=float)
-    return FiniteSpace([repr(x) for x in xs], grid=spaces.Grid(xs))
+    return spaces.Grid(np.array(xs, dtype=float), 0.0)
 
 
 @pytest.mark.parametrize("space, maps, weights, spacing", [
@@ -346,7 +345,7 @@ def test_explicit_table_of_a_grid_takes_the_row_blocks(monkeypatch):
     monkeypatch.setattr(mpifs, "_grid_estimates", refuse)
     monkeypatch.setattr(mpifs, "_grid_quotient_max", refuse)
     inline = space_from_jsonable(space_to_jsonable(system.space))
-    assert inline.grid is None and inline.points is None
+    assert not isinstance(inline, spaces.Grid) and not hasattr(inline, "points")
     twin = MpIfs(inline, system.index_space, system.maps, system.weights)
     report = validate(twin)
     assert (report.gamma_hat, report.lip_c_hat) == expected
@@ -359,7 +358,7 @@ def test_pipeline_never_builds_the_table(monkeypatch, constant):
     def refuse(self):
         raise AssertionError("a grid built its table")
 
-    monkeypatch.setattr(spaces.Grid, "table", refuse)
+    monkeypatch.setattr(spaces.Grid, "dist", property(refuse))
     cfg = RunConfig(system={"builder": "grid_random", "a": 0, "b": 1, "n": 4096,
                             "num_maps": 3, "seed": 2, "constant_weights": constant})
     system = build_system(cfg)
@@ -369,7 +368,7 @@ def test_pipeline_never_builds_the_table(monkeypatch, constant):
     else:
         lam = Density(system.space, enumerate_invariants(pot, [0.0, -0.5]))
     assert np.all(verify_invariant(system, lam, 1e-9).passed)
-    assert system.space._dist is None
+    assert not {"dist", "labels"} & vars(system.space).keys()
     with pytest.raises(AssertionError, match="built its table"):
         system.space.dist
 
@@ -388,7 +387,7 @@ def test_validate_on_the_largest_grid_stays_far_below_one_table(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert system.validation.gamma_hat < 1 and space._dist is None
+    assert system.validation.gamma_hat < 1 and not {"dist", "labels"} & vars(space).keys()
     assert peak < 32 * 2**20
 
 
@@ -401,7 +400,7 @@ def grids_and_values(draw):
     a, width = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.3), (0.1, n - 1.0), (1e16, 2.0**10)]))
     b = a + width
     space = build_grid(a, b, n)
-    xs = space.grid.xs
+    xs = space.xs
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     slope = draw(st.sampled_from([0.5, -0.5, 0.37, -0.6, 1.0, -1.0]))
     values = np.concatenate([
@@ -416,7 +415,7 @@ def grids_and_values(draw):
 @example((build_grid(0.0, 4.0, 5), np.array([0.5, 1.5, 2.5, 3.5, 4.0, -1.0])))
 def test_snap_is_the_per_point_scan(case):
     space, values = case
-    expected = [naive_snap(space.grid.xs, v) for v in values]
+    expected = [naive_snap(space.xs, v) for v in values]
     assert snap(space, values).tolist() == expected
     assert [snap(space, v) for v in values] == expected
 
@@ -427,5 +426,5 @@ def test_snap_is_the_per_point_scan(case):
 def test_affine_grid_maps_are_the_per_point_snaps(n, ends, m, constant_first, seed):
     space = build_grid(*ends, n)
     maps = _affine_grid_maps(space, m, np.random.default_rng(seed), constant_first)
-    expected = naive_affine_grid_maps(space.grid.xs, m, np.random.default_rng(seed), constant_first)
+    expected = naive_affine_grid_maps(space.xs, m, np.random.default_rng(seed), constant_first)
     assert maps.tolist() == expected

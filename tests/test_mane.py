@@ -444,7 +444,7 @@ def long_chain_system(n):
     """
     space = build_grid(0.0, 1.0, n)
     d = 1.5 / (n - 1)
-    maps = [[snap(space, (1 - d) * x + d) for x in space.grid.xs], [0] * n]
+    maps = [[snap(space, (1 - d) * x + d) for x in space.xs], [0] * n]
     weights = [np.zeros(n), np.full(n, -1.0)]
     system = MpIfs(space, discrete_index_space(["0", "1"], spacing=2.5), maps, weights)
     validate(system)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -54,6 +55,25 @@ def test_shift_space_metric():
     assert s.resolution == 0.25
     two = build_shift_space(2, 1)
     assert two.n == 2 and two.dist[0, 1] == 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.integers(2, 300))
+def test_grid_labels_spell_the_coordinates(a, width, n):
+    g = build_grid(a, a + width, n)
+    assert g.labels == tuple(repr(float(x)) for x in np.linspace(a, a + width, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_shift_labels_spell_the_words(symbols, data):
+    # symbols >= 10 join their symbols with "."
+    depth = data.draw(st.integers(1, next(d for d in range(12, 0, -1) if symbols**d <= 4096)))
+    words = list(itertools.product(range(1, symbols + 1), repeat=depth))
+    sep = "." if symbols > 9 else ""
+    s = build_shift_space(symbols, depth)
+    assert s.labels == tuple(sep.join(map(str, w)) for w in words)
+    assert s.points == tuple(words)
 
 
 def test_shift_space_preconditions():
@@ -265,7 +285,7 @@ def test_snap_refuses_a_space_without_a_grid(space):
 def test_snap_minimizes_distance(x):
     g = build_grid(0.0, 1.0, 7)
     i = snap(g, x)
-    assert all(abs(g.grid.xs[i] - x) <= abs(p - x) for p in g.grid.xs)
+    assert all(abs(g.xs[i] - x) <= abs(p - x) for p in g.xs)
 
 
 def test_bad_metric_rejected():
