@@ -110,8 +110,7 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
     mode = params.get("mode", "constant")
     tol = serialize.scalar(params.get("tol", VERIFY_TOL), float, "tol")
     tol_aubry = serialize.scalar(params.get("tol_aubry", AUBRY_TOL), float, "tol_aubry")
-    pot = mane_potential(system, tol_aubry=tol_aubry)
-
+    # the whole block is read before the closure, so a config error costs no closure
     if mode == "boundary":
         raw = params.get("boundary")
         if not (isinstance(raw, dict) and raw.keys() == {"anchor", "levels"}
@@ -124,15 +123,19 @@ def cmd_invariant(cfg: RunConfig, out: Path, seed) -> int:
                 raise ConfigError(f"boundary key {key!r} names point {point}, "
                                   "which an earlier key names too")
             levels[point] = serialize.value_from_jsonable(value)
-        anchor = _resolve_point(system.space, raw["anchor"])
-        values = build_invariant(pot, BoundaryData(values=levels, anchor=anchor)).values
-    elif mode == "constant":
-        values = constant_weight_density(system, pot).values
+        boundary = BoundaryData(values=levels, anchor=_resolve_point(system.space, raw["anchor"]))
     elif mode == "enumerate":
         levels = [serialize.value_from_jsonable(v) for v in _list(params, "levels", [0.0])]
-        values = enumerate_invariants(pot, levels)
-    else:
+    elif mode != "constant":
         raise ConfigError(f"unknown invariant mode {mode!r}")
+    pot = mane_potential(system, tol_aubry=tol_aubry)
+
+    if mode == "boundary":
+        values = build_invariant(pot, boundary).values
+    elif mode == "constant":
+        values = constant_weight_density(system, pot).values
+    else:
+        values = enumerate_invariants(pot, levels)
 
     lam = Density(system.space, np.atleast_2d(values))  # every mode writes a block
     rep = verify_invariant(system, lam, tol)

@@ -81,17 +81,16 @@ class MpIfs:
         return 0.0 if self.exact_maps else self.space.resolution
 
     def is_constant_weight(self) -> bool:
-        """True when each q_j varies across X by at most CONSTANT_WEIGHT_TOL (finite case)."""
-        for j in range(self.num_maps):
-            w = self.weights[j]
-            finite = w > BOTTOM
-            if not finite.all():
-                if finite.any():
-                    return False
-                continue
-            if w.max() - w.min() > CONSTANT_WEIGHT_TOL:
-                return False
-        return True
+        """True when each q_j varies across X by at most CONSTANT_WEIGHT_TOL.
+
+        A q_j that is BOTTOM at some points only is not constant; one that
+        is BOTTOM everywhere is, as its spread -inf - inf is -inf.
+        """
+        finite = self.weights > BOTTOM
+        if (finite.any(axis=1) != finite.all(axis=1)).any():
+            return False
+        spread = self.weights.max(axis=1) - np.where(finite, self.weights, np.inf).min(axis=1)
+        return bool((spread <= CONSTANT_WEIGHT_TOL).all())
 
 
 @dataclass

@@ -23,9 +23,10 @@ space used as-is).  Every caller reads a space through ``n``, ``labels``,
   O(n * depth) on those blocks.
 
 A grid or a shift holds only its record: it skips the O(n^3)
-:func:`check_metric` (its metric is one by construction), and builds its
-``labels``, its dense ``dist`` and a shift's ``points`` on their first
-read, then keeps them.
+:func:`check_metric` (its metric is one by construction), and states that
+metric once, in :meth:`~FiniteSpace.distances`.  Its ``labels``, a
+shift's ``points`` and its ``dist``, the n x n table of ``distances``
+over all index pairs, are built on their first read, then kept.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ METRIC_TOL = 1e-12
 CHUNK_VALUES = 2**16
 #: Most points :func:`build_grid` and :func:`build_shift_space` will build,
 #: checked before anything is allocated.  Neither space holds a table, but
-#: a grid's :meth:`FiniteSpace.distances_to` still builds its n x n
-#: ``dist`` (2 GiB at this limit) on first read.
+#: a grid's :meth:`FiniteSpace.distances_to` still reads ``dist``, which
+#: the first read derives from ``distances``: 2 GiB at this limit.
 MAX_POINTS = 2**14
 
 
@@ -99,6 +100,13 @@ class FiniteSpace:
     object, and ``dist`` is read-only.  :class:`Grid` and :class:`Shift`
     derive both from their record instead.
     """
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The n x n table of :meth:`distances` over all index pairs, built
+        on a record space's first read; an explicit table keeps its own."""
+        i = np.arange(self.n)
+        return _lock(self.distances(i[:, None], i))
 
     def __init__(self, labels: Sequence[str], dist, resolution: float = 0.0):
         self.labels = tuple(labels)
@@ -179,8 +187,7 @@ class Grid(FiniteSpace):
     """Sorted, distinct float coordinates ``xs`` under d(x, y) = |x - y|,
     each labelled by the ``repr`` of its float.
 
-    Every distance is ``abs`` of one float subtraction, here and in the
-    dense table alike, so both give the same floats; as fl(x - y) is
+    Every distance is ``abs`` of one float subtraction; as fl(x - y) is
     monotone in x and in y, the farthest pair is the first and the last
     point.
     """
@@ -197,18 +204,13 @@ class Grid(FiniteSpace):
     def labels(self) -> tuple:
         return tuple(map(repr, self.xs.tolist()))
 
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """The dense n x n table."""
-        dist = np.subtract.outer(self.xs, self.xs)
-        return _lock(np.abs(dist, out=dist))
-
     @property
     def diameter(self) -> float:
         return float(self.xs[-1] - self.xs[0])
 
     def distances(self, i, k) -> np.ndarray:
-        return np.abs(self.xs[i] - self.xs[k])
+        d = self.xs[i] - self.xs[k]
+        return np.abs(d, out=d)
 
 
 class Shift(FiniteSpace):
@@ -246,18 +248,6 @@ class Shift(FiniteSpace):
     def points(self) -> tuple:
         return tuple(itertools.product(range(1, self.symbols + 1), repeat=self.depth))
 
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """The dense n x n table, filled block-diagonally one level at a time."""
-        n = self.n
-        dist = np.empty((n, n))
-        for p, level in enumerate(self.levels):
-            b = self.block(p)
-            diagonal = np.arange(n // b)
-            dist.reshape(n // b, b, n // b, b)[diagonal, :, diagonal, :] = level
-        np.fill_diagonal(dist, 0.0)
-        return _lock(dist)
-
     @property
     def diameter(self) -> float:
         return float(self.levels[0]) if self.n > 1 else 0.0
@@ -265,11 +255,8 @@ class Shift(FiniteSpace):
     @property
     def levels(self) -> np.ndarray:
         """``levels[p]`` = (1/2)^(p + 1), the distance of two words whose
-        longest common prefix has length p.
-
-        The dense table and every routine reading the metric from the word
-        order take their distances from this array, so both give the same
-        floats.
+        longest common prefix has length p.  Every routine reading the
+        metric from the word order takes its distances from this array.
         """
         return 0.5 ** np.arange(1, self.depth + 1)
 

@@ -167,6 +167,10 @@ RUNS = [
     # without a fixed point (exit 2) writes both files too
     *(case(f"fuzzy-{n}-{seed}-{json.dumps(c)}", "fuzzy", {"system": grid(n, seed, c), **UNIFORM})
       for n in (16, 64, 513) for seed in (1, 2) for c in (False, True)),
+    # rows longer than 2048 points fold one row at a time; n = 148, seed 8 ends without a
+    # fixed point after 1,480 steps, with memberships left at the least subnormals
+    *(case(f"fuzzy-{n}-{seed}-true", "fuzzy", {"system": grid(n, seed, True), **UNIFORM}, code)
+      for n, seed, code in ((4096, 7, 0), (148, 8, 2))),
     case("fuzzy-explicit-5", "fuzzy", {"system": {"inline": EXPLICIT_5}, **UNIFORM}),
     *(case(f"fuzzy-shift-{d}-{seed}", "fuzzy", {"system": shift(d, seed, True), **UNIFORM})
       for d in (4, 6) for seed in (1, 2)),

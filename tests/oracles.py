@@ -486,6 +486,18 @@ def naive_snap(xs, value):
     return int(np.argmin(np.abs(xs - float(value))))
 
 
+def nearest_member(xs, t, points, k, rows=64):
+    """min over {v : t[v] < k[i]} of |xs[points[i]] - xs[v]|, +inf over an empty
+    set, from the coordinates ``xs`` of ``rows`` points at a time."""
+    k = np.broadcast_to(k, points.shape)
+    out = np.empty(points.shape)
+    for first in range(0, points.size, rows):
+        x, bound = points[first:first + rows], k[first:first + rows]
+        near = np.abs(xs[x, None] - xs[None, :])
+        out[first:first + rows] = np.where(t < bound[:, None], near, np.inf).min(axis=1)
+    return out
+
+
 def naive_affine_grid_maps(xs, num_maps, rng, constant_first):
     """The snapped affine maps of ``examples._affine_grid_maps``, one scan per point."""
     a, b = float(xs[0]), float(xs[-1])
@@ -513,6 +525,18 @@ def naive_cylinder_table(words):
                     table[x, y] = 0.5 ** (i + 1)
                     break
     return table
+
+
+def naive_is_constant_weight(weights, tol):
+    """Map by map: one BOTTOM at some points only is not constant, one BOTTOM
+    everywhere is skipped, and any other may vary by at most ``tol``."""
+    for w in weights:
+        finite = w > BOTTOM
+        if finite.any() and not finite.all():
+            return False
+        if finite.all() and w.max() - w.min() > tol:
+            return False
+    return True
 
 
 def labelled_csv(header, labels, rows):

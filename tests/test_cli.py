@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tropifs
+import tropifs.cli as cli
 from tropifs.cli import main
 from tropifs.examples import MAX_MAPS, build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
@@ -674,6 +675,25 @@ def test_a_boundary_index_must_be_a_plain_decimal_numeral(tmp_path, capsys, key)
     assert code == 3
     assert capsys.readouterr().err == f"tropifs: config error: unknown boundary point {key!r}\n"
     assert not (out / "density.json").exists()
+
+
+@pytest.mark.parametrize("invariant, message", [
+    ({"mode": "bogus"}, "unknown invariant mode 'bogus'"),
+    ({"mode": "enumerate", "levels": 0.5}, "levels must be a list, got 0.5"),
+    ({"mode": "boundary", "boundary": {"anchor": "zz", "levels": {"111": 0}}},
+     "unknown boundary point 'zz'"),
+    ({"mode": "boundary", "boundary": {"anchor": "111", "levels": {"111": 0, "222": 0.5}}},
+     "boundary level at 7 must lie in [-inf, 0]"),
+], ids=["mode", "levels", "anchor", "level"])
+def test_the_invariant_block_is_read_before_the_closure(tmp_path, capsys, monkeypatch, invariant, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(cli, "mane_potential", refuse)
+    code, out = run(tmp_path, "invariant", {"system": SHIFT3, "invariant": invariant})
+    assert code == 3
+    assert capsys.readouterr().err == f"tropifs: config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 GRID11 = {"builder": "grid_random", "a": 0, "b": 1, "n": 11, "num_maps": 3, "seed": 0}

@@ -15,7 +15,7 @@ from tropifs.examples import (
 )
 from tropifs.maxplus import BOTTOM
 from tropifs.measures import Density, normalize
-from tropifs.mpifs import MpIfs, _estimates, d_rho, transfer_density, validate
+from tropifs.mpifs import CONSTANT_WEIGHT_TOL, MpIfs, _estimates, d_rho, transfer_density, validate
 from tropifs.spaces import FiniteSpace, build_grid, build_shift_space
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     iterate_transfer,
     naive_contraction_constant,
     naive_dual_transfer,
+    naive_is_constant_weight,
     naive_mu_eval,
     naive_transfer_density,
     scatter_transfer_density,
@@ -340,3 +341,31 @@ def test_bottom_weights_accepted():
     out = transfer_density(system, Density(space, [0.0, 0.0]))
     assert out.values.tolist() == [0.0, -1.0]
     assert not system.is_constant_weight()
+
+
+def _weighted_system(weights):
+    weights = np.array(weights, dtype=np.float64)
+    m, n = weights.shape
+    return MpIfs(build_grid(0.0, 1.0, n), discrete_index_space([str(j) for j in range(m)]),
+                 np.zeros((m, n), dtype=np.intp), weights)
+
+
+@pytest.mark.parametrize("weights, constant", [
+    ([[0.0, 0.0, 0.0], [BOTTOM] * 3], True),  # a map switched off everywhere is skipped
+    ([[BOTTOM] * 3, [BOTTOM] * 3], True),
+    ([[0.0, 0.0, 0.0], [-1.0, BOTTOM, -1.0]], False),  # switched off at one point only
+    ([[BOTTOM, 0.0, 0.0], [BOTTOM] * 3], False),
+    ([[0.0, 0.0, 0.0], [-1.0, -1.0, -1.0 + 5e-13]], True),  # within CONSTANT_WEIGHT_TOL
+    ([[0.0, 0.0, 0.0], [-1.0, -1.0, -1.0 + 2e-12]], False),
+], ids=["all-bottom-map", "all-bottom", "mixed-row", "mixed-and-all-bottom", "within-tol", "beyond-tol"])
+def test_constant_weight_rows(weights, constant):
+    assert _weighted_system(weights).is_constant_weight() is constant
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0.0, -0.5, -0.5 + CONSTANT_WEIGHT_TOL / 2, -0.5 - 2 * CONSTANT_WEIGHT_TOL,
+                              BOTTOM]), min_size=n, max_size=n), min_size=m, max_size=m))))
+def test_constant_weight_is_the_per_map_loop(weights):
+    system = _weighted_system(weights)
+    assert system.is_constant_weight() is naive_is_constant_weight(system.weights, CONSTANT_WEIGHT_TOL)

@@ -26,7 +26,7 @@ from tropifs.spaces import (
     snap,
 )
 
-from oracles import build_point_space
+from oracles import build_point_space, naive_cylinder_table, nearest_member
 
 
 def test_grid_basics():
@@ -221,6 +221,21 @@ def test_distances_to_holds_one_chunk_of_rows(run, blocks):
     assert peak < blocks * CHUNK_VALUES * 8 + 2**19
 
 
+@pytest.mark.parametrize("per_point, run", [(False, 1), (False, 1500), (True, 1), (True, 8), (True, 37)])
+def test_distances_to_past_2048_points_reads_one_row_at_a_time(per_point, run):
+    # past n = 2048 every run of rows between two prefixes some point reads
+    # is folded one row at a time: a scalar k = run gives one run of that
+    # many rows, and per point, t // run * run reads every multiple of run
+    n = 2049
+    space = build_grid(-1.0, 2.5, n)
+    t = np.random.default_rng(n).permutation(n)
+    points = np.arange(n)
+    k = t // run * run if per_point else run
+    near = space.distances_to(t, points, k)
+    assert "dist" in vars(space)  # the sweep read the derived table
+    assert near.tobytes() == nearest_member(space.xs, t, points, k).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 300), st.integers(1, 2 * CHUNK_VALUES), st.sampled_from([1, 7, CHUNK_VALUES]))
 def test_row_chunks_partition_the_rows_in_order(rows, width, chunk):
@@ -262,6 +277,47 @@ def test_distances_are_the_table_entries(space):
     # a shift and a grid read them from their record, not from the table
     i, k = np.divmod(np.arange(space.n**2), space.n)
     assert space.distances(i, k).tolist() == space.dist[i, k].tolist()
+
+
+RECORD_SPACES = st.one_of(
+    # where ulp(1e16) = 2, |x - y| often rounds
+    st.builds(lambda ends, n: build_grid(*ends, n),
+              st.one_of(st.tuples(st.floats(-10, 10), st.floats(0.01, 10)).map(lambda e: (e[0], e[0] + e[1])),
+                        st.just((1e16, 1e16 + 2.0**10))), st.integers(2, 64)),
+    st.integers(1, 5).flatmap(lambda symbols: st.integers(1, 6 if symbols < 3 else 3).map(
+        lambda depth: build_shift_space(symbols, depth))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RECORD_SPACES)
+def test_a_record_space_derives_its_table_once(space):
+    if isinstance(space, spaces.Grid):
+        oracle = np.abs(np.subtract.outer(space.xs, space.xs))
+    else:
+        oracle = naive_cylinder_table(space.points)
+    calls = []
+    distances = type(space).distances
+    with mock.patch.object(type(space), "distances",
+                           lambda self, i, k: calls.append(1) or distances(self, i, k)):
+        assert "dist" not in vars(space)
+        table = space.dist
+        assert space.dist is table
+    assert len(calls) == 1 and not table.flags.writeable
+    assert table.tobytes() == oracle.tobytes()
+
+
+def test_a_grid_table_takes_one_table_of_memory():
+    # one subtraction, then abs in place: no second n x n array
+    space = build_grid(0.0, 1.0, 2048)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = space.dist
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2048, 2048) and peak < table.nbytes + 2**20
 
 
 def test_snap_grid():
