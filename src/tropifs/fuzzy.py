@@ -17,7 +17,8 @@ each point needs its distance to the other set's cut only at the level
 where the point itself joins its cut.  Every cut {v >= c} is the set
 {-v < k} for k the float after -c, and the space gives the distance from
 each point to such a set (:meth:`FiniteSpace.distances_to`): O(n * depth)
-per call on a shift space, O(n^2) on other spaces.
+per call on a shift space, and on other spaces O(n^2) from blocks of
+:meth:`FiniteSpace.distances`, so that a grid builds no n x n table.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _sup_cut_distance(space: FiniteSpace, a: np.ndarray, b: np.ndarray):
     largest of these per-point distances in both directions, an empty
     opposite cut counting the diameter.  Only min and max of distances
     are taken, so the value is exactly the per-level Hausdorff supremum.
-    Cost O(n * depth) per call on a shift, O(n^2) otherwise.
+    Cost O(n * depth) per call on a shift, O(n^2) otherwise, in blocks of
+    at most ``spaces.CHUNK_VALUES`` distances.
     """
     best, level = 0.0, None
     for src, dst in ((a, b), (b, a)):

@@ -39,6 +39,10 @@ VERIFY_TOL = 1e-9
 #: Most boundary assignments ``enumerate_invariants`` will build; the count
 #: is levels^(|Aubry| - 1), which the config can make astronomically large.
 MAX_ASSIGNMENTS = 100_000
+#: Most values (assignments x points) ``enumerate_invariants`` will build:
+#: the densities it keeps, and a key for each, can grow to that many.
+#: 2^24 values take 128 MiB.
+MAX_ENUMERATE_VALUES = 2**24
 
 
 @dataclass
@@ -115,8 +119,9 @@ def enumerate_invariants(pot: PotentialMatrix, levels: Sequence[float]) -> np.nd
     results come back as the rows of one (k, n) array, in first-seen order
     (verifying them is :func:`verify_invariant`'s job).  This generates
     (not enumerates) the continuum of invariant densities the boundary
-    freedom allows.  More than :data:`MAX_ASSIGNMENTS` assignments, or
-    none, raise :class:`ConfigError` before any is built.
+    freedom allows.  More than :data:`MAX_ASSIGNMENTS` assignments, more
+    than :data:`MAX_ENUMERATE_VALUES` values in their densities, or no
+    assignment, raise :class:`ConfigError` before any is built.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if (np.isnan(levels) | (levels > 0)).any():
@@ -129,6 +134,11 @@ def enumerate_invariants(pot: PotentialMatrix, levels: Sequence[float]) -> np.nd
             f"enumerate would build {len(levels)}^{len(others)} boundary assignments "
             f"({len(levels)} levels, {len(pot.aubry)} Aubry points), "
             f"more than the limit of {MAX_ASSIGNMENTS}"
+        )
+    if total * pot.space.n > MAX_ENUMERATE_VALUES:
+        raise ConfigError(
+            f"enumerate would build {total} boundary assignments of {pot.space.n} points, "
+            f"{total * pot.space.n} values, more than the limit of {MAX_ENUMERATE_VALUES}"
         )
     if total == 0:
         raise ConfigError(f"levels is empty, but the {len(pot.aubry)} Aubry points need levels")

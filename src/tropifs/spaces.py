@@ -12,8 +12,9 @@ space used as-is).  Every caller reads a space through ``n``, ``labels``,
 * a :class:`Grid` (:func:`build_grid`) holds the sorted float coordinates
   of an interval grid, under d(x, y) = |x - y|; the contraction and
   Lipschitz routines on a grid read the coordinates in about
-  O(m^2 * n log n), while the distances to a set (behind
-  :func:`hausdorff` and the fuzzy level sweep) still read ``dist``;
+  O(m^2 * n log n), and the distances to a set (behind :func:`hausdorff`
+  and the fuzzy level sweep) read them a block of rows at a time, in
+  O(n^2);
 * a :class:`Shift` (:func:`build_shift_space`) holds the alphabet size and
   depth of a truncated shift.  Its words are listed lexicographically
   under the cylinder metric d(w, v) = (1/2)^(first mismatch position), so
@@ -26,7 +27,8 @@ A grid or a shift holds only its record: it skips the O(n^3)
 :func:`check_metric` (its metric is one by construction), and states that
 metric once, in :meth:`~FiniteSpace.distances`.  Its ``labels``, a
 shift's ``points`` and its ``dist``, the n x n table of ``distances``
-over all index pairs, are built on their first read, then kept.
+over all index pairs, are built on their first read, then kept; no
+command reads a grid's or a shift's ``dist``.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ METRIC_TOL = 1e-12
 #: each temporary stays within 512 KiB, or one row when a row is longer.
 CHUNK_VALUES = 2**16
 #: Most points :func:`build_grid` and :func:`build_shift_space` will build,
-#: checked before anything is allocated.  Neither space holds a table, but
-#: a grid's :meth:`FiniteSpace.distances_to` still reads ``dist``, which
-#: the first read derives from ``distances``: 2 GiB at this limit.
+#: checked before anything is allocated.  Neither space holds a table; the
+#: bound stands for the O(n^2) per step of grid ``fuzzy``, whose level
+#: sweep reads :meth:`FiniteSpace.distances_to`.
 MAX_POINTS = 2**14
 
 
@@ -134,52 +136,29 @@ class FiniteSpace:
         """Distance from each point ``xs[i]`` to the set {v : t[v] < k[i]},
         +inf where that set is empty.
 
-        Each set is a prefix of the points in the order of ``t``:
-        a running minimum of the ``dist`` rows in that order, copied at the
-        prefixes some point reads, gives them all in O(n^2).  The points,
-        sorted once by the prefix they read, read the copies of one
-        :func:`row_chunks` block of prefixes before the next block is made
-        (a copy per prefix took 128 MiB at n = 4096; reading each point as
-        the sweep reaches its prefix made ``tropifs fuzzy`` 1.3x slower at
-        n = 148).  Runs of 8 rows or more between two prefixes
-        some point reads are folded in the blocks of
-        :func:`row_chunks` while n <= 2048, where a block beats as many
-        row minimums; shorter runs, and longer rows, go one row at a time.
-        So besides ``dist`` and O(len(xs)) for the points, at most
-        ``2 * CHUNK_VALUES`` values are held: one block of copies and one
-        folded block of rows.
-        One row at a time throughout made ``tropifs fuzzy`` on ``grid_random``
-        1.16x slower at n = 148 and up to 1.24x at n = 64, with n = 513 and
-        2048 within noise (2 shared vCPUs; the grid ``fuzzy`` workloads of
-        ROADMAP item 1 are to measure both sides of this rule).
+        Each set is a prefix of the points in the order of ``t``: x reads
+        the first ``reach`` of them.  The points, sorted once by reach, go
+        in :func:`row_chunks` blocks; a block takes the :meth:`distances`
+        from its points to the prefix its last point reads, and one
+        ``minimum.reduceat`` over each row's own prefix gives each point
+        its least distance, in O(n^2) in all.  The block is released
+        before the next is built, so besides O(len(xs)) for the points at
+        most ``CHUNK_VALUES`` distances are held: a grid builds no table.
         """
         order = np.argsort(t, kind="stable")
-        reach = np.searchsorted(t[order], k)  # the set of x is the first reach points
-        read = np.zeros(self.n + 1, dtype=bool)
-        read[0] = read[reach] = True
-        sizes = np.flatnonzero(read).tolist()
-        # xs[i] reads the distances to the first sizes[level[i]] points
-        level = np.cumsum(read)[reach] - 1
-        chunks = list(row_chunks(len(sizes), self.n))
-        picks = [()]  # the points that read each chunk: here all of them
-        if len(chunks) > 1:
-            level = np.broadcast_to(level, np.shape(xs))
-            by_level = np.argsort(level, kind="stable")
-            picks = np.split(by_level, np.searchsorted(level[by_level], [c.start for c in chunks[1:]]))
-        rows = np.empty((chunks[0].stop, self.n))  # rows[j]: those of sizes[c.start + j]
-        out = np.empty(np.shape(xs))
-        dist, near, lo = self.dist, np.full(self.n, np.inf), 0
-        for c, pick in zip(chunks, picks):
-            for row, hi in zip(rows, sizes[c]):
-                run = order[lo:hi]
-                if hi - lo < 8 or self.n > 2048:
-                    for v in run.tolist():
-                        np.minimum(near, dist[v], out=near)
-                else:
-                    for s in row_chunks(hi - lo, self.n):
-                        np.minimum(near, dist[run[s]].min(axis=0), out=near)
-                row[:], lo = near, hi
-            out[pick] = rows[level[pick] - c.start, xs[pick]]
+        reach = np.full(np.shape(xs), np.searchsorted(t[order], k))
+        out = np.full(np.shape(xs), np.inf)
+        # the points by reach, without those whose set is empty: they stay at +inf
+        by_reach = np.argsort(reach, kind="stable")[np.count_nonzero(reach == 0):]
+        for s in row_chunks(by_reach.size, self.n):
+            pick = by_reach[s]
+            size = reach[pick]
+            block = self.distances(xs[pick, None], order[:size[-1]]).reshape(-1)
+            # point i reads block[bounds[2i]:bounds[2i + 1]]; the last one reads to the end
+            bounds = np.arange(0, block.size, size[-1]).repeat(2)
+            bounds[1::2] += size
+            out[pick] = np.minimum.reduceat(block, bounds[:-1])[::2]
+            del block
         return out
 
 
@@ -370,8 +349,8 @@ def hausdorff(space: FiniteSpace, a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two nonempty sets, given as index arrays.
 
     Each direction is the largest distance from one set to the other,
-    read by :meth:`FiniteSpace.distances_to`: O(n * depth) on a shift (no
-    table is read), O(n^2) otherwise.
+    read by :meth:`FiniteSpace.distances_to`: O(n * depth) on a shift,
+    O(|set| * n) from blocks of :meth:`FiniteSpace.distances` otherwise.
     """
     if a.size == 0 or b.size == 0:
         raise EmptySetError("hausdorff requires nonempty sets")

@@ -81,6 +81,20 @@ def tied_grid(constant):
     return inline({"grid": {"a": 0.0, "b": 1.0, "n": n}}, maps.tolist(), weights.tolist(), False)
 
 
+def uneven_line(n):
+    """An explicit table of ``n`` points on a line at seeded gaps of 1 to 4 times 2^-10, so
+    every distance is exact, under the snapped contractions of ``tied_grid``.  Map j has
+    weight 0 on the j-th third of the points and seeded dyadic penalties elsewhere."""
+    rng = np.random.default_rng([n, 29])
+    xs = np.cumsum(rng.integers(1, 5, n)) / 2**10
+    maps = [np.abs(xs[None, :] - (slope * xs + offset * xs[-1])[:, None]).argmin(axis=1).tolist()
+            for slope, offset in ((0.5, 0.0), (-0.45, 0.9), (0.4, 0.55))]
+    weights = -np.round(rng.uniform(0.25, 1.0, (3, n)) * 2**10) / 2**10
+    weights[np.arange(n) * 3 // n, np.arange(n)] = 0.0
+    return inline({"labels": list(map(repr, xs.tolist())), "dist": np.abs(xs[:, None] - xs).tolist(),
+                   "resolution": float(np.diff(xs).max() / 2)}, maps, weights.tolist(), False)
+
+
 SHIFT_MAPS = [[0, 0, 1, 1, 2, 2, 3, 3], [4, 4, 5, 5, 6, 6, 7, 7]]  # prepends on the binary shift
 GOLDEN_SYSTEMS = {
     "two-point": {"system": TWO_POINT},
@@ -172,6 +186,8 @@ RUNS = [
     *(case(f"fuzzy-{n}-{seed}-true", "fuzzy", {"system": grid(n, seed, True), **UNIFORM}, code)
       for n, seed, code in ((4096, 7, 0), (148, 8, 2))),
     case("fuzzy-explicit-5", "fuzzy", {"system": {"inline": EXPLICIT_5}, **UNIFORM}),
+    # 260 points: the distances from all of them take two blocks of rows
+    case("fuzzy-explicit-260", "fuzzy", {**uneven_line(260), **UNIFORM}, 0),
     *(case(f"fuzzy-shift-{d}-{seed}", "fuzzy", {"system": shift(d, seed, True), **UNIFORM})
       for d in (4, 6) for seed in (1, 2)),
     *(case(f"demo31-{d}-{name}", "demo31", {"demo31": {"depth": d, "alphas": alphas}})

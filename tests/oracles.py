@@ -558,18 +558,25 @@ def enumerate_by_assignment(system, pot, levels):
     pairs in first-seen order, whether or not a deviation passes.
     """
     from tropifs.errors import ConfigError
-    from tropifs.invariant import MAX_ASSIGNMENTS, BoundaryData, build_invariant, verify_invariant
+    from tropifs.invariant import (
+        MAX_ASSIGNMENTS, MAX_ENUMERATE_VALUES, BoundaryData, build_invariant, verify_invariant)
 
     for lv in levels:
         if np.isnan(lv) or lv > 0:
             raise ConfigError("levels must lie in [-inf, 0]")
     anchor = pot.aubry[0]
     others = list(pot.aubry[1:])
-    if len(levels) ** len(others) > MAX_ASSIGNMENTS:
+    total = len(levels) ** len(others)
+    if total > MAX_ASSIGNMENTS:
         raise ConfigError(
             f"enumerate would build {len(levels)}^{len(others)} boundary assignments "
             f"({len(levels)} levels, {len(pot.aubry)} Aubry points), "
             f"more than the limit of {MAX_ASSIGNMENTS}"
+        )
+    if total * pot.space.n > MAX_ENUMERATE_VALUES:
+        raise ConfigError(
+            f"enumerate would build {total} boundary assignments of {pot.space.n} points, "
+            f"{total * pot.space.n} values, more than the limit of {MAX_ENUMERATE_VALUES}"
         )
 
     # Keyed by bytes, keeping first-seen order; adding 0.0 folds -0.0 into

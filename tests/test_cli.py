@@ -16,6 +16,7 @@ import tropifs.cli as cli
 from tropifs.cli import main
 from tropifs.examples import MAX_MAPS, build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
+from tropifs.invariant import MAX_ENUMERATE_VALUES
 from tropifs.mane import MAX_CLOSURE_POINTS
 from tropifs.spaces import MAX_POINTS
 
@@ -203,6 +204,27 @@ def test_enumerate_over_the_assignment_limit(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "6^7 boundary assignments" in err and "8 Aubry points" in err
+
+
+def test_enumerate_over_the_value_limit_exits_before_building(tmp_path, capsys, monkeypatch):
+    # the prepend maps on the 9-symbol shift of depth 4 (6561 words), weight 0 when a map
+    # prepends the word's own first symbol: the 9 constant words are the Aubry set, so
+    # 4 levels give 4^8 = 65536 assignments, under MAX_ASSIGNMENTS, of 6561 values each
+    symbols, depth = 9, 4
+    words = np.arange(symbols**depth)
+    maps = [(j * symbols ** (depth - 1) + words // symbols).tolist() for j in range(symbols)]
+    weights = [np.where(words // symbols ** (depth - 1) == j, 0.0, -0.5).tolist() for j in range(symbols)]
+    config = inline({"shift": {"symbols": symbols, "depth": depth}}, maps, weights, True)
+
+    def build_invariant(*args):
+        raise AssertionError("a density was built")
+
+    monkeypatch.setattr("tropifs.invariant.build_invariant", build_invariant)
+    code, out = run(tmp_path, "invariant", {**config, "invariant": {
+        "mode": "enumerate", "levels": [0.0, -1 / 16, -1 / 8, -3 / 16]}})
+    assert code == 3 and not (out / "density.json").exists()
+    assert ("enumerate would build 65536 boundary assignments of 6561 points, 429981696 values, "
+            f"more than the limit of {MAX_ENUMERATE_VALUES}") in capsys.readouterr().err
 
 
 TWO_POINT = {"builder": "two_point"}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,30 @@ def test_d_infty_makes_one_hausdorff_call(monkeypatch):
     u, v = FuzzySet(space, u), FuzzySet(space, v)
     assert d_infty(u, v) == naive_d_infty(space.dist, u.values, v.values)
     assert len(calls) == 1
+
+
+def test_a_grid_attractor_builds_no_table():
+    # the level sweep and the alpha-cut cross-check read the coordinates, a block at a time
+    system = random_system(build_grid(0.0, 1.0, 513), 3, 2, constant_weights=True)
+    res = fhb_attractor(system, FuzzySet(system.space, np.ones(513)))
+    assert res.iterations > 0 and "dist" not in vars(system.space)
+
+
+def test_d_infty_on_a_grid_takes_no_table_of_memory():
+    # the n x n table of this grid would take 32 MiB
+    space = build_grid(0.0, 1.0, 2048)
+    rng = np.random.default_rng(8)
+    u, v = rng.random(space.n), np.where(rng.random(space.n) < 0.2, 0.0, rng.random(space.n))
+    u[3] = v[7] = 1.0
+    u, v = FuzzySet(space, u), FuzzySet(space, v)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = d_infty(u, v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert d > 0 and peak < 4 * 2**20
 
 
 def test_d_infty_cross_check_catches_sweep_error(monkeypatch):

@@ -189,7 +189,7 @@ def test_distances_to_is_the_nearest_member_by_loops(data):
     # 0 (every set empty) up to above every t (every set the whole space)
     k = data.draw(st.one_of(st.integers(0, n + 1),
                             st.lists(st.integers(0, n + 1), min_size=len(xs), max_size=len(xs))))
-    # blocks of 1, 3 or 8 rows (several chunks to a run), or whole runs
+    # blocks of 1, 3 or 8 rows, or every row in one block
     chunk = data.draw(st.sampled_from([1, 3 * n, 8 * n, CHUNK_VALUES]))
     t, xs = np.array(t), np.array(xs, dtype=np.intp)
     bounds = k if isinstance(k, list) else [k] * len(xs)
@@ -203,14 +203,12 @@ def test_distances_to_is_the_nearest_member_by_loops(data):
 @pytest.mark.parametrize("run, blocks", [(1, 1), (64, 2)])
 def test_distances_to_holds_one_chunk_of_rows(run, blocks):
     # every point reads a prefix of its own size, rounded down to a multiple
-    # of ``run``: an n-float row per prefix would take 32 MiB at run = 1, one
-    # chunk of rows takes CHUNK_VALUES floats (512 KiB), and runs of 8 rows
-    # or more are folded in a second block of that size; the index arrays
+    # of ``run``: an n-float row per prefix would take 32 MiB at run = 1, and
+    # one block of rows takes CHUNK_VALUES floats (512 KiB); the index arrays
     # over the n points take the last 512 KiB
     n = 2048
     space = build_grid(0.0, 1.0, n)
     t = np.random.default_rng(0).permutation(n)
-    space.dist  # the table itself is built on first read
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -223,16 +221,16 @@ def test_distances_to_holds_one_chunk_of_rows(run, blocks):
 
 @pytest.mark.parametrize("per_point, run", [(False, 1), (False, 1500), (True, 1), (True, 8), (True, 37)])
 def test_distances_to_past_2048_points_reads_one_row_at_a_time(per_point, run):
-    # past n = 2048 every run of rows between two prefixes some point reads
-    # is folded one row at a time: a scalar k = run gives one run of that
-    # many rows, and per point, t // run * run reads every multiple of run
+    # a block holds 31 rows of 2049 points: a scalar k = run gives every
+    # point a prefix of that many points, and per point, t // run * run
+    # reads every multiple of run
     n = 2049
     space = build_grid(-1.0, 2.5, n)
     t = np.random.default_rng(n).permutation(n)
     points = np.arange(n)
     k = t // run * run if per_point else run
     near = space.distances_to(t, points, k)
-    assert "dist" in vars(space)  # the sweep read the derived table
+    assert "dist" not in vars(space)  # the blocks read distances, not the derived table
     assert near.tobytes() == nearest_member(space.xs, t, points, k).tobytes()
 
 
