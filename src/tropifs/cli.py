@@ -5,10 +5,12 @@
 Exit codes: 0 on success, 2 on a domain failure (invalid system, empty
 Aubry set, non-convergence, mode mismatch, no unique density for the
 constant mode), 3 on usage or configuration errors, wrongly typed config
-values, spaces over ``spaces.MAX_POINTS`` points and ``mane`` on more than
-``mane.MAX_CLOSURE_POINTS`` points included.  All outputs
-are JSON or CSV files in the output directory and are byte-identical
-across runs for a fixed config and seed.
+values, spaces over ``spaces.MAX_POINTS`` points, ``mane`` on more than
+``mane.MAX_CLOSURE_POINTS`` points, Aubry columns over
+``mane.MAX_COLUMN_VALUES`` values and ``demo31`` on more than
+``examples.MAX_ALPHAS`` alphas included.  All outputs are JSON or CSV
+files in the output directory and are byte-identical across runs for a
+fixed config and seed.
 """
 
 from __future__ import annotations

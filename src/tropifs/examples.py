@@ -40,6 +40,10 @@ QUANT = float(2**-26)
 #: grid) `tropifs validate` took 3.0 s at 32 maps and 11.7 s at 64 (2 shared
 #: vCPUs).
 MAX_MAPS = 32
+#: Most alphas :class:`ShiftExampleSpec` takes.  The demonstration checks
+#: every ordered pair by ``d_theta``, k(k - 1) calls: at this limit and
+#: depth 14, `tropifs demo31` took 3.6 s (2 shared vCPUs).
+MAX_ALPHAS = 32
 
 
 def _dyadic(arr: np.ndarray) -> np.ndarray:
@@ -122,10 +126,11 @@ def lambda_alpha(depth: int, alpha) -> Density:
 class ShiftExampleSpec:
     """Depth and parameters of the demonstration.
 
-    Each alpha must lie in [0, 1) as given, and stay below 1 and distinct
-    once snapped to the 2^-26 lattice (it is reported snapped): a transfer
-    step computes -1 + (-changes - alpha), which rounds differently from
-    the stored -changes - alpha unless alpha is dyadic.
+    At most ``MAX_ALPHAS`` alphas are taken.  Each must lie in [0, 1) as
+    given, and stay below 1 and distinct once snapped to the 2^-26 lattice
+    (it is reported snapped): a transfer step computes
+    -1 + (-changes - alpha), which rounds differently from the stored
+    -changes - alpha unless alpha is dyadic.
     """
 
     depth: int
@@ -134,6 +139,8 @@ class ShiftExampleSpec:
     def __post_init__(self):
         if self.depth < 2:
             raise ConfigError("depth must be >= 2")
+        if len(self.alphas) > MAX_ALPHAS:
+            raise ConfigError(f"{len(self.alphas)} alphas is more than the limit of {MAX_ALPHAS}")
         snapped = {}  # snapped alpha -> the alpha given
         for a in self.alphas:
             if not 0 <= a < 1:

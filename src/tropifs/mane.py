@@ -52,16 +52,21 @@ from .mpifs import MpIfs
 
 AUBRY_TOL = 1e-9
 #: Most points whose dense closure :attr:`PotentialMatrix.s` the ``mane``
-#: command builds.  At this limit ``tropifs mane`` took 1.5-2.7 s and
+#: command builds.  At this limit ``tropifs mane`` took 1.2-1.9 s and
 #: 237-269 MiB of max RSS (``grid_random`` and ``shift_random``, seed 7,
 #: both weight kinds, 2 shared vCPUs), and wrote ``S.csv`` as n^2
 #: numbers, 17-81 MB of text.  The bound stays for that file and for the
 #: shape that defeats the value iteration: a chain whose best paths are
-#: about 2n/3 edges long takes that many rounds over all n columns, n^3
-#: work again (44 s for the closure alone at this limit), and each
-#: doubling of n costs up to 8x the time and 4x the memory of its n x n
-#: tables.
+#: about 2n/3 edges long takes up to that many rounds over all n columns,
+#: n^3 work again (8.2 s and 132 MiB for the closure alone at this
+#: limit), and each doubling of n costs up to 8x the time and 4x the
+#: memory of its n x n tables.
 MAX_CLOSURE_POINTS = 2**11
+#: Most values (points x candidates) of the block of Aubry columns that
+#: :func:`mane_potential` builds, checked before it is allocated: 512 MiB
+#: of float64.  An all-Aubry ``shift_random`` at depth 13 (2^13 points,
+#: every one a candidate) is exactly at it.
+MAX_COLUMN_VALUES = 2**26
 
 
 class PotentialMatrix:
@@ -154,6 +159,9 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     test: a float sum of terms <= 0 is never above a term it has added.
     Nothing n x n is allocated unless the result's ``s`` is read.
 
+    Raises :class:`ConfigError` when the block of columns would hold more
+    than ``MAX_COLUMN_VALUES`` values, before it is built.
+
     Raises :class:`EmptyAubryError` when no point passes the zero test;
     for a validated system that signals a too-tight tolerance or
     corrupted input, never correct behavior.
@@ -164,7 +172,11 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     src, tgt, w = _edges(system)
     near = w >= -tol_aubry
     candidates = np.flatnonzero(_reached_from_cycles(n, src[near], tgt[near]))
-
+    if n * candidates.size > MAX_COLUMN_VALUES:
+        raise ConfigError(
+            f"the Aubry columns of {n} points at {candidates.size} candidates are "
+            f"{n * candidates.size} values, more than the limit of {MAX_COLUMN_VALUES}"
+        )
     cols = _plus_columns(n, src, tgt, w, candidates)
     ret = cols[candidates, np.arange(candidates.size)]
     keep = ret >= -tol_aubry

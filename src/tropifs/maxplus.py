@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InternalError, PositiveCycleError
+from .spaces import row_chunks
 
 #: Additive neutral / multiplicative absorber of the semiring.
 BOTTOM = float("-inf")
@@ -72,13 +73,13 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     Value iteration col <- max(col, transfer(col)) from the unit columns at
     all sources at once gives the best weight of a path of length >= 0:
     each round relaxes, in place, only the out-edges of the rows that
-    changed in the round before, at most n edges at a time so that no
-    temporary outgrows the (n, k) block.  Each such chunk reads the block
-    before it scatters its sums with one ``np.maximum.at``; any order of
-    these monotone updates reaches the same least fixed point.  Weights
-    are <= 0, so off the diagonal that is the closure, and the diagonal
-    entry A+[z, z] is the return weight: the max over edges y -> z of
-    col[y, z] + w.
+    changed in the round before, their (edges, k) block of sums taken in
+    the slices of the shared chunk rule :func:`~tropifs.spaces.row_chunks`.
+    Each such chunk reads the block before it scatters its sums with one
+    ``np.maximum.at``; any order of these monotone updates reaches the
+    same least fixed point.  Weights are <= 0, so off the diagonal that is
+    the closure, and the diagonal entry A+[z, z] is the return weight: the
+    max over edges y -> z of col[y, z] + w.
     """
     start = np.searchsorted(src, np.arange(n + 1))
     k = sources.size
@@ -92,8 +93,8 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
         lo, counts = start[frontier], start[frontier + 1] - start[frontier]
         edges = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         grown = np.zeros(n, dtype=bool)
-        for first in range(0, edges.size, n):
-            part = edges[first:first + n]
+        for s in row_chunks(edges.size, k):
+            part = edges[s]
             t = tgt[part]
             best = cols.take(src[part], axis=0)
             best += w[part, None]

@@ -185,6 +185,13 @@ RUNS = [
     # fixed point after 1,480 steps, with memberships left at the least subnormals
     *(case(f"fuzzy-{n}-{seed}-true", "fuzzy", {"system": grid(n, seed, True), **UNIFORM}, code)
       for n, seed, code in ((4096, 7, 0), (148, 8, 2))),
+    # u0 "invariant" starts at a fixed point: on two_point the trace is its header alone
+    *(case(f"fuzzy-invariant-{name}", "fuzzy", {"system": system, "fuzzy": {"u0": "invariant"}}, 0)
+      for name, system in (("two-point", TWO_POINT), ("shift-4-1", shift(4, 1, True)),
+                           ("grid-64-1", grid(64, 1, True)))),
+    # the max_iters cap: the n = 148 run above stops after 50 of its 1,480 steps
+    case("fuzzy-148-8-true-max-50", "fuzzy",
+         {"system": grid(148, 8, True), "fuzzy": {"u0": "uniform", "max_iters": 50}}, 2),
     case("fuzzy-explicit-5", "fuzzy", {"system": {"inline": EXPLICIT_5}, **UNIFORM}),
     # 260 points: the distances from all of them take two blocks of rows
     case("fuzzy-explicit-260", "fuzzy", {**uneven_line(260), **UNIFORM}, 0),
@@ -198,6 +205,9 @@ RUNS = [
         "system": kind(size, seed, c), "invariant": levels(0, -0.5) if mode == "enumerate" else CONSTANT})
       for kind, size in ((grid, 64), (grid, 513), (shift, 4), (shift, 6))
       for seed in (1, 2) for c in (False, True) for mode in ("enumerate", "constant")),
+    # both maps draw weight 0: all 4,096 points are Aubry points, one column each
+    case("invariant-all-aubry-shift-12", "invariant",
+         {"system": shift(12, 7, True, symbols=2), "invariant": CONSTANT}, 0),
     # boundary mode: label keys and csv output on a shift, and a grid whose tol_aubry of 0.5
     # admits Aubry points off the zero-weight cycles, so its density fails the transfer check
     # ("passed": false) and the run still exits 0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tropifs
 import tropifs.cli as cli
+from tropifs import mane
 from tropifs.cli import main
 from tropifs.examples import MAX_MAPS, build_two_point_system, lambda_alpha
 from tropifs.fuzzy import theta_conjugate
@@ -543,6 +544,22 @@ def test_mane_over_the_closure_limit_exits_before_the_closure(tmp_path, capsys, 
     assert not (out / "S.csv").exists()
 
 
+def test_all_aubry_columns_over_the_limit_exit_before_the_block(tmp_path, capsys, monkeypatch):
+    # both maps draw weight 0, so all 2^14 points are candidates: the block of their
+    # columns would take 2 GiB, and the value iteration must not start
+    def refuse(*args):
+        raise AssertionError("the block of columns was built")
+
+    monkeypatch.setattr(mane, "_plus_columns", refuse)
+    system = {"builder": "shift_random", "symbols": 2, "depth": 14, "seed": 7, "constant_weights": True}
+    code, out = run(tmp_path, "invariant", {"system": system, "invariant": {"mode": "constant"}})
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "tropifs: config error: the Aubry columns of 16384 points at 16384 candidates are "
+        "268435456 values, more than the limit of 67108864\n")
+    assert not (out / "density.json").exists()
+
+
 def test_mane_two_point(tmp_path):
     code, out = run(tmp_path, "mane", {"system": {"builder": "two_point"}})
     assert code == 0
@@ -883,7 +900,9 @@ def test_demo31_snaps_a_non_dyadic_alpha(tmp_path):
     ([0.9999999999], "alpha 0.9999999999 snaps to 1.0 on the 2^-26 lattice, not below 1"),
     ([0.1, 0.100000000001], "alphas 0.1 and 0.100000000001 both snap to 0.09999999403953552 "
                             "on the 2^-26 lattice; alphas must be distinct"),
-], ids=["below-0", "snaps-to-1", "snap-to-one-point"])
+    # every pair of alphas costs one d_theta call
+    ([i / 64 for i in range(33)], "33 alphas is more than the limit of 32"),
+], ids=["below-0", "snaps-to-1", "snap-to-one-point", "more-than-32"])
 def test_demo31_checks_each_alpha_as_given(tmp_path, capsys, alphas, message):
     code, _ = run(tmp_path, "demo31", {"demo31": {"depth": 4, "alphas": alphas}})
     assert code == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from tropifs import mane, maxplus
 from tropifs.config import RunConfig, build_system
-from tropifs.errors import EmptyAubryError, InternalError
+from tropifs.errors import ConfigError, EmptyAubryError, InternalError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
@@ -488,3 +490,35 @@ def test_round_cap_raises_internal_error():
     with pytest.raises(InternalError, match=r"^path weights still changing after 2 rounds$"):
         maxplus._plus_columns(2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]),
                               np.array([0]))
+
+
+def all_aubry_shift(depth):
+    # both maps draw weight 0, so every point is a candidate and an Aubry point
+    return cli_system(builder="shift_random", symbols=2, depth=depth, seed=7, constant_weights=True)
+
+
+def test_all_aubry_columns_hold_one_block_and_a_chunk():
+    # the (n, n) block of columns takes 8 MiB, and the row_chunks slices of edges keep
+    # every temporary within CHUNK_VALUES values (512 KiB)
+    system = all_aubry_shift(10)
+    n = system.space.n
+    src, tgt, w = mane._edges(system)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cols = maxplus._plus_columns(n, src, tgt, w, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (cols[np.arange(n), np.arange(n)] == 0.0).all()
+    assert peak < n * n * 8 + 2**21
+
+
+def test_column_limit_admits_a_block_of_exactly_its_size(monkeypatch):
+    system = all_aubry_shift(4)
+    monkeypatch.setattr(mane, "MAX_COLUMN_VALUES", 16 * 16)
+    assert len(mane_potential(system).aubry) == 16
+    monkeypatch.setattr(mane, "MAX_COLUMN_VALUES", 16 * 16 - 1)
+    with pytest.raises(ConfigError, match=r"^the Aubry columns of 16 points at 16 candidates "
+                                          r"are 256 values, more than the limit of 255$"):
+        mane_potential(system)

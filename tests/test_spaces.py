@@ -200,8 +200,8 @@ def test_distances_to_is_the_nearest_member_by_loops(data):
     assert near.tolist() == expected
 
 
-@pytest.mark.parametrize("run, blocks", [(1, 1), (64, 2)])
-def test_distances_to_holds_one_chunk_of_rows(run, blocks):
+@pytest.mark.parametrize("run", [1, 64])
+def test_distances_to_holds_one_chunk_of_rows(run):
     # every point reads a prefix of its own size, rounded down to a multiple
     # of ``run``: an n-float row per prefix would take 32 MiB at run = 1, and
     # one block of rows takes CHUNK_VALUES floats (512 KiB); the index arrays
@@ -216,7 +216,7 @@ def test_distances_to_holds_one_chunk_of_rows(run, blocks):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < blocks * CHUNK_VALUES * 8 + 2**19
+    assert peak < CHUNK_VALUES * 8 + 2**19
 
 
 @pytest.mark.parametrize("per_point, run", [(False, 1), (False, 1500), (True, 1), (True, 8), (True, 37)])
