@@ -41,7 +41,8 @@ from .invariant import (
     enumerate_invariants,
     verify_invariant,
 )
-from .mane import AUBRY_TOL, MAX_CLOSURE_POINTS, mane_potential
+from .mane import AUBRY_TOL, MAX_CLOSURE_POINTS, mane_potential, transition_matrix
+from .maxplus import kleene_plus
 from .measures import Density
 
 #: What ``build_system`` raises for a system it cannot build or validate.
@@ -101,7 +102,8 @@ def cmd_mane(cfg: RunConfig, out: Path, seed) -> int:
         )
     tol = serialize.scalar(cfg.mane.get("tol_aubry", AUBRY_TOL), float, "tol_aubry")
     pot = mane_potential(system, tol_aubry=tol)
-    serialize.matrix_to_csv(out / "S.csv", pot.s, labels=system.space.labels)
+    serialize.matrix_to_csv(out / "S.csv", kleene_plus(transition_matrix(system)),
+                            labels=system.space.labels)
     serialize.write_json(out / "aubry.json", serialize.aubry_to_jsonable(pot))
     return EXIT_OK
 

@@ -79,8 +79,9 @@ def build_invariant(pot: PotentialMatrix, boundary: BoundaryData) -> Density:
         raise ConfigError(f"boundary points {sorted(extra)} are not Aubry points")
     shape = np.broadcast_shapes(*map(np.shape, boundary.values.values()))
     lam = np.full(shape + (pot.space.n,), BOTTOM)
-    for z, level in boundary.values.items():
-        np.maximum(lam, pot.column(z) + np.asarray(level)[..., None], out=lam)
+    with np.errstate(over="ignore"):  # a sum below the float range is BOTTOM
+        for z, level in boundary.values.items():
+            np.maximum(lam, pot.column(z) + np.asarray(level)[..., None], out=lam)
     top = lam.max(axis=-1, keepdims=True)
     for peak in top[np.abs(top) > pot.tol_aubry][:1]:
         raise InternalError(f"built density peaks at {peak}, not 0")

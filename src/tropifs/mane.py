@@ -29,10 +29,10 @@ read that list:
 
 :func:`mane_potential` computes those on the sparse graph in plain numpy,
 with the return weights S[z, z] from the last edge of each cycle
-(:func:`maxplus._plus_columns`).  The dense n x n closure is built only
-when :attr:`PotentialMatrix.s` is read (the ``mane`` command, tests), by
-:func:`kleene_plus`: the same value iteration from all n points when
-every path sum is exact (the 2^-26 lattice), Floyd-Warshall otherwise.
+(:func:`maxplus._plus_columns`), and nothing n x n.  Only the ``mane``
+command builds the dense closure, ``kleene_plus(transition_matrix(system))``:
+the same value iteration from all n points when every path sum is exact
+(the 2^-26 lattice), Floyd-Warshall otherwise.
 
 Because the maps are stored pre-snapped, "landing within epsilon of x"
 degenerates to exact index equality: the S computed here is the
@@ -41,26 +41,25 @@ resolution-scale version of the continuum potential.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyAubryError
-from .maxplus import BOTTOM, MpMatrix, _plus_columns, kleene_plus
+from .maxplus import BOTTOM, MpMatrix, _plus_columns
 from .mpifs import MpIfs
+from .spaces import FiniteSpace
 
 AUBRY_TOL = 1e-9
-#: Most points whose dense closure :attr:`PotentialMatrix.s` the ``mane``
-#: command builds.  At this limit ``tropifs mane`` took 1.2-1.9 s and
-#: 237-269 MiB of max RSS (``grid_random`` and ``shift_random``, seed 7,
-#: both weight kinds, 2 shared vCPUs), and wrote ``S.csv`` as n^2
-#: numbers, 17-81 MB of text.  The bound stays for that file and for the
-#: shape that defeats the value iteration: a chain whose best paths are
-#: about 2n/3 edges long takes up to that many rounds over all n columns,
-#: n^3 work again (8.2 s and 132 MiB for the closure alone at this
-#: limit), and each doubling of n costs up to 8x the time and 4x the
-#: memory of its n x n tables.
+#: Most points whose dense closure S the ``mane`` command builds.  At
+#: this limit ``tropifs mane`` took 1.2-1.9 s and 237-269 MiB of max RSS
+#: (``grid_random`` and ``shift_random``, seed 7, both weight kinds, 2
+#: shared vCPUs), and wrote ``S.csv`` as n^2 numbers, 17-81 MB of text.
+#: The bound stays for that file and for the shape that defeats the value
+#: iteration: a chain whose best paths are about 2n/3 edges long takes up
+#: to that many rounds over all n columns, n^3 work again (8.2 s and
+#: 132 MiB for the closure alone at this limit), and each doubling of n
+#: costs up to 8x the time and 4x the memory of its n x n tables.
 MAX_CLOSURE_POINTS = 2**11
 #: Most values (points x candidates) of the block of Aubry columns that
 #: :func:`mane_potential` builds, checked before it is allocated: 512 MiB
@@ -72,9 +71,8 @@ MAX_COLUMN_VALUES = 2**26
 class PotentialMatrix:
     """Aubry set and the closure S (row = target, column = source) at it.
 
-    ``columns[:, k]`` is the column S[:, aubry[k]], which is all the
-    invariant densities need.  The full closure :attr:`s` is built from
-    ``system`` on first access.
+    ``columns[:, k]`` is the column S[:, aubry[k]] over ``space``, which
+    is all the invariant densities need.
     """
 
     def __init__(
@@ -82,20 +80,14 @@ class PotentialMatrix:
         aubry: Sequence[int],
         tol_aubry: float,
         columns: np.ndarray,
-        system: MpIfs,
+        space: FiniteSpace,
     ):
-        self.space = system.space
+        self.space = space
         self.aubry = tuple(aubry)
         self.tol_aubry = tol_aubry
         columns.flags.writeable = False
         self.columns = columns
-        self.system = system
         self._slot = {z: k for k, z in enumerate(self.aubry)}
-
-    @cached_property
-    def s(self) -> MpMatrix:
-        """The dense closure A+, computed once on first access."""
-        return kleene_plus(transition_matrix(self.system))
 
     def column(self, z: int) -> np.ndarray:
         """S[:, z] for an Aubry point ``z`` (read-only view)."""
@@ -157,7 +149,7 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
     gives their columns of S, and a candidate is kept when its return
     weight S[z, z] is >= -tol_aubry.  One on no such cycle fails that
     test: a float sum of terms <= 0 is never above a term it has added.
-    Nothing n x n is allocated unless the result's ``s`` is read.
+    Nothing n x n is allocated.
 
     Raises :class:`ConfigError` when the block of columns would hold more
     than ``MAX_COLUMN_VALUES`` values, before it is built.
@@ -189,5 +181,5 @@ def mane_potential(system: MpIfs, tol_aubry: float = AUBRY_TOL) -> PotentialMatr
         aubry=aubry,
         tol_aubry=tol_aubry,
         columns=cols[:, keep],
-        system=system,
+        space=system.space,
     )

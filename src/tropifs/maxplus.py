@@ -3,7 +3,9 @@
 Scalars live in R u {-inf} with a (+) b = max(a, b) and a (*) b = a + b.
 BOTTOM is IEEE -inf: absorption under (*) and neutrality under (+) are then
 exact float identities, provided +inf and NaN never enter (constructors
-reject them).  Finite entries are ordinary float64.
+reject them).  Finite entries are ordinary float64.  A sum below the float
+range (about -1.8e308) saturates to BOTTOM, the max-plus value nearest
+it, under ``np.errstate(over="ignore")``: no numpy warning is raised.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
             part = edges[s]
             t = tgt[part]
             best = cols.take(src[part], axis=0)
-            best += w[part, None]
+            with np.errstate(over="ignore"):
+                best += w[part, None]
             grown[t[(best > cols.take(t, axis=0)).any(axis=1)]] = True
             np.maximum.at(cols.reshape(-1), (t[:, None] * k + np.arange(k)).ravel(), best.ravel())
         frontier = np.flatnonzero(grown)
@@ -108,7 +111,8 @@ def _plus_columns(n: int, src, tgt, w, sources: np.ndarray) -> np.ndarray:
     into = slot[tgt] >= 0
     into_slot = slot[tgt[into]]
     ret = np.full(k, BOTTOM)
-    np.maximum.at(ret, into_slot, cols[src[into], into_slot] + w[into])
+    with np.errstate(over="ignore"):
+        np.maximum.at(ret, into_slot, cols[src[into], into_slot] + w[into])
     cols[sources, np.arange(k)] = ret
     # 0.0 + folds a -0.0 sum into 0.0
     return np.add(0.0, cols, out=cols)
@@ -160,9 +164,10 @@ def kleene_plus(a: MpMatrix) -> MpMatrix:
     through = np.empty_like(p)
     for _ in range(_MAX_SWEEPS):
         before = p.copy()
-        for k in range(n):
-            np.add(p[:, k, None], p[None, k, :], out=through)
-            np.maximum(p, through, out=p)
+        with np.errstate(over="ignore"):
+            for k in range(n):
+                np.add(p[:, k, None], p[None, k, :], out=through)
+                np.maximum(p, through, out=p)
         diag_max = np.max(np.diagonal(p)) if n else BOTTOM
         if diag_max > 0:
             raise PositiveCycleError(f"positive-weight cycle detected (diag max {diag_max})")

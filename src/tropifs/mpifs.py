@@ -476,8 +476,9 @@ def transfer_density(system: MpIfs, lam: Density) -> Density:
     vals = np.atleast_2d(lam.values)
     out = np.full(vals.shape, BOTTOM)
     rows = np.arange(len(vals))[:, None] * vals.shape[1]
-    for phi, q in zip(system.maps, system.weights):
-        np.maximum.at(out.reshape(-1), (rows + phi).reshape(-1), (vals + q).reshape(-1))
+    with np.errstate(over="ignore"):  # a sum below the float range is BOTTOM
+        for phi, q in zip(system.maps, system.weights):
+            np.maximum.at(out.reshape(-1), (rows + phi).reshape(-1), (vals + q).reshape(-1))
     return Density(system.space, out.reshape(lam.values.shape))
 
 

@@ -4,7 +4,7 @@ A space is a point set with a metric and a ``resolution``: the covering
 radius the discretization guarantees relative to the continuum it stands
 in for (0 when the space is exact, as for the two-point space or any
 space used as-is).  Every caller reads a space through ``n``, ``labels``,
-``dist``, ``diameter``, :meth:`~FiniteSpace.distances` and
+``diameter``, :meth:`~FiniteSpace.distances` and
 :meth:`~FiniteSpace.distances_to`.  There is one class per kind:
 
 * a :class:`FiniteSpace` holds an explicit distance table, checked by
@@ -25,10 +25,9 @@ space used as-is).  Every caller reads a space through ``n``, ``labels``,
 
 A grid or a shift holds only its record: it skips the O(n^3)
 :func:`check_metric` (its metric is one by construction), and states that
-metric once, in :meth:`~FiniteSpace.distances`.  Its ``labels``, a
-shift's ``points`` and its ``dist``, the n x n table of ``distances``
-over all index pairs, are built on their first read, then kept; no
-command reads a grid's or a shift's ``dist``.
+metric once, in :meth:`~FiniteSpace.distances`.  Its ``labels`` and a
+shift's ``points`` are built on their first read, then kept.  It has no
+``dist``, so no n x n table of a grid or a shift is ever built.
 """
 
 from __future__ import annotations
@@ -100,15 +99,8 @@ class FiniteSpace:
 
     ``labels`` is kept as a tuple, so every reader shares one immutable
     object, and ``dist`` is read-only.  :class:`Grid` and :class:`Shift`
-    derive both from their record instead.
+    derive their labels from their record instead, and have no ``dist``.
     """
-
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """The n x n table of :meth:`distances` over all index pairs, built
-        on a record space's first read; an explicit table keeps its own."""
-        i = np.arange(self.n)
-        return _lock(self.distances(i[:, None], i))
 
     def __init__(self, labels: Sequence[str], dist, resolution: float = 0.0):
         self.labels = tuple(labels)

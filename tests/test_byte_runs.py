@@ -46,8 +46,8 @@ def test_compare_reports_a_changed_byte_and_a_changed_exit_code(tmp_path):
 
 
 def test_the_manifest_keeps_every_run_and_file():
-    assert len({run.name for run in RUNS}) == len(RUNS) == 158
-    assert sum(len(run.files) for run in RUNS) == 271
+    assert len({run.name for run in RUNS}) == len(RUNS) == 163
+    assert sum(len(run.files) for run in RUNS) == 281
     golden = golden_runs()
     assert (len(golden), sum(len(run.files) for run in golden)) == (31, 55)
     assert sum(run.command == "bench" for run in RUNS) == 6

@@ -21,7 +21,7 @@ from tropifs.invariant import MAX_ENUMERATE_VALUES
 from tropifs.mane import MAX_CLOSURE_POINTS
 from tropifs.spaces import MAX_POINTS
 
-from byte_runs import RUNS, TWO_POINT_DOC, inline
+from byte_runs import OVERFLOWING, RUNS, TWO_POINT_DOC, inline
 from oracles import system_to_jsonable
 
 
@@ -486,6 +486,19 @@ def test_an_overflowing_triangle_sum_warns_nothing(tmp_path):
     assert done.stderr == ""
     report = json.loads((tmp_path / "out" / "validation.json").read_text())
     assert report == {"valid": False, "error": "contraction estimate gamma_hat = 1e+308 >= 1"}
+
+
+@pytest.mark.parametrize("command", ["invariant", "mane"])
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_an_overflowing_path_sum_warns_nothing(tmp_path, capsys, name, command):
+    # -1.7e308 + -1.7e308 overflowed in the value iteration, the closure sweeps, the
+    # return weights, the density build and the transfer step: the sum is BOTTOM
+    levels = {"mode": "enumerate", "levels": [0, -1.7e308]}
+    code, out = run(tmp_path, command, {"system": {"inline": OVERFLOWING[name]}, "invariant": levels})
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if command == "invariant":
+        assert all(row["passed"] for row in json.loads((out / "verify.json").read_text()))
 
 
 @pytest.mark.parametrize("depth, code, stderr", [

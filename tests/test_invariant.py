@@ -17,6 +17,7 @@ from tropifs.examples import (
 )
 from tropifs.invariant import (
     MAX_CODING_DEPTH,
+    MAX_COMPOSITE_SET,
     BoundaryData,
     build_invariant,
     coding_map,
@@ -33,6 +34,7 @@ from tropifs.spaces import CHUNK_VALUES, build_grid, build_shift_space
 from oracles import (
     build_point_space,
     composite_collapse_depth,
+    dense_closure,
     dyadic_mp,
     enumerate_by_assignment,
     iterate_transfer,
@@ -84,7 +86,7 @@ def test_build_invariant_single_anchor_is_column():
     pot = mane_potential(system)
     z = pot.aubry[0]
     lam = build_invariant(pot, BoundaryData(values={z: 0.0}, anchor=z))
-    assert np.array_equal(lam.values, pot.s.entries[:, z])
+    assert np.array_equal(lam.values, dense_closure(system).entries[:, z])
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,7 +206,7 @@ def test_enumerate_invariants_matches_assignment_loop(
     pot = mane_potential(system, tol_aubry=tol_aubry)
     if signed_zeros:  # -0.0 in the columns, so that densities can differ in the sign of 0 only
         columns = np.where(pot.columns == 0.0, -0.0, pot.columns)
-        pot = PotentialMatrix(pot.aubry, pot.tol_aubry, columns, system)
+        pot = PotentialMatrix(pot.aubry, pot.tol_aubry, columns, system.space)
     if len(levels) ** (len(pot.aubry) - 1) > 256:
         return  # the loop would take long; the limit itself is checked elsewhere
     expected = _outcome(enumerate_by_assignment, system, pot, levels)
@@ -270,6 +272,16 @@ def test_coding_map_shift_words():
         assert words[target] == spelled
 
 
+def test_coding_map_gives_up_past_the_composite_set_limit():
+    # the prepends on the binary words of a depth have 2^k image sets at level k, and single
+    # words at the depth: depth 13 passes 2^12 = MAX_COMPOSITE_SET sets at level 12 and
+    # collapses, depth 14 stops at level 13, where 2^13 sets of two words are past the limit
+    assert MAX_COMPOSITE_SET == 2**12
+    for depth, expected in ((13, 13), (14, None)):
+        system = random_system(build_shift_space(2, depth), 2, 1, constant_weights=True)
+        assert coding_map(system) == expected
+
+
 def test_coding_map_requires_constant_weights():
     with pytest.raises(NotConstantWeightError):
         coding_map(build_nonunique_shift_system(3))
@@ -331,7 +343,7 @@ def test_constant_weight_density_all_zero_weights():
     cols = pot.columns.copy()
     cols[0, 1] -= 0.5
     with pytest.raises(InternalError, match="disagree"):
-        constant_weight_density(system, PotentialMatrix(pot.aubry, pot.tol_aubry, cols, system))
+        constant_weight_density(system, PotentialMatrix(pot.aubry, pot.tol_aubry, cols, system.space))
 
 
 def test_constant_weight_density_rejects_place_dependent():
@@ -376,7 +388,7 @@ def test_constant_weight_density_rejects_a_lowered_column_entry(system):
         for shift in shifts:
             cols = pot.columns.copy()
             cols[x, 0] = min(cols[x, 0] + shift, -0.25)
-            bad = PotentialMatrix(pot.aubry, pot.tol_aubry, cols, system)
+            bad = PotentialMatrix(pot.aubry, pot.tol_aubry, cols, system.space)
             with pytest.raises(InternalError):
                 constant_weight_density(system, bad)
 

@@ -24,6 +24,7 @@ from oracles import (
     check_sum_lipschitz,
     check_triangle,
     closure_to_fixed_point,
+    dense_closure,
     edge_table,
     paths_closure,
     reached_from_cycles,
@@ -96,19 +97,19 @@ def test_transition_matrix_without_finite_weights_is_bottom():
 
 
 def test_mane_potential_two_point():
-    pot = mane_potential(build_two_point_system())
-    assert pot.s.entries.tolist() == [[0.0, 0.0], [-1.0, -1.0]]
-    assert pot.aubry == (0,)
+    system = build_two_point_system()
+    assert dense_closure(system).entries.tolist() == [[0.0, 0.0], [-1.0, -1.0]]
+    assert mane_potential(system).aubry == (0,)
 
 
 def test_mane_potential_constant_map():
     system = constant_map_system(n=4, target=2)
-    pot = mane_potential(system)
-    assert pot.aubry == (2,)
-    assert pot.s.entries[2].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert mane_potential(system).aubry == (2,)
+    s = dense_closure(system).entries
+    assert s[2].tolist() == [0.0, 0.0, 0.0, 0.0]
     mask = np.ones(4, dtype=bool)
     mask[2] = False
-    assert np.all(pot.s.entries[mask] == BOTTOM)
+    assert np.all(s[mask] == BOTTOM)
 
 
 def test_mane_potential_shift_example():
@@ -118,32 +119,31 @@ def test_mane_potential_shift_example():
     assert {words[i] for i in pot.aubry} == {(1, 1, 1), (2, 2, 2)}
     i_from = words.index((1, 1, 1))
     i_to = words.index((2, 1, 1))
-    assert pot.s.entries[i_to, i_from] == -1.0
+    s = dense_closure(system).entries
+    assert s[i_to, i_from] == -1.0
     # brute-force word enumeration up to length 8 agrees everywhere
     oracle = words_closure(
         system.maps.tolist(), system.weights.tolist(), system.space.n, 8
     )
-    assert np.array_equal(pot.s.entries, oracle)
+    assert np.array_equal(s, oracle)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_potential_matches_word_enumeration(n, seed):
     system = random_system(build_grid(0.0, 1.0, n), 2, seed % 300)
-    pot = mane_potential(system)
     oracle = words_closure(
         system.maps.tolist(), system.weights.tolist(), n, max_len=n + 2
     )
-    assert np.array_equal(pot.s.entries, oracle)
+    assert np.array_equal(dense_closure(system).entries, oracle)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(4, 12), st.integers(0, 2**32 - 1))
 def test_potential_matches_path_dp(n, seed):
     system = random_system(build_grid(0.0, 1.0, n), 3, seed % 300)
-    pot = mane_potential(system)
     edges = edge_table(system.maps.tolist(), system.weights.tolist(), n)
-    assert np.array_equal(pot.s.entries, paths_closure(edges, max_len=n))
+    assert np.array_equal(dense_closure(system).entries, paths_closure(edges, max_len=n))
 
 
 def test_empty_aubry_signals():
@@ -156,28 +156,26 @@ def test_aubry_diagonal_attained_exactly():
     for seed in range(6):
         system = random_system(build_grid(0.0, 1.0, 10), 2, seed)
         pot = mane_potential(system)
-        diag = np.diagonal(pot.s.entries)
+        diag = np.diagonal(dense_closure(system).entries)
         assert diag.max() == 0.0
         assert all(diag[i] == 0.0 for i in pot.aubry)
 
 
 def test_check_triangle():
-    system = build_two_point_system()
-    pot = mane_potential(system)
-    assert check_triangle(pot.s.entries)
+    s = dense_closure(build_two_point_system()).entries
+    assert check_triangle(s)
     # independent 8-triple loop
-    s = pot.s.entries
     for x in range(2):
         for y in range(2):
             for z in range(2):
                 assert s[x, z] >= s[x, y] + s[y, z]
     # lowering an entry whose bound is tight through a third point breaks it
     shift = build_nonunique_shift_system(2)
-    spot = mane_potential(shift)
     words = shift.space.points
-    bad = spot.s.entries.copy()
+    good = dense_closure(shift).entries
+    bad = good.copy()
     bad[words.index((1, 2)), words.index((1, 1))] -= 0.5
-    assert check_triangle(spot.s.entries)
+    assert check_triangle(good)
     assert not check_triangle(bad)
 
 
@@ -185,7 +183,7 @@ def test_check_triangle():
 @given(st.integers(0, 2**32 - 1))
 def test_triangle_on_random_systems(seed):
     system = random_system(build_grid(0.0, 1.0, 15), 3, seed % 200)
-    assert check_triangle(mane_potential(system).s.entries)
+    assert check_triangle(dense_closure(system).entries)
 
 
 def test_sum_lipschitz_constant_weights_zero():
@@ -210,14 +208,14 @@ def test_s_zero_on_aubry_rows_constant_weights():
     # reaching an Aubry point is free when weights are place-independent
     for seed in range(4):
         system = random_system(build_grid(0.0, 1.0, 30), 3, seed, constant_weights=True)
-        pot = mane_potential(system)
-        for z in pot.aubry:
-            row = pot.s.entries[z]
+        s = dense_closure(system).entries
+        for z in mane_potential(system).aubry:
+            row = s[z]
             assert np.all(row[row > BOTTOM] == 0.0)
     sym = random_system(build_shift_space(2, 4), 2, 9, constant_weights=True)
-    pot = mane_potential(sym)
-    for z in pot.aubry:
-        assert np.all(pot.s.entries[z] == 0.0)
+    s = dense_closure(sym).entries
+    for z in mane_potential(sym).aubry:
+        assert np.all(s[z] == 0.0)
 
 
 # --- sparse Aubry columns against the dense closure --------------------------
@@ -242,7 +240,7 @@ def index_system(maps, weights):
 
 def assert_matches_dense(system, tol_aubry):
     """Aubry set and Aubry columns equal the dense closure, bit for bit."""
-    dense = kleene_plus(transition_matrix(system)).entries
+    dense = dense_closure(system).entries
     expected = tuple(int(z) for z in np.flatnonzero(np.diagonal(dense) >= -tol_aubry))
     if not expected:
         with pytest.raises(EmptyAubryError):
@@ -327,9 +325,9 @@ def non_dyadic_chain():
 
 
 def test_triangle_exact_on_non_dyadic_chain():
-    pot = mane_potential(non_dyadic_chain())
-    assert pot.aubry == (4,)
-    assert check_triangle(pot.s.entries)
+    system = non_dyadic_chain()
+    assert mane_potential(system).aubry == (4,)
+    assert check_triangle(dense_closure(system).entries)
 
 
 def test_no_sweep_where_every_sum_is_exact(monkeypatch):
@@ -373,22 +371,18 @@ CLOSURE_SYSTEMS = {
 def test_dense_closure_equals_sweeps_to_fixed_point(name):
     system = CLOSURE_SYSTEMS[name]()
     expected = closure_to_fixed_point(transition_matrix(system).entries)
-    assert mane_potential(system).s.entries.tobytes() == expected.tobytes()
+    assert dense_closure(system).entries.tobytes() == expected.tobytes()
 
 
 def test_dense_closure_is_built_only_on_demand(monkeypatch):
+    # mane_potential builds no A to close, and its result holds no closure
     built = []
-
-    def counting_closure(a):
-        built.append(a.entries.shape[0])
-        return kleene_plus(a)
-
-    monkeypatch.setattr(mane, "kleene_plus", counting_closure)
-    pot = mane_potential(build_nonunique_shift_system(3))
-    assert built == []
-    s = pot.s
-    assert pot.s is s and built == [8]
-    assert np.array_equal(s.entries[:, list(pot.aubry)], pot.columns)
+    monkeypatch.setattr(mane, "transition_matrix", built.append)
+    system = build_nonunique_shift_system(3)
+    pot = mane_potential(system)
+    assert built == [] and not {"s", "system"} & set(dir(pot))
+    monkeypatch.undo()
+    assert np.array_equal(dense_closure(system).entries[:, list(pot.aubry)], pot.columns)
 
 
 # --- the graph routines: candidates and the column iteration ------------------

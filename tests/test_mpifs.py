@@ -20,6 +20,7 @@ from tropifs.spaces import FiniteSpace, build_grid, build_shift_space
 
 from oracles import (
     build_point_space,
+    distance_table,
     dyadic,
     dyadic_mp,
     iterate_transfer,
@@ -44,7 +45,7 @@ def test_validate_shift_example_quadruple_oracle():
     system = build_nonunique_shift_system(3)
     # exhaustive independent recomputation of the contraction ratio
     best = naive_contraction_constant(
-        system.space.dist, system.index_space.dist, system.maps, system.snap_slack
+        distance_table(system.space), system.index_space.dist, system.maps, system.snap_slack
     )
     assert system.validation.gamma_hat == best == 0.5
 
@@ -90,7 +91,7 @@ def contraction_systems(draw):
 @given(contraction_systems())
 def test_contraction_constant_matches_quadruple_loop(system):
     expected = naive_contraction_constant(
-        system.space.dist, system.index_space.dist, system.maps, system.snap_slack
+        distance_table(system.space), system.index_space.dist, system.maps, system.snap_slack
     )
     assert _estimates(system)[0] == expected
 
@@ -105,7 +106,7 @@ def test_contraction_constant_matches_on_random_systems():
         random_system(build_shift_space(3, 2), 3, 7),
     ):
         expected = naive_contraction_constant(
-            system.space.dist, system.index_space.dist, system.maps, system.snap_slack
+            distance_table(system.space), system.index_space.dist, system.maps, system.snap_slack
         )
         assert system.validation.gamma_hat == expected
 

@@ -34,6 +34,8 @@ from tropifs.spaces import CHUNK_VALUES, build_grid, build_shift_space
 from oracles import (
     QUANT,
     build_point_space,
+    dense_closure,
+    distance_table,
     labelled_csv,
     space_to_jsonable,
     system_to_jsonable,
@@ -84,7 +86,7 @@ def test_values_read_in_one_pass_as_one_by_one(items):
 def test_space_round_trip_grid():
     g = build_grid(0.0, 1.0, 5)
     back = space_from_jsonable(json.loads(json.dumps(space_to_jsonable(g))))
-    assert np.array_equal(back.dist, g.dist)
+    assert np.array_equal(back.dist, distance_table(g))
     assert back.resolution == g.resolution
     # the labels spell the coordinates; the points payload is not serialized
     assert back.labels == g.labels and not hasattr(back, "points")
@@ -95,7 +97,7 @@ def test_space_round_trip_shift():
     back = space_from_jsonable(json.loads(json.dumps(space_to_jsonable(s))))
     # the labels spell the words; the points payload is not serialized
     assert back.labels == s.labels and not hasattr(back, "points")
-    assert np.array_equal(back.dist, s.dist)
+    assert np.array_equal(back.dist, distance_table(s))
 
 
 def test_inline_space_points_payload_is_not_read():
@@ -143,14 +145,15 @@ def test_fuzzy_csv(tmp_path):
 
 
 def test_potential_jsonable():
-    pot = mane_potential(build_nonunique_shift_system(2))
-    s_rows = [values_to_jsonable(row) for row in pot.s.entries]
+    system = build_nonunique_shift_system(2)
+    pot, s = mane_potential(system), dense_closure(system).entries
+    s_rows = [values_to_jsonable(row) for row in s]
     doc = json.loads(json.dumps({"s": s_rows, "aubry": aubry_to_jsonable(pot)}))
     flat = [v for row in doc["s"] for v in row]
     assert all(v == "-inf" or isinstance(v, float) or isinstance(v, int) for v in flat)
     assert doc["aubry"]["labels"] == ["11", "22"]
     back = np.vstack([values_from_jsonable(row) for row in doc["s"]])
-    assert np.array_equal(back, pot.s.entries)
+    assert np.array_equal(back, s)
 
 
 def test_density_jsonable_round_trip_exact(tmp_path):

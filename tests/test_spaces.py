@@ -26,14 +26,14 @@ from tropifs.spaces import (
     snap,
 )
 
-from oracles import build_point_space, naive_cylinder_table, nearest_member
+from oracles import build_point_space, distance_table, naive_cylinder_table, nearest_member
 
 
 def test_grid_basics():
     g = build_grid(0.0, 1.0, 3)
     assert g.n == 3
-    assert g.dist[0][2] == 1.0
-    assert g.dist[0][1] == 0.5
+    assert distance_table(g)[0, 2] == 1.0
+    assert distance_table(g)[0, 1] == 0.5
     assert build_grid(0.0, 1.0, 2).resolution == 0.5
 
 
@@ -49,12 +49,12 @@ def test_grid_preconditions():
 def test_shift_space_metric():
     s = build_shift_space(2, 2)
     assert s.n == 4
-    w = s.points
-    assert s.dist[w.index((1, 1)), w.index((2, 1))] == 0.5
-    assert s.dist[w.index((1, 1)), w.index((1, 2))] == 0.25
+    w, table = s.points, distance_table(s)
+    assert table[w.index((1, 1)), w.index((2, 1))] == 0.5
+    assert table[w.index((1, 1)), w.index((1, 2))] == 0.25
     assert s.resolution == 0.25
     two = build_shift_space(2, 1)
-    assert two.n == 2 and two.dist[0, 1] == 0.5
+    assert two.n == 2 and distance_table(two)[0, 1] == 0.5
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,9 +107,9 @@ def test_builders_refuse_more_than_max_points():
 def test_builders_pass_metric_axioms(symbols, depth, n, interval):
     # the builders skip check_metric: their tables are metrics by construction
     s = build_shift_space(symbols, min(depth, 4))
-    check_metric(s.dist)
+    check_metric(distance_table(s))
     g = build_grid(*interval, n)
-    check_metric(g.dist)
+    check_metric(distance_table(g))
 
 
 def test_metric_tolerance_scales_with_the_table():
@@ -193,7 +193,7 @@ def test_distances_to_is_the_nearest_member_by_loops(data):
     chunk = data.draw(st.sampled_from([1, 3 * n, 8 * n, CHUNK_VALUES]))
     t, xs = np.array(t), np.array(xs, dtype=np.intp)
     bounds = k if isinstance(k, list) else [k] * len(xs)
-    expected = naive_distances_to(space.dist, t.tolist(), xs.tolist(), bounds)
+    expected = naive_distances_to(distance_table(space), t.tolist(), xs.tolist(), bounds)
     with mock.patch.object(spaces, "CHUNK_VALUES", chunk):
         near = space.distances_to(t, xs, np.array(k, dtype=np.intp))
     assert near.dtype == np.float64 and near.shape == xs.shape
@@ -230,7 +230,7 @@ def test_distances_to_past_2048_points_reads_one_row_at_a_time(per_point, run):
     points = np.arange(n)
     k = t // run * run if per_point else run
     near = space.distances_to(t, points, k)
-    assert "dist" not in vars(space)  # the blocks read distances, not the derived table
+    assert not hasattr(space, "dist")  # the blocks read distances: a grid has no table
     assert near.tobytes() == nearest_member(space.xs, t, points, k).tobytes()
 
 
@@ -249,7 +249,7 @@ def _blocked_outputs(tmp_path):
     ``enumerate_invariants`` and ``verify_invariant`` on a block, the
     ``density.json`` text of that block, and ``distances_to`` on the table."""
     grid = random_system(build_grid(-1.0, 2.5, 57), 3, 4)
-    table = build_point_space(grid.space.labels, grid.space.dist, grid.space.resolution)
+    table = build_point_space(grid.space.labels, distance_table(grid.space), grid.space.resolution)
     explicit = MpIfs(table, grid.index_space, grid.maps, grid.weights)
     reports = [validate(system).to_jsonable() for system in (grid, explicit)]
     shift = build_nonunique_shift_system(5)
@@ -274,7 +274,7 @@ def test_one_row_chunks_give_the_default_bits(tmp_path):
 def test_distances_are_the_table_entries(space):
     # a shift and a grid read them from their record, not from the table
     i, k = np.divmod(np.arange(space.n**2), space.n)
-    assert space.distances(i, k).tolist() == space.dist[i, k].tolist()
+    assert space.distances(i, k).tolist() == distance_table(space)[i, k].tolist()
 
 
 RECORD_SPACES = st.one_of(
@@ -289,33 +289,13 @@ RECORD_SPACES = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(RECORD_SPACES)
-def test_a_record_space_derives_its_table_once(space):
+def test_a_record_space_has_no_table_and_its_distances_match_the_oracle(space):
     if isinstance(space, spaces.Grid):
         oracle = np.abs(np.subtract.outer(space.xs, space.xs))
     else:
         oracle = naive_cylinder_table(space.points)
-    calls = []
-    distances = type(space).distances
-    with mock.patch.object(type(space), "distances",
-                           lambda self, i, k: calls.append(1) or distances(self, i, k)):
-        assert "dist" not in vars(space)
-        table = space.dist
-        assert space.dist is table
-    assert len(calls) == 1 and not table.flags.writeable
-    assert table.tobytes() == oracle.tobytes()
-
-
-def test_a_grid_table_takes_one_table_of_memory():
-    # one subtraction, then abs in place: no second n x n array
-    space = build_grid(0.0, 1.0, 2048)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        table = space.dist
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (2048, 2048) and peak < table.nbytes + 2**20
+    assert not hasattr(space, "dist")
+    assert distance_table(space).tobytes() == oracle.tobytes()
 
 
 def test_snap_grid():
