@@ -16,8 +16,12 @@ fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# tropifs calls no BLAS routine (dot, matmul, linalg, einsum): one thread, unless the user set it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

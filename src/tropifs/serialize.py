@@ -6,21 +6,22 @@ round-trip decimal on the CSV side, native JSON numbers otherwise).
 
 The bytes on disk are fixed: a JSON file is
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, and a CSV
-file is what ``csv.writer`` writes in the excel dialect (``\r\n`` line
-ends, fields quoted only where needed) with ``repr`` of each float as its
-cell.  CSV files and blocks of densities spell each distinct float once
-per file or chunk, so many values drawn from few cost little more than
-their size.  A density block is the one JSON document not written by
-``json.dumps`` itself: :func:`density_to_jsonable` turns it into text alone
-(the shared labels array once, then each row's value texts), and
-:func:`write_json` streams that text one density at a time.
+file is what ``csv.writer`` writes in the excel dialect, spelled here by
+its one quoting rule: a field is quoted, each ``"`` doubled, exactly when
+it holds ``,``, ``"``, CR or LF, else it is ``str(field)``; a float's cell
+is its ``repr`` and rows end in ``\r\n``.  CSV files and blocks of
+densities spell each distinct float once per file or chunk, so many
+values drawn from few cost little more than their size.  A density block
+is the one JSON document not written by ``json.dumps`` itself:
+:func:`density_to_jsonable` turns it into text alone (the shared labels
+array once, then each row's value texts), and :func:`write_json` streams
+that text one density at a time.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -220,31 +221,27 @@ def _spelled(values, spell) -> np.ndarray:
     return spelled.take(inverse).reshape(values.shape)
 
 
-def _csv_fields(fields) -> list:
-    """Each of ``fields`` as ``csv.writer`` spells it in an excel-dialect row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    spelled = []
-    for field in fields:
-        # a second, empty field keeps the row from being one empty field,
-        # which csv quotes; the ",\r\n" it ends with is sliced off
-        writer.writerow([field, None])
-        spelled.append(buf.getvalue()[:-3])
-        buf.seek(0)
-        buf.truncate()
-    return spelled
+# what makes the excel dialect quote a field
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_field(field) -> str:
+    """``field`` as ``csv.writer`` spells it in an excel-dialect row of two or more fields."""
+    text = str(field)
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
 
 
 def _labelled_csv(path, header, labels, cells) -> None:
     """Excel-dialect CSV: ``header``, then each label followed by its row of cells.
 
-    The bytes are those ``csv.writer`` writes.  The cells are float reprs,
-    which csv never quotes, so only the header and labels go through it.
+    Header and labels follow the module's quoting rule, so the bytes are
+    ``csv.writer``'s (a NUL raw, as it writes one from Python 3.11); the
+    cells are float reprs, which that rule never quotes.
     """
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
         fh.writelines(
-            head + "," + ",".join(row) + "\r\n" for head, row in zip(_csv_fields(labels), cells)
+            _csv_field(label) + "," + ",".join(row) + "\r\n" for label, row in zip(labels, cells)
         )
 
 

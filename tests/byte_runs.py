@@ -2,10 +2,11 @@
 
 ``python3 tests/byte_runs.py BASE_TREE [HEAD_TREE]`` runs each entry of ``RUNS`` in both
 source trees at once (cwd = tree, PYTHONPATH = tree/src, outputs in a temporary directory),
-checks that both exit alike and as the entry requires, and compares each listed file that
-either side wrote.  HEAD_TREE defaults to this checkout.  It prints the counts and exits 1
-on any mismatch, with the stderr of each side of a mismatching run.  The runs on
-GOLDEN_SYSTEMS draw only their own seeds: test_cli.py pins their digests.
+checks that both exit alike and as the entry requires and write the same stderr, and
+compares each listed file that either side wrote.  HEAD_TREE defaults to this checkout.  It
+prints the counts and exits 1 on any mismatch, with the stderr of each side of a
+mismatching run.  The runs on GOLDEN_SYSTEMS draw only their own seeds: test_cli.py pins
+their digests.
 """
 
 import json
@@ -259,9 +260,12 @@ def execute(run: Run, trees: tuple, config: Path, outs: tuple) -> tuple:
     return tuple(proc.returncode for proc in procs), errs
 
 
-def compare(run: Run, codes: tuple, base: Path, head: Path) -> tuple:
-    """(files compared, mismatches) of ``run`` from the base and head exit codes and outputs."""
+def compare(run: Run, codes: tuple, errs: tuple, base: Path, head: Path) -> tuple:
+    """(files compared, mismatches) of ``run`` from the base and head exit codes, stderr
+    and outputs."""
     problems = [] if codes[0] == codes[1] else [f"{run.name}: exit {codes[0]} at base, {codes[1]} at head"]
+    if errs[0] != errs[1]:
+        problems.append(f"{run.name}: stderr differs")
     if run.exit is not None and codes[1] != run.exit:
         problems.append(f"{run.name}: exit {codes[1]} at head, not {run.exit}")
     compared = 0
@@ -284,7 +288,7 @@ def check(runs: list, base: Path, head: Path) -> tuple:
         config, outs = tmp / f"{run.name}.json", (tmp / "base" / run.name, tmp / "head" / run.name)
         config.write_text(json.dumps(run.config))
         codes, errs = execute(run, (base, head), config, outs)
-        count, found = compare(run, codes, *outs)
+        count, found = compare(run, codes, errs, *outs)
         for side, err in zip(("base", "head") if found else (), errs):
             print(f"{run.name} ({config}), stderr at {side}:\n{err}", end="")
         compared, problems = compared + count, problems + found

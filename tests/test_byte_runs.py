@@ -37,10 +37,13 @@ def test_compare_reports_a_changed_byte_and_a_changed_exit_code(tmp_path):
         side.mkdir()
         (side / "S.csv").write_bytes(row)
         (side / "aubry.json").write_bytes(b"{}\n")
-    assert compare(run, (0, 0), base, head) == (2, ["run/S.csv: differs"])
-    assert compare(run, (0, 2), base, base) == (2, ["run: exit 0 at base, 2 at head"])
+    quiet = ("", "")
+    assert compare(run, (0, 0), quiet, base, head) == (2, ["run/S.csv: differs"])
+    assert compare(run, (0, 2), quiet, base, base) == (2, ["run: exit 0 at base, 2 at head"])
+    warned = ("", "<stdin>:1: RuntimeWarning: overflow encountered in add\n")
+    assert compare(run, (0, 0), warned, base, base) == (2, ["run: stderr differs"])
     # a required exit code and a file written on one side only
-    assert compare(run._replace(exit=0), (0, 0), base, tmp_path) == (
+    assert compare(run._replace(exit=0), (0, 0), quiet, base, tmp_path) == (
         2, ["run/S.csv: not written at head", "run/S.csv: differs",
             "run/aubry.json: not written at head", "run/aubry.json: differs"])
 

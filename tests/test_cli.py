@@ -153,6 +153,25 @@ def test_an_import_loads_only_the_modules_it_needs(module, loaded):
     assert json.loads(done.stdout) == loaded
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the thread count from /proc")
+def test_the_cli_starts_one_blas_thread_unless_told_otherwise():
+    probe = ("import os, tropifs.cli; status = open('/proc/self/status').read(); "
+             "print(status.split('Threads:')[1].split()[0], os.environ['OPENBLAS_NUM_THREADS'])")
+
+    def threads_and_setting(**env):
+        return subprocess.run(
+            [sys.executable, "-c", probe],
+            env={"PYTHONPATH": str(Path(tropifs.__file__).resolve().parents[1]), **env},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout.split()
+
+    assert threads_and_setting() == ["1", "1"]
+    assert threads_and_setting(OPENBLAS_NUM_THREADS="2")[1] == "2"  # the user's value wins
+
+
 def test_missing_config_file(tmp_path):
     code = main(["validate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 3
@@ -582,6 +601,15 @@ def test_mane_two_point(tmp_path):
     assert rows[0] == ["", "p0", "p1"]
     assert rows[1] == ["p0", "0.0", "0.0"]
     assert rows[2] == ["p1", "-1.0", "-1.0"]
+
+
+def test_mane_writes_a_nul_label_raw(tmp_path):
+    # csv.writer cannot write this label below Python 3.11; the CSV writers spell it raw
+    doc = {**TWO_POINT_DOC, "space": {**TWO_POINT_DOC["space"], "labels": ["p\0", "p1"]}}
+    code, out = run(tmp_path, "mane", {"system": {"inline": doc}})
+    assert code == 0
+    with open(out / "S.csv", newline="") as fh:
+        assert fh.read() == ",p\0,p1\r\np\0,0.0,0.0\r\np1,-1.0,-1.0\r\n"
 
 
 def test_mane_shift_aubry(tmp_path):

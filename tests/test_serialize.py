@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -24,6 +25,7 @@ from tropifs.serialize import (
     matrix_to_csv,
     space_from_jsonable,
     system_from_jsonable,
+    trace_to_csv,
     value_from_jsonable,
     values_from_jsonable,
     write_json,
@@ -276,8 +278,11 @@ def test_write_json_rejects_what_json_rejects(tmp_path):
 csv_values = st.one_of(
     st.integers(-2**28, 0).map(lambda k: k * QUANT), st.sampled_from([0.0, -0.0, BOTTOM])
 )
+# csv.writer cannot write a NUL below Python 3.11 ("need to escape"), so there the oracle
+# draws no NUL; test_a_nul_label_is_written_raw pins that spelling on every version
 csv_labels = st.one_of(
-    st.text(), st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r", "", " ", "caf\u00e9", "1.5"])
+    st.text() if sys.version_info >= (3, 11) else st.text().filter(lambda t: "\0" not in t),
+    st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r", "", " ", "caf\u00e9", "1.5"]),
 )
 
 
@@ -362,3 +367,20 @@ def test_density_and_fuzzy_csv_are_csv_writer(tmp_path_factory, points):
     fuzzy_to_csv(tmp / "u.csv", FuzzySet(space, memberships))
     expected = labelled_csv(["label", "membership"], labels, memberships[:, None])
     assert _text(tmp / "u.csv") == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(), max_size=12))
+def test_trace_csv_is_csv_writer(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    trace_to_csv(path, trace)
+    expected = labelled_csv(["iteration", "d_infty"], range(1, len(trace) + 1), [[x] for x in trace])
+    assert _text(path) == expected
+
+
+def test_a_nul_label_is_written_raw(tmp_path):
+    # unquoted, or inside the quotes another character asks for; csv.writer writes
+    # the same from Python 3.11 and raises below it
+    space = build_point_space(["p\0", 'q\0,"'], 1.0 - np.eye(2))
+    density_to_csv(tmp_path / "d.csv", Density(space, np.array([0.0, BOTTOM])))
+    assert _text(tmp_path / "d.csv") == 'label,value\r\np\0,0.0\r\n"q\0,""",-inf\r\n'
