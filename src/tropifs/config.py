@@ -102,7 +102,7 @@ def load_config(path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -27,7 +27,7 @@ from .errors import (
     NotConstantWeightError,
 )
 from .maxplus import BOTTOM
-from .measures import Density, normalize
+from .measures import Density
 from .mpifs import MpIfs, d_rho, transfer_density
 from .mane import PotentialMatrix
 from .spaces import row_chunks
@@ -200,11 +200,14 @@ def coding_map(system: MpIfs) -> Optional[int]:
 def constant_weight_density(system: MpIfs, pot: PotentialMatrix) -> Density:
     """The unique invariant density of a constant-weight system.
 
-    Returns the S column at an Aubry point after asserting all Aubry
-    columns coincide.  With exact maps and every Aubry return weight S[z, z]
-    at 0 they must, by the structure of constant weights, so a disagreement
-    is a bug; a ``tol_aubry`` that admits lower return weights, or snapped
-    maps splitting the zero-cost dynamics into several closed classes (each
+    Returns the boundary density of the Aubry anchor (the lowest Aubry
+    index) at level 0, built by :func:`build_invariant`, after asserting
+    that every Aubry column of S lies within :data:`AUBRY_COLUMN_TOL` of
+    the anchor's, one ``np.allclose`` per column (BOTTOM matches only
+    BOTTOM).  With exact maps and every Aubry return weight S[z, z] at 0
+    they must, by the structure of constant weights, so a disagreement is a
+    bug; a ``tol_aubry`` that admits lower return weights, or snapped maps
+    splitting the zero-cost dynamics into several closed classes (each
     with its own density), make it a :class:`NonUniqueDensityError`.  The
     result is cross-checked against the coding series, the best
     accumulated weight over words starting at the Aubry anchor: one
@@ -215,13 +218,10 @@ def constant_weight_density(system: MpIfs, pot: PotentialMatrix) -> Density:
     if not system.is_constant_weight():
         raise NotConstantWeightError("unique-density construction needs constant weights")
     depth = coding_map(system)
-    finite_ref = pot.column(pot.aubry[0])
+    anchor = pot.aubry[0]
     for z in pot.aubry[1:]:
-        a, b = finite_ref, pot.column(z)
-        both = (a > BOTTOM) & (b > BOTTOM)
-        if ((a > BOTTOM) != (b > BOTTOM)).any() or (
-            both.any() and np.max(np.abs(a[both] - b[both])) > AUBRY_COLUMN_TOL
-        ):
+        # every entry is <= 0, so the differences cannot overflow
+        if not np.allclose(pot.column(z), pot.column(anchor), rtol=0.0, atol=AUBRY_COLUMN_TOL):
             low = min(pot.column(y)[y] for y in pot.aubry)
             if low < 0.0:
                 why = f"tol_aubry {pot.tol_aubry} admits Aubry return weights S[z, z] down to {low}"
@@ -230,17 +230,17 @@ def constant_weight_density(system: MpIfs, pot: PotentialMatrix) -> Density:
             else:
                 raise InternalError("Aubry columns of S disagree for constant weights")
             raise NonUniqueDensityError(
-                f"{why}: Aubry points {pot.aubry[0]} and {z} have different columns "
+                f"{why}: Aubry points {anchor} and {z} have different columns "
                 f"of S, so there is no unique invariant density; use the invariant "
                 f"command with mode 'enumerate' or 'boundary'"
             )
-    lam = normalize(Density(pot.space, finite_ref.copy()))
+    lam = build_invariant(pot, BoundaryData({anchor: 0.0}, anchor))
 
     if np.any(transfer_density(system, lam).values > lam.values + SERIES_TOL):
         raise InternalError("one transfer step exceeds the S-column density")
     if depth is not None:
         series = np.full(system.space.n, BOTTOM)
-        series[pot.aubry[0]] = 0.0
+        series[anchor] = 0.0
         for _ in range(depth):
             series = transfer_density(system, Density(system.space, series)).values
         finite = series > BOTTOM

@@ -39,8 +39,3 @@ class Density:
             and other.space is self.space
             and np.array_equal(self.values, other.values)
         )
-
-
-def normalize(lam: Density) -> Density:
-    """Shift so the maximum finite value (of each row of a block) is exactly 0."""
-    return Density(lam.space, lam.values - lam.values.max(axis=-1, keepdims=True))

@@ -4,7 +4,7 @@ BOTTOM is spelled "-inf" in both formats (on the CSV side that is just
 ``repr(-inf)``); finite numbers round-trip bit-exactly (shortest
 round-trip decimal on the CSV side, native JSON numbers otherwise).
 
-The bytes on disk are fixed: a JSON file is
+The bytes on disk are fixed, and UTF-8 whatever the locale: a JSON file is
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, and a CSV
 file is what ``csv.writer`` writes in the excel dialect, spelled here by
 its one quoting rule: a field is quoted, each ``"`` doubled, exactly when
@@ -197,7 +197,7 @@ def write_json(path, obj) -> None:
     for no rows), one density at a time, so the document is never held in
     memory as one string.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if isinstance(obj, _DensityBlock):
             head = '{\n    "labels": ' + obj.head + ',\n    "values": [\n      '
             sep = "[\n  "
@@ -238,7 +238,7 @@ def _labelled_csv(path, header, labels, cells) -> None:
     ``csv.writer``'s (a NUL raw, as it writes one from Python 3.11); the
     cells are float reprs, which that rule never quotes.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\r\n")
         fh.writelines(
             _csv_field(label) + "," + ",".join(row) + "\r\n" for label, row in zip(labels, cells)

@@ -107,6 +107,9 @@ GOLDEN_SYSTEMS = {
     # the two-point system on labels that csv must quote and json must escape
     "quoted-labels": {"system": {"inline": {
         **TWO_POINT_DOC, "space": {**TWO_POINT_DOC["space"], "labels": ["x,y", 'say "\u00e9"']}}}},
+    # the two-point system on labels outside ASCII, read and written as UTF-8 in every locale
+    "non-ascii-labels": {"system": {"inline": {
+        **TWO_POINT_DOC, "space": {**TWO_POINT_DOC["space"], "labels": ["p\u00e9", "q\u03bb"]}}}},
     # identity maps: gamma_hat is 1, and validate writes the error report
     "non-contractive": {"system": {"inline": {**TWO_POINT_DOC, "maps": [[0, 1], [0, 1]]}}},
     # one Floyd-Warshall sweep leaves some zeros of S with the other sign than a fixed point
@@ -145,8 +148,10 @@ RUNS = [
       for system in ("two-point", "shift4", "snapped", "shift-constant", "non-contractive", "grid64",
                      "grid64-constant", "grid700", "grid700-constant", "tied-grid", "tied-grid-constant")),
     *(case(f"{system}-mane", "mane", GOLDEN_SYSTEMS[system], 0) for system in (
-        "two-point", "shift4", "snapped", "shift-constant", "quoted-labels", "signed-zeros")),
-    case("shift-constant-fuzzy", "fuzzy", GOLDEN_SYSTEMS["shift-constant"], 0),
+        "two-point", "shift4", "snapped", "shift-constant", "quoted-labels", "signed-zeros",
+        "non-ascii-labels")),
+    *(case(f"{system}-fuzzy", "fuzzy", GOLDEN_SYSTEMS[system], 0)
+      for system in ("shift-constant", "non-ascii-labels")),
     *(case(name, "invariant", {**GOLDEN_SYSTEMS[system], "invariant": invariant, **(CSV if csv else {})},
            0, tuple(f"density_{i:03}.csv" for i in range(csv))) for name, system, invariant, csv in (
         ("two-point-constant", "two-point", CONSTANT, 0),

@@ -595,6 +595,64 @@ def enumerate_by_assignment(system, pot, levels):
     return list(distinct.values())
 
 
+def normalize(lam):
+    """``lam`` shifted so the maximum finite value (of each row of a block) is exactly 0."""
+    from tropifs.measures import Density
+
+    return Density(lam.space, lam.values - lam.values.max(axis=-1, keepdims=True))
+
+
+def constant_weight_by_normalize(system, pot):
+    """``constant_weight_density`` as it was before it built through ``build_invariant``.
+
+    The Aubry columns must share their finite entries and differ there by at
+    most ``AUBRY_COLUMN_TOL``; the density is the first Aubry column,
+    normalized, then checked against one transfer step and the coding series.
+    """
+    from tropifs.errors import (
+        InternalError, NonUniqueDensityError, NotConstantWeightError)
+    from tropifs.invariant import AUBRY_COLUMN_TOL, SERIES_TOL, coding_map
+    from tropifs.measures import Density
+    from tropifs.mpifs import transfer_density
+
+    if not system.is_constant_weight():
+        raise NotConstantWeightError("unique-density construction needs constant weights")
+    depth = coding_map(system)
+    finite_ref = pot.column(pot.aubry[0])
+    for z in pot.aubry[1:]:
+        a, b = finite_ref, pot.column(z)
+        both = (a > BOTTOM) & (b > BOTTOM)
+        if ((a > BOTTOM) != (b > BOTTOM)).any() or (
+            both.any() and np.max(np.abs(a[both] - b[both])) > AUBRY_COLUMN_TOL
+        ):
+            low = min(pot.column(y)[y] for y in pot.aubry)
+            if low < 0.0:
+                why = f"tol_aubry {pot.tol_aubry} admits Aubry return weights S[z, z] down to {low}"
+            elif not system.exact_maps:
+                why = "the snapped maps split the zero-cost dynamics into several closed classes"
+            else:
+                raise InternalError("Aubry columns of S disagree for constant weights")
+            raise NonUniqueDensityError(
+                f"{why}: Aubry points {pot.aubry[0]} and {z} have different columns "
+                f"of S, so there is no unique invariant density; use the invariant "
+                f"command with mode 'enumerate' or 'boundary'"
+            )
+    lam = normalize(Density(pot.space, finite_ref.copy()))
+
+    if np.any(transfer_density(system, lam).values > lam.values + SERIES_TOL):
+        raise InternalError("one transfer step exceeds the S-column density")
+    if depth is not None:
+        series = np.full(system.space.n, BOTTOM)
+        series[pot.aubry[0]] = 0.0
+        for _ in range(depth):
+            series = transfer_density(system, Density(system.space, series)).values
+        finite = series > BOTTOM
+        gap = np.max(np.abs(series[finite] - lam.values[finite]))
+        if gap > SERIES_TOL:
+            raise InternalError(f"coding series misses the density by {gap}")
+    return lam
+
+
 def distance_table(space):
     """The n x n table of ``space.distances`` over all index pairs."""
     i = np.arange(space.n)

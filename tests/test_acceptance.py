@@ -24,7 +24,7 @@ from tropifs.invariant import (
 )
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, normalize
+from tropifs.measures import Density
 from tropifs.mpifs import d_rho, transfer_density
 from tropifs.spaces import build_grid, build_shift_space
 
@@ -38,6 +38,7 @@ from oracles import (
     j0_image,
     naive_dual_transfer,
     naive_mu_eval,
+    normalize,
     paths_closure,
     words_closure,
 )

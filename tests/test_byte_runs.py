@@ -49,10 +49,10 @@ def test_compare_reports_a_changed_byte_and_a_changed_exit_code(tmp_path):
 
 
 def test_the_manifest_keeps_every_run_and_file():
-    assert len({run.name for run in RUNS}) == len(RUNS) == 163
-    assert sum(len(run.files) for run in RUNS) == 281
+    assert len({run.name for run in RUNS}) == len(RUNS) == 165
+    assert sum(len(run.files) for run in RUNS) == 285
     golden = golden_runs()
-    assert (len(golden), sum(len(run.files) for run in golden)) == (31, 55)
+    assert (len(golden), sum(len(run.files) for run in golden)) == (33, 59)
     assert sum(run.command == "bench" for run in RUNS) == 6
 
 

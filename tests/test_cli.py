@@ -612,6 +612,28 @@ def test_mane_writes_a_nul_label_raw(tmp_path):
         assert fh.read() == ",p\0,p1\r\np\0,0.0,0.0\r\np1,-1.0,-1.0\r\n"
 
 
+def test_non_ascii_labels_are_utf_8_in_an_ascii_locale(tmp_path):
+    # the C locale without coercion or UTF-8 mode reads and writes ASCII by default; the
+    # config here is raw UTF-8, and each file must equal the bytes of a default-locale run
+    src = str(Path(tropifs.__file__).resolve().parents[1])
+    for entry in (entry for entry in RUNS if entry.name.startswith("non-ascii-labels-")):
+        code, expected = run(tmp_path, entry.command, entry.config, out=f"{entry.name}-default")
+        config = tmp_path / f"{entry.name}.json"
+        config.write_bytes(json.dumps(entry.config, ensure_ascii=False).encode("utf-8"))
+        done = subprocess.run(
+            [sys.executable, "-m", "tropifs", entry.command, "--config", str(config),
+             "--out", str(tmp_path / entry.name)],
+            env={"PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (code, done.returncode, done.stderr) == (0, 0, ""), entry.name
+        assert "p\u00e9,".encode("utf-8") in (expected / entry.files[0]).read_bytes()
+        for file in entry.files:
+            assert (tmp_path / entry.name / file).read_bytes() == (expected / file).read_bytes()
+
+
 def test_mane_shift_aubry(tmp_path):
     code, out = run(tmp_path, "mane", {"system": {"builder": "nonunique_shift", "depth": 3}})
     assert code == 0
@@ -819,6 +841,23 @@ def test_invariant_constant_mode_with_a_loose_tol_aubry(tmp_path, capsys, system
     assert not (out / "density.json").exists()
 
 
+def test_invariant_constant_mode_admits_columns_within_the_tolerance(tmp_path, capsys, monkeypatch):
+    # a snapped grid: the Aubry points are 0, 1 and 3, and the columns of 0 and 3 differ by
+    # 2^-32 at point 0, less than AUBRY_COLUMN_TOL, so there is one invariant density
+    config = inline({"grid": {"a": 0.0, "b": 1.0, "n": 6}},
+                    [[3] * 6, [0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1]], [0.0, -0.5, -2.0**-32], False)
+    config["system"]["inline"]["index_space"]["dist"] = (5.0 - 5.0 * np.eye(3)).tolist()
+    config["invariant"] = {"mode": "constant"}
+    code, out = run(tmp_path, "invariant", config)
+    assert code == 0, capsys.readouterr().err
+    (density,) = json.loads((out / "density.json").read_text())
+    assert density["values"] == [-2.0**-32, -2.0**-32, "-inf", 0.0, "-inf", "-inf"]
+    monkeypatch.setattr("tropifs.invariant.AUBRY_COLUMN_TOL", 0.0)
+    code, out = run(tmp_path, "invariant", config, out="exact")
+    assert code == 2
+    assert "Aubry points 0 and 3 have different columns" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, config, message", [
     # read as the default levels [0]: 1 density instead of 3
     ("invariant", {**SHIFT4, "invariant": {"mode": "enumerate", "level": [0, -0.25, -0.5]}},
@@ -1015,6 +1054,11 @@ GOLDEN_DIGESTS = {
     "quoted-labels-mane/aubry.json": "b2e55e2c5d05eac561e3cfc00febcb656aaff301fda33ee89af5acc4fec53aab",
     "quoted-labels-enumerate/density.json": "d83221a305b25cccec965e94522769827c0116628575de2d55f9d51612865830",
     "quoted-labels-enumerate/verify.json": "f07a4e16b630abb42fd64e64c7aaaf797e9e95cf92cfe7fcc792fc2b87a5102f",
+    # recorded before the files were opened as UTF-8 whatever the locale
+    "non-ascii-labels-mane/S.csv": "a16153b6a63c3d108db2c7492a03cb20ad8f48ab26a35d0b1f4b58d473d432d8",
+    "non-ascii-labels-mane/aubry.json": "9e7346350a2b3da91dae789c4d93ce94b9092ce1c4852a57173081d91dada49a",
+    "non-ascii-labels-fuzzy/attractor.csv": "bb7be6f88659103a835a97d359ef048977687370bc6ecbddd0a9d7e59d0b4305",
+    "non-ascii-labels-fuzzy/trace.csv": "1fb9ec8095c2097564f1625d2094944c267ecc2b8cbb4a8e8b5ff283ac5c1d30",
     "non-contractive-validate/validation.json": "d32f66bb14f2d010fa57ecf1cf3f1212e29c788bdf6a62f152b74b0fa06b282a",
     # recorded before the closure learnt to stop after one exact sweep
     "signed-zeros-mane/S.csv": "87a54a3a758e1ea1a17143a383e792c36a1af28e11865e81a808be2b041e82da",

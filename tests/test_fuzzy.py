@@ -25,11 +25,11 @@ from tropifs.fuzzy import (
 from tropifs.invariant import constant_weight_density
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, normalize
+from tropifs.measures import Density
 from tropifs.mpifs import transfer_density
 from tropifs.spaces import build_grid, build_shift_space, hausdorff
 
-from oracles import distance_table, dyadic_mp, naive_d_infty, naive_d_theta
+from oracles import distance_table, dyadic_mp, naive_d_infty, naive_d_theta, normalize
 
 
 def rand_prob(space, seed, p_bottom=0.2):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropifs import invariant, spaces
-from tropifs.errors import ConfigError, InternalError, NotConstantWeightError
+from tropifs.errors import ConfigError, InternalError, NotConstantWeightError, TropifsError
 from tropifs.examples import (
     build_nonunique_shift_system,
     build_two_point_system,
@@ -26,7 +26,7 @@ from tropifs.invariant import (
     verify_invariant,
 )
 from tropifs.maxplus import BOTTOM
-from tropifs.mane import PotentialMatrix, mane_potential
+from tropifs.mane import AUBRY_TOL, PotentialMatrix, mane_potential
 from tropifs.measures import Density
 from tropifs.mpifs import MpIfs, d_rho, transfer_density, validate
 from tropifs.spaces import CHUNK_VALUES, build_grid, build_shift_space
@@ -34,6 +34,7 @@ from tropifs.spaces import CHUNK_VALUES, build_grid, build_shift_space
 from oracles import (
     build_point_space,
     composite_collapse_depth,
+    constant_weight_by_normalize,
     dense_closure,
     dyadic_mp,
     enumerate_by_assignment,
@@ -351,6 +352,50 @@ def test_constant_weight_density_rejects_place_dependent():
     pot = mane_potential(system)
     with pytest.raises(NotConstantWeightError):
         constant_weight_density(system, pot)
+
+
+@st.composite
+def constant_weight_systems(draw):
+    """Builder grids and shifts with constant weights, or a few points on a line at
+    non-dyadic gaps under arbitrary maps, each with a constant weight that is 0 or
+    non-dyadic, the maps flagged exact or snapped."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["grid", "shift", "explicit"]))
+    if kind == "grid":
+        n, m = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+        return random_system(build_grid(0.0, 1.0, n), m, seed, constant_weights=True)
+    if kind == "shift":
+        symbols = draw(st.integers(2, 3))
+        depth = draw(st.integers(1, 4 if symbols == 2 else 3))
+        return random_system(build_shift_space(symbols, depth), symbols, seed,
+                             constant_weights=True)
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.1, 1.0, n))
+    # a resolution of half the diameter lets the contraction check accept any maps
+    space = build_point_space([repr(x) for x in xs.tolist()], np.abs(xs[:, None] - xs),
+                              resolution=(xs[-1] - xs[0]) / 2)
+    weights = np.where(rng.random(m) < 0.4, 0.0, -rng.uniform(0.05, 1.0, m))
+    weights[0] = 0.0
+    system = MpIfs(space, discrete_index_space([str(j) for j in range(m)]),
+                   rng.integers(0, n, size=(m, n)), np.repeat(weights[:, None], n, axis=1))
+    validate(system)
+    return dataclasses.replace(system, exact_maps=draw(st.booleans()))
+
+
+def _density_or_error(build, system, pot):
+    try:
+        return build(system, pot).values.tobytes()
+    except TropifsError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_weight_systems(), st.sampled_from([AUBRY_TOL, 0.5]))
+def test_constant_weight_density_is_the_normalized_anchor_column(system, tol_aubry):
+    pot = mane_potential(system, tol_aubry=tol_aubry)
+    expected = _density_or_error(constant_weight_by_normalize, system, pot)
+    assert _density_or_error(constant_weight_density, system, pot) == expected
 
 
 def _one_free_map(space, maps, penalty, exact_maps):

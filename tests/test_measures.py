@@ -5,11 +5,11 @@ import pytest
 
 from tropifs.errors import DimensionError, EmptySupportError
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, normalize
+from tropifs.measures import Density
 from tropifs.serialize import density_to_jsonable, values_from_jsonable, write_json
 from tropifs.spaces import build_grid
 
-from oracles import dyadic_mp
+from oracles import dyadic_mp, normalize
 
 SPACE = build_grid(0.0, 1.0, 6)
 

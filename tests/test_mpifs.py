@@ -14,7 +14,7 @@ from tropifs.examples import (
     random_system,
 )
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, normalize
+from tropifs.measures import Density
 from tropifs.mpifs import CONSTANT_WEIGHT_TOL, MpIfs, _estimates, d_rho, transfer_density, validate
 from tropifs.spaces import FiniteSpace, build_grid, build_shift_space
 
@@ -29,6 +29,7 @@ from oracles import (
     naive_is_constant_weight,
     naive_mu_eval,
     naive_transfer_density,
+    normalize,
     scatter_transfer_density,
 )
 

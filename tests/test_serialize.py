@@ -15,7 +15,7 @@ from tropifs.examples import build_nonunique_shift_system, build_two_point_syste
 from tropifs.fuzzy import FuzzySet, theta_conjugate
 from tropifs.mane import mane_potential
 from tropifs.maxplus import BOTTOM
-from tropifs.measures import Density, normalize
+from tropifs.measures import Density
 from tropifs.mpifs import validate
 from tropifs.serialize import (
     aubry_to_jsonable,
@@ -39,6 +39,7 @@ from oracles import (
     dense_closure,
     distance_table,
     labelled_csv,
+    normalize,
     space_to_jsonable,
     system_to_jsonable,
     values_to_jsonable,
